@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -182,6 +184,63 @@ class ParameterTable:
         return supine, standing
 
 
+@contextmanager
+def _open_csv(path: Path):
+    """Open a CSV file as UTF-8 text, dropping a leading byte-order mark.
+
+    Bytes that are not UTF-8 raise FormatError, wherever they are read.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+
+
+def _check_signal_header(path: Path, reader) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty file") from None
+    if [h.strip() for h in header] != ["t", "ecg", "ip"]:
+        raise FormatError(f"{path}: malformed header {header!r}; expected t,ecg,ip")
+
+
+def _load_signal_rows(path: Path) -> np.ndarray:
+    """Parse a signal file row by row into an (n, 3) array.
+
+    Slower than ``np.loadtxt`` but it accepts everything ``float`` does
+    (underscores, quoted cells) and names the line of the first bad value.
+    """
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        _check_signal_header(path, reader)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            if row[1].strip() == "" or row[2].strip() == "":
+                raise FormatError(f"{path}:{lineno}: channel length mismatch (empty cell)")
+            ctx = f"{path}:{lineno}"
+            rows.append([_parse_decimal(cell, ctx) for cell in row])
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+def _sample_rate_hz(path: Path, t: np.ndarray) -> float:
+    """Sample rate from the time column, which must be uniform within 1%."""
+    if t.size < 2:
+        raise FormatError(f"{path}: too few samples")
+    dt = np.diff(t)
+    if np.any(dt <= 0):
+        raise FormatError(f"{path}: time column not strictly increasing")
+    dt_med = float(np.median(dt))
+    if np.any(np.abs(dt - dt_med) > 0.01 * dt_med):
+        raise FormatError(f"{path}: non-uniform sampling (jitter beyond 1%)")
+    return 1.0 / dt_med
+
+
 def load_signal_record(
     path, subject_id: str | None = None, position: Position | None = None
 ) -> SignalRecord:
@@ -199,42 +258,27 @@ def load_signal_record(
         subject_id = subject_id if subject_id is not None else sid
         position = position if position is not None else Position.parse(pos_text)
 
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as fh:
+        _check_signal_header(path, csv.reader(fh))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["t", "ecg", "ip"]:
-            raise FormatError(f"{path}: malformed header {header!r}; expected t,ecg,ip")
-        t, ecg, ip = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            if row[1].strip() == "" or row[2].strip() == "":
-                raise FormatError(f"{path}:{lineno}: channel length mismatch (empty cell)")
-            ctx = f"{path}:{lineno}"
-            t.append(_parse_decimal(row[0], ctx))
-            ecg.append(_parse_decimal(row[1], ctx))
-            ip.append(_parse_decimal(row[2], ctx))
-
-    t = np.asarray(t)
-    if t.size < 2:
-        raise FormatError(f"{path}: too few samples")
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise FormatError(f"{path}: time column not strictly increasing")
-    dt_med = float(np.median(dt))
-    if np.any(np.abs(dt - dt_med) > 0.01 * dt_med):
-        raise FormatError(f"{path}: non-uniform sampling (jitter beyond 1%)")
+            with warnings.catch_warnings():
+                # loadtxt warns on a header-only file, which the row parser
+                # then reports as too few samples
+                warnings.simplefilter("ignore")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    # Anything loadtxt rejects or reads as non-finite is re-parsed row by row,
+    # which accepts or rejects it with the same message as it always has.
+    if data is None or data.shape[1] != 3 or not np.all(np.isfinite(data)):
+        data = _load_signal_rows(path)
+    t, ecg, ip = data.T.copy()
     return SignalRecord(
         subject_id=subject_id,
         position=position,
-        sample_rate_hz=1.0 / dt_med,
-        ecg=np.asarray(ecg),
-        ip=np.asarray(ip),
+        sample_rate_hz=_sample_rate_hz(path, t),
+        ecg=ecg,
+        ip=ip,
     )
 
 
@@ -251,7 +295,7 @@ def load_parameter_table(path) -> ParameterTable:
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -295,7 +339,10 @@ def load_parameter_table(path) -> ParameterTable:
 def save_parameter_table(table: ParameterTable, path) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("subject_id,position," + ",".join(PARAMETER_NAMES) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["subject_id", "position", *PARAMETER_NAMES])
         for row in table.rows:
-            values = ",".join(repr(float(row.params[name])) for name in PARAMETER_NAMES)
-            fh.write(f"{row.subject_id},{row.position.value},{values}\n")
+            writer.writerow(
+                [row.subject_id, row.position.value]
+                + [repr(float(row.params[name])) for name in PARAMETER_NAMES]
+            )

@@ -11,12 +11,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_triangular
 
 from ._util import centered_moving_average, rolling_std
 from .cardio_signals import SignalError, _check_input
 
 _LMS_TAPS = 50
 _LMS_STEP = 0.05
+# Samples per exact block solve of the LMS recursion.  Blocks of 64 to 128
+# cost the same; smaller ones pay more per-call overhead, larger ones more
+# triangular work.
+_LMS_BLOCK = 64
 
 
 class TooFewBreathsError(SignalError):
@@ -81,6 +87,14 @@ def remove_cardiac_component(ip, ecg, sample_rate_hz: float) -> np.ndarray:
     subtracted; the residual is smoothed by a centered 400 ms moving average
     with reflected edges.  An all-zero reference leaves the weights at zero,
     so the output is then exactly the moving average of the input.
+
+    The per-sample recursion is solved exactly, a block of samples at a
+    time.  With window rows X, normalized steps s and the weights w at the
+    start of a block, the block's errors solve the unit lower-triangular
+    system (I + tril(X X^T, -1) diag(s)) e = y - X w, whose forward
+    substitution is the recursion itself; the weights then advance by
+    X^T (s * e).  Only the floating-point summation order differs from a
+    sample-by-sample loop.
     """
     y = _check_input(ip, sample_rate_hz, 30.0)
     x = _check_input(ecg, sample_rate_hz, 30.0)
@@ -88,25 +102,75 @@ def remove_cardiac_component(ip, ecg, sample_rate_hz: float) -> np.ndarray:
         raise SignalError("channel length mismatch")
 
     n = y.size
-    weights = np.zeros(_LMS_TAPS)
-    padded = np.concatenate([np.zeros(_LMS_TAPS - 1), x])
-    cleaned = np.empty(n)
+    # Row i is the reference window x[i], x[i-1], ..., x[i-taps+1], with
+    # zeros before the first sample.
+    windows = sliding_window_view(
+        np.concatenate([np.zeros(_LMS_TAPS - 1), x]), _LMS_TAPS
+    )[:, ::-1]
     # Regularizing by a multiple of the average window energy keeps the
     # normalized step bounded where the reference is momentarily quiet,
     # which would otherwise let the filter absorb the slow breathing
     # component.  A zero reference yields zero updates, so the output then
     # reduces to the moving average of the input.
     eps = 1e-12 + 100.0 * _LMS_TAPS * float(np.mean(x * x))
-    for i in range(n):
-        window = padded[i : i + _LMS_TAPS][::-1]
-        estimate = float(weights @ window)
-        error = y[i] - estimate
-        cleaned[i] = error
-        norm = float(window @ window)
-        weights += (_LMS_STEP * error / (norm + eps)) * window
+    step = _LMS_STEP / (np.einsum("ij,ij->i", windows, windows) + eps)
+    weights = np.zeros(_LMS_TAPS)
+    cleaned = np.empty(n)
+    for start in range(0, n, _LMS_BLOCK):
+        block = slice(start, start + _LMS_BLOCK)
+        xb, sb = windows[block], step[block]
+        coupling = np.tril(xb @ xb.T, -1) * sb
+        error = solve_triangular(
+            coupling, y[block] - xb @ weights,
+            lower=True, unit_diagonal=True, check_finite=False,
+        )
+        cleaned[block] = error
+        weights += xb.T @ (sb * error)
 
     width = max(round(0.4 * sample_rate_hz), 1)
     return centered_moving_average(cleaned, width)
+
+
+def _flow_and_threshold(x: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flow surrogate (central difference) and its hysteresis threshold."""
+    # Detection runs on a power-of-two-normalized copy: dividing by 2**k is
+    # exact, so rescaling the input cannot flip marginal threshold
+    # comparisons and onset times are scale-invariant.
+    max_abs = float(np.max(np.abs(x)))
+    xn = x / (2.0 ** math.frexp(max_abs)[1] if max_abs > 0 else 1.0)
+
+    flow = np.empty(x.size)
+    flow[1:-1] = (xn[2:] - xn[:-2]) * (rate / 2.0)
+    flow[0] = flow[1]
+    flow[-1] = flow[-2]
+    threshold = 0.2 * rolling_std(flow, max(round(10.0 * rate), 2))
+    return flow, threshold
+
+
+def _phase_events(flow: np.ndarray, threshold: np.ndarray) -> list[tuple[str, int]]:
+    """Hysteresis-confirmed phase onsets as (kind, onset sample index).
+
+    Where the threshold is positive, flow above it confirms inspiration and
+    flow below its negative confirms expiration; the confirmed phase is the
+    sign of the latest such crossing.  Onsets are emitted only where the
+    confirmed phase flips, so a partial breath at the recording edge (whose
+    true onset was never observed) produces no event.  An onset sits at the
+    last sample, up to the flip, whose flow has the opposite sign or is zero;
+    the opposite crossing that precedes every flip guarantees one exists.
+    """
+    index = np.arange(flow.size)
+    last_nonpos = np.maximum.accumulate(np.where(flow <= 0, index, -1))
+    last_nonneg = np.maximum.accumulate(np.where(flow >= 0, index, -1))
+    crossing = np.where(
+        threshold > 0, (flow > threshold).astype(int) - (flow < -threshold), 0
+    )
+    crossed = np.flatnonzero(crossing)
+    phase = crossing[crossed]
+    flips = crossed[1:][phase[1:] != phase[:-1]]
+    return [
+        ("insp", int(last_nonpos[i])) if crossing[i] > 0 else ("exp", int(last_nonneg[i]))
+        for i in flips
+    ]
 
 
 def delimit_breaths(ip_clean, sample_rate_hz: float) -> BreathSeries:
@@ -121,42 +185,7 @@ def delimit_breaths(ip_clean, sample_rate_hz: float) -> BreathSeries:
     """
     x = _check_input(ip_clean, sample_rate_hz, 30.0)
     rate = float(sample_rate_hz)
-    n = x.size
-
-    # Detection runs on a power-of-two-normalized copy: dividing by 2**k is
-    # exact, so rescaling the input cannot flip marginal threshold
-    # comparisons and onset times are scale-invariant.
-    max_abs = float(np.max(np.abs(x)))
-    xn = x / (2.0 ** math.frexp(max_abs)[1] if max_abs > 0 else 1.0)
-
-    flow = np.empty(n)
-    flow[1:-1] = (xn[2:] - xn[:-2]) * (rate / 2.0)
-    flow[0] = flow[1]
-    flow[-1] = flow[-2]
-    threshold = 0.2 * rolling_std(flow, max(round(10.0 * rate), 2))
-
-    # Onsets are emitted only on transitions from the confirmed opposite
-    # phase, so a partial breath at the recording edge (whose true onset was
-    # never observed) produces no event.
-    events: list[tuple[str, int]] = []  # (kind, onset sample index)
-    state = 0
-    last_nonpos = -1
-    last_nonneg = -1
-    for i in range(n):
-        if flow[i] <= 0:
-            last_nonpos = i
-        if flow[i] >= 0:
-            last_nonneg = i
-        if threshold[i] <= 0:
-            continue
-        if state != 1 and flow[i] > threshold[i]:
-            if state == -1 and last_nonpos >= 0:
-                events.append(("insp", last_nonpos))
-            state = 1
-        elif state != -1 and flow[i] < -threshold[i]:
-            if state == 1 and last_nonneg >= 0:
-                events.append(("exp", last_nonneg))
-            state = -1
+    events = _phase_events(*_flow_and_threshold(x, rate))
 
     while events and events[0][0] != "insp":
         events.pop(0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -382,6 +383,22 @@ class TestCli:
             ]) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_non_utf8_signal_file_becomes_warning(self, signals_dir, tmp_path, capsys):
+        records = tmp_path / "records"
+        shutil.copytree(signals_dir, records)
+        (records / "sYY_supine.csv").write_bytes(b"t,ecg,ip\n0.0,\xff,0.0\n")
+        code = main([
+            "analyze", "--input", str(records), "--input-kind", "signals",
+            "--positions", "supine", "--methods", "hc", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[1].startswith("warning: sYY_supine.csv: ")
+        assert err[1].endswith("not UTF-8 text")
+        report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
+        assert len(report["warnings"]) == 2
 
     def test_fatal_analysis_exits_2(self, tmp_path, capsys):
         table, _ = sem_cohort(3, seed=1)

@@ -1,6 +1,7 @@
 """File-format contracts: signal CSV and parameter-table CSV."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from cardiocausal.record_io import (
     ParameterTable,
     Position,
     SignalRecord,
+    _load_signal_rows,
     load_parameter_table,
     load_signal_record,
     save_parameter_table,
     save_signal_record,
 )
+from cardiocausal.synthetic import sem_cohort
 
 RATE = 250.0
 
@@ -159,6 +162,40 @@ class TestSignalRecordLoad:
         with pytest.raises(FormatError, match="30 s"):
             load_signal_record(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = _write_signal_csv(tmp_path / "s1_supine.csv", 8000)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        record = load_signal_record(path)
+        assert record.ecg.size == 8000
+        assert record.ecg[1] == 0.001
+
+    @pytest.mark.parametrize("row", [3, 7000])
+    def test_non_utf8_bytes_rejected(self, tmp_path, row):
+        # row 7000 lies beyond the first decoded chunk, so the bad byte is
+        # met inside loadtxt rather than while reading the header
+        path = _write_signal_csv(tmp_path / "s1_supine.csv", 8000)
+        lines = path.read_bytes().split(b"\n")
+        lines[row] = lines[row].replace(b",", b",\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_signal_record(path)
+
+    def test_row_parser_accepts_what_loadtxt_rejects(self, tmp_path):
+        # underscores and quoted cells are valid to ``float`` and csv
+        lines = ["t,ecg,ip"] + [f"{i / RATE!r},1_0,\"0.5\"" for i in range(8000)]
+        path = tmp_path / "s1_supine.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        record = load_signal_record(path)
+        assert set(record.ecg) == {10.0}
+        assert set(record.ip) == {0.5}
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_is_too_few_samples(self, tmp_path):
+        path = tmp_path / "s1_supine.csv"
+        path.write_text("t,ecg,ip\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="too few samples"):
+            load_signal_record(path)
+
     def test_signal_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         record = SignalRecord(
@@ -236,6 +273,19 @@ class TestParameterTableLoad:
         path = tmp_path / "params.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match="missing value"):
+            load_parameter_table(path)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        rows = [_param_row("s001", "supine"), _param_row("s002", "supine")]
+        path = tmp_path / "params.csv"
+        path.write_text("\ufeff" + _param_csv_text(rows), encoding="utf-8")
+        assert load_parameter_table(path) == ParameterTable(tuple(rows))
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        text = _param_csv_text([_param_row("s001", "supine")])
+        path = tmp_path / "params.csv"
+        path.write_bytes(text.replace("s001", "s\xff").encode("latin-1"))
+        with pytest.raises(FormatError, match="not UTF-8"):
             load_parameter_table(path)
 
     def test_position_parse_case_insensitive(self, tmp_path):
@@ -331,3 +381,79 @@ def test_parameter_table_round_trip(tmp_path_factory, table):
     path2 = tmp_path_factory.mktemp("roundtrip") / "t2.csv"
     save_parameter_table(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_ids_with_commas_and_quotes_round_trip(tmp_path):
+    table = ParameterTable(
+        (
+            _param_row("smith, j", "supine"),
+            _param_row('o"neil', "standing"),
+            _param_row("plain", "supine"),
+        )
+    )
+    path = tmp_path / "params.csv"
+    save_parameter_table(table, path)
+    assert load_parameter_table(path) == table
+
+
+def test_saved_table_bytes_for_ordinary_ids(tmp_path):
+    # ordinary ids need no quoting: one plain comma-joined line per row
+    table, _ = sem_cohort(100, seed=0)
+    path = tmp_path / "params.csv"
+    save_parameter_table(table, path)
+    lines = ["subject_id,position," + ",".join(PARAMETER_NAMES)]
+    for row in table.rows:
+        values = ",".join(repr(float(row.params[n])) for n in PARAMETER_NAMES)
+        lines.append(f"{row.subject_id},{row.position.value},{values}")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Cells that exercise both signal parsers: loadtxt takes the plain numbers,
+# and everything else must come out of the row parser unchanged.
+_ODD_CELLS = st.sampled_from(
+    ["nan", "NaN", "inf", "-inf", "1_0", '"1.5"', '"1,5"', "", " ", " 2.5 ", "x", "1e400"]
+)
+
+
+@st.composite
+def _signal_csv_texts(draw):
+    # 10 s steps: three rows are already a 30 s record
+    n = draw(st.integers(min_value=3, max_value=6))
+    value = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).map(repr)
+    rows = [[repr(10.0 * i), draw(value), draw(value)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        row = draw(st.integers(min_value=0, max_value=n - 1))
+        col = draw(st.integers(min_value=0, max_value=2))
+        rows[row][col] = draw(_ODD_CELLS)
+    lines = ["t,ecg,ip"] + [",".join(r) for r in rows]
+    if draw(st.booleans()):  # ragged: drop or add a cell on one line
+        at = draw(st.integers(min_value=1, max_value=n))
+        lines[at] = lines[at].rpartition(",")[0] if draw(st.booleans()) else lines[at] + ",0"
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(
+            draw(st.integers(min_value=1, max_value=len(lines))),
+            draw(st.sampled_from(["", " ", "\t"])),
+        )
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+def _load_outcome(path):
+    try:
+        record = load_signal_record(path)
+    except FormatError as exc:
+        return str(exc)
+    return record.sample_rate_hz, record.ecg.tobytes(), record.ip.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signal_csv_texts())
+def test_loadtxt_path_matches_row_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("loader") / "s1_supine.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcome = _load_outcome(path)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("forced")):
+        assert _load_outcome(path) == outcome
+    if not isinstance(outcome, str):
+        data = _load_signal_rows(path)
+        assert (data[:, 1].tobytes(), data[:, 2].tobytes()) == outcome[1:]

@@ -7,14 +7,95 @@ from scipy.signal import periodogram
 from cardiocausal._util import centered_moving_average
 from cardiocausal.cardio_signals import SignalError, detrend_ecg
 from cardiocausal.resp_signals import (
+    _LMS_BLOCK,
     BreathSeries,
     TooFewBreathsError,
+    _flow_and_threshold,
+    _phase_events,
     delimit_breaths,
     remove_cardiac_component,
 )
 from cardiocausal.synthetic import synthetic_ecg, synthetic_ip
 
 RATE = 250.0
+
+
+def _reference_nlms(ip, ecg, rate, taps=50, mu=0.05):
+    """The normalized LMS canceller as a plain per-sample loop."""
+    y = np.asarray(ip, dtype=float)
+    x = np.asarray(ecg, dtype=float)
+    weights = np.zeros(taps)
+    padded = np.concatenate([np.zeros(taps - 1), x])
+    cleaned = np.empty(y.size)
+    eps = 1e-12 + 100.0 * taps * float(np.mean(x * x))
+    for i in range(y.size):
+        window = padded[i : i + taps][::-1]
+        error = y[i] - float(weights @ window)
+        cleaned[i] = error
+        weights += (mu * error / (float(window @ window) + eps)) * window
+    return centered_moving_average(cleaned, max(round(0.4 * rate), 1))
+
+
+def _reference_events(flow, threshold):
+    """Hysteresis phase onsets as a plain per-sample state machine."""
+    events = []
+    state = 0
+    last_nonpos = -1
+    last_nonneg = -1
+    for i in range(flow.size):
+        if flow[i] <= 0:
+            last_nonpos = i
+        if flow[i] >= 0:
+            last_nonneg = i
+        if threshold[i] <= 0:
+            continue
+        if state != 1 and flow[i] > threshold[i]:
+            if state == -1 and last_nonpos >= 0:
+                events.append(("insp", last_nonpos))
+            state = 1
+        elif state != -1 and flow[i] < -threshold[i]:
+            if state == 1 and last_nonneg >= 0:
+                events.append(("exp", last_nonneg))
+            state = -1
+    return events
+
+
+def _contaminated():
+    ecg, _ = synthetic_ecg(120.0, RATE, hr_start_bpm=72.0, noise_snr_db=20.0, seed=3)
+    det = detrend_ecg(ecg, RATE)
+    return synthetic_ip(120.0, RATE, breath_hz=0.25) + 0.5 * det, det
+
+
+def _zero_reference():
+    ip = synthetic_ip(60.0, RATE, breath_hz=0.25)
+    return ip, np.zeros(ip.size)
+
+
+def _quiet_and_bursts():
+    # the reference drops to exact zeros for seconds at a time and swells to
+    # 20x in bursts, so the normalized step swings over its whole range
+    ecg, _ = synthetic_ecg(90.0, RATE, hr_start_bpm=65.0, noise_snr_db=15.0, seed=8)
+    det = detrend_ecg(ecg, RATE)
+    t = np.arange(det.size) / RATE
+    envelope = np.where((t % 20.0) < 4.0, 0.0, np.where((t % 20.0) > 17.0, 20.0, 1.0))
+    ref = det * envelope
+    return synthetic_ip(90.0, RATE, breath_hz=0.3, phase=0.4) + 0.3 * ref, ref
+
+
+def _ragged_length():
+    n = round(30.0 * RATE) + 37
+    assert n % _LMS_BLOCK != 0
+    ecg, _ = synthetic_ecg(31.0, RATE, hr_start_bpm=80.0, noise_snr_db=20.0, seed=5)
+    det = detrend_ecg(ecg[:n], RATE)
+    return synthetic_ip(31.0, RATE, breath_hz=0.35)[:n] + 0.4 * det, det
+
+
+ORACLE_INPUTS = {
+    "contaminated": _contaminated,
+    "zero_reference": _zero_reference,
+    "quiet_and_bursts": _quiet_and_bursts,
+    "ragged_length": _ragged_length,
+}
 
 
 def _band_power(sig, lo=0.8, hi=3.0):
@@ -35,11 +116,11 @@ class TestRemoveCardiacComponent:
         ip = synthetic_ip(60.0, RATE, breath_hz=0.25)
         out = remove_cardiac_component(ip, np.zeros(ip.size), RATE)
         expected = centered_moving_average(ip, round(0.4 * RATE))
-        np.testing.assert_allclose(out, expected, atol=1e-9)
+        np.testing.assert_array_equal(out, expected)
 
     def test_uncontaminated_ip_stays_close_to_moving_average(self):
         # a nonzero but uncorrelated reference keeps weights near zero; the
-        # 1e-9 identity of the zero-reference case relaxes to a small bound
+        # exact identity of the zero-reference case relaxes to a small bound
         ecg, _ = synthetic_ecg(120.0, RATE, hr_start_bpm=72.0, noise_snr_db=20.0, seed=1)
         det = detrend_ecg(ecg, RATE)
         ip = synthetic_ip(120.0, RATE, breath_hz=0.25)
@@ -61,6 +142,13 @@ class TestRemoveCardiacComponent:
         ip = synthetic_ip(40.0, RATE)
         out = remove_cardiac_component(ip, np.zeros(ip.size), RATE)
         assert out.size == ip.size
+
+    @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
+    def test_block_solve_matches_per_sample_loop(self, make):
+        ip, ref = make()
+        expected = _reference_nlms(ip, ref, RATE)
+        out = remove_cardiac_component(ip, ref, RATE)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestDelimitBreaths:
@@ -129,6 +217,23 @@ class TestDelimitBreaths:
     def test_too_short_input_rejected(self):
         with pytest.raises(SignalError):
             delimit_breaths(np.zeros(int(10 * RATE)), RATE)
+
+    @pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
+    def test_events_match_per_sample_loop(self, make):
+        ip, ref = make()
+        flow, threshold = _flow_and_threshold(remove_cardiac_component(ip, ref, RATE), RATE)
+        events = _phase_events(flow, threshold)
+        assert events
+        assert events == _reference_events(flow, threshold)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_events_match_loop_with_ties(self, seed):
+        # small integer flows hit zero and the threshold exactly, and
+        # zero-threshold stretches must leave the confirmed phase alone
+        rng = np.random.default_rng(seed)
+        flow = rng.integers(-3, 4, size=500).astype(float)
+        threshold = rng.choice([0.0, 1.0, 2.0], size=500, p=[0.3, 0.4, 0.3])
+        assert _phase_events(flow, threshold) == _reference_events(flow, threshold)
 
 
 class TestBreathSeries:
