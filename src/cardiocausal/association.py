@@ -148,8 +148,7 @@ def correlation_matrix(
     MPE exceeds 0.9, NaN otherwise; the diagonal is NaN.  Symmetric by
     construction (each unordered pair is evaluated once).
     """
-    rows = [r for r in table.rows if r.position == position]
-    if len(rows) < 4:
+    if len(table.subjects(position)) < 4:
         raise AssociationError("need at least 4 subjects for the position")
     k = len(names)
     out = np.full((k, k), np.nan)
@@ -162,10 +161,10 @@ def correlation_matrix(
     return out
 
 
-def _loo_kernel_prediction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Leave-one-out Nadaraya-Watson estimate of E(y | x) at each x_i.
+def _loo_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out Gaussian kernel weights of x, and their row sums.
 
-    Gaussian kernel with Silverman bandwidth 1.06 * sd(x) * n^(-1/5); the
+    Silverman bandwidth 1.06 * sd(x) * n^(-1/5); the diagonal is zero, so a
     point's own response is excluded to avoid zero-residual overfit.
     """
     n = x.size
@@ -175,7 +174,13 @@ def _loo_kernel_prediction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = (x[:, None] - x[None, :]) / h
     weights = np.exp(-0.5 * z * z)
     np.fill_diagonal(weights, 0.0)
-    denom = weights.sum(axis=1)
+    return weights, weights.sum(axis=1)
+
+
+def _loo_predict(weights: np.ndarray, denom: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Leave-one-out Nadaraya-Watson estimate of E(y | x) at each x_i, from
+    the kernel of x."""
+    n = y.size
     numer = weights @ y
     fallback = (y.sum() - y) / (n - 1)  # isolated point: mean of the others
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -194,6 +199,58 @@ def _gmc_side(response: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
     return gmc, _pearson_p(rho, response.size)
 
 
+class GeneralizedCorrPairs:
+    """Generalized correlations among equal-length columns, with one kernel
+    per column.
+
+    A column's kernel is built the first time a pair needs it, predicts every
+    other column and is dropped, so one n x n matrix is alive at a time.
+    """
+
+    def __init__(self, columns):
+        self.columns = [np.asarray(c, dtype=float) for c in columns]
+        self._predictions: dict[int, dict[int, np.ndarray]] = {}
+
+    def _prediction(self, cause: int, response: int) -> np.ndarray:
+        if cause not in self._predictions:
+            weights, denom = _loo_kernel(self.columns[cause])
+            self._predictions[cause] = {
+                j: _loo_predict(weights, denom, y)
+                for j, y in enumerate(self.columns)
+                if j != cause
+            }
+        return self._predictions[cause][response]
+
+    def pair(self, i: int, j: int) -> GeneralizedCorrPair:
+        """``generalized_corr_pair(columns[i], columns[j])``."""
+        x, y = _as_pair(self.columns[i], self.columns[j], 20)
+        r = _pearson(x, y)
+        sign = 1.0 if r >= 0 else -1.0
+
+        gmc_yx, p_yx = _gmc_side(y, self._prediction(i, j))
+        gmc_xy, p_xy = _gmc_side(x, self._prediction(j, i))
+        r_star_yx = sign * math.sqrt(gmc_yx)
+        r_star_xy = sign * math.sqrt(gmc_xy)
+
+        if abs(r_star_xy) > abs(r_star_yx):
+            candidate, gate_p = Direction.Y_CAUSES_X, p_xy
+        elif abs(r_star_yx) > abs(r_star_xy):
+            candidate, gate_p = Direction.X_CAUSES_Y, p_yx
+        else:
+            candidate, gate_p = Direction.UNDECIDED, max(p_yx, p_xy)
+        direction = candidate if gate_p < DIRECTION_ALPHA else Direction.UNDECIDED
+
+        return GeneralizedCorrPair(
+            r_pearson=r,
+            r_star_y_given_x=r_star_yx,
+            r_star_x_given_y=r_star_xy,
+            gmc_y_given_x=gmc_yx,
+            gmc_x_given_y=gmc_xy,
+            direction=direction,
+            gate_p=gate_p,
+        )
+
+
 def generalized_corr_pair(x, y) -> GeneralizedCorrPair:
     """Generalized correlations of a pair with the kernel-cause rule.
 
@@ -204,29 +261,4 @@ def generalized_corr_pair(x, y) -> GeneralizedCorrPair:
     significant: its gate p-value (two-sided correlation test between the
     response and its leave-one-out prediction) must be below 0.05.
     """
-    x, y = _as_pair(x, y, 20)
-    r = _pearson(x, y)
-    sign = 1.0 if r >= 0 else -1.0
-
-    gmc_yx, p_yx = _gmc_side(y, _loo_kernel_prediction(x, y))
-    gmc_xy, p_xy = _gmc_side(x, _loo_kernel_prediction(y, x))
-    r_star_yx = sign * math.sqrt(gmc_yx)
-    r_star_xy = sign * math.sqrt(gmc_xy)
-
-    if abs(r_star_xy) > abs(r_star_yx):
-        candidate, gate_p = Direction.Y_CAUSES_X, p_xy
-    elif abs(r_star_yx) > abs(r_star_xy):
-        candidate, gate_p = Direction.X_CAUSES_Y, p_yx
-    else:
-        candidate, gate_p = Direction.UNDECIDED, max(p_yx, p_xy)
-    direction = candidate if gate_p < DIRECTION_ALPHA else Direction.UNDECIDED
-
-    return GeneralizedCorrPair(
-        r_pearson=r,
-        r_star_y_given_x=r_star_yx,
-        r_star_x_given_y=r_star_xy,
-        gmc_y_given_x=gmc_yx,
-        gmc_x_given_y=gmc_xy,
-        direction=direction,
-        gate_p=gate_p,
-    )
+    return GeneralizedCorrPairs((x, y)).pair(0, 1)

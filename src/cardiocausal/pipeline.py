@@ -397,10 +397,7 @@ def run_pipeline(config: RunConfig) -> CausalReport:
 
     paired: list[PairedTestResult] = []
     if {Position.SUPINE, Position.STANDING} <= set(positions):
-        n_common = len(
-            set(table.subjects(Position.SUPINE)) & set(table.subjects(Position.STANDING))
-        )
-        if n_common >= 8:
+        if len(table.common_subjects()) >= 8:
             for name in PARAMETER_NAMES:
                 supine, standing = table.paired_columns(name)
                 try:

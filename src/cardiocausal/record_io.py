@@ -134,53 +134,73 @@ class ParameterRow:
             raise FormatError(f"{ctx}: BR out of [0, 100]")
 
 
+_COLUMN_INDEX = {name: j for j, name in enumerate(PARAMETER_NAMES)}
+
+
 @dataclass(frozen=True)
 class ParameterTable:
+    """Parameter rows, indexed by position when the table is built.
+
+    Each position keeps the row number of each subject, in sorted subject
+    order, and a float64 subjects x PARAMETER_NAMES matrix, so lookups are
+    dict lookups and array slices.  Tables compare equal when their rows do.
+    """
+
     rows: tuple[ParameterRow, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        seen = set()
+        by_key: dict[tuple[str, Position], ParameterRow] = {}
         for row in self.rows:
             key = (row.subject_id, row.position)
-            if key in seen:
+            if key in by_key:
                 raise FormatError(
                     f"duplicate (subject, position) key ({row.subject_id!r},"
                     f" {row.position.value})"
                 )
-            seen.add(key)
+            by_key[key] = row
+        slots, values = {}, {}
+        for position in Position:
+            subjects = sorted(s for s, p in by_key if p is position)
+            slots[position] = {s: i for i, s in enumerate(subjects)}
+            values[position] = np.array(
+                [[by_key[s, position].params[n] for n in PARAMETER_NAMES] for s in subjects],
+                dtype=float,
+            ).reshape(len(subjects), len(PARAMETER_NAMES))
+        object.__setattr__(self, "_by_key", by_key)
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_values", values)
 
     def subjects(self, position: Position) -> list[str]:
-        return sorted(r.subject_id for r in self.rows if r.position == position)
+        return list(self._slots[position])
+
+    def common_subjects(self) -> list[str]:
+        """Subjects present in both positions, sorted."""
+        standing = self._slots[Position.STANDING]
+        return [s for s in self._slots[Position.SUPINE] if s in standing]
 
     def row(self, subject_id: str, position: Position) -> ParameterRow:
-        for r in self.rows:
-            if r.subject_id == subject_id and r.position == position:
-                return r
-        raise KeyError((subject_id, position))
+        return self._by_key[subject_id, position]
 
     def column(self, name: str, position: Position) -> np.ndarray:
         """Values of one parameter for one position, in sorted subject order."""
-        if name not in PARAMETER_NAMES:
-            raise KeyError(name)
-        return np.array(
-            [self.row(s, position).params[name] for s in self.subjects(position)]
-        )
+        return self._values[position][:, _COLUMN_INDEX[name]].copy()
 
     def matrix(self, position: Position, names=PARAMETER_NAMES) -> np.ndarray:
         """Design matrix for one position: subjects (sorted) by parameters."""
-        subjects = self.subjects(position)
-        return np.array(
-            [[self.row(s, position).params[name] for name in names] for s in subjects]
-        )
+        columns = [_COLUMN_INDEX[name] for name in names]
+        # take returns a C-ordered copy; fancy indexing on axis 1 would return
+        # Fortran order, which changes the summation order of later reductions
+        return np.take(self._values[position], columns, axis=1)
 
     def paired_columns(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Supine and standing values for subjects present in both positions."""
-        common = sorted(
-            set(self.subjects(Position.SUPINE)) & set(self.subjects(Position.STANDING))
+        j = _COLUMN_INDEX[name]
+        common = self.common_subjects()
+        supine, standing = (
+            self._values[p][[self._slots[p][s] for s in common], j]
+            for p in (Position.SUPINE, Position.STANDING)
         )
-        supine = np.array([self.row(s, Position.SUPINE).params[name] for s in common])
-        standing = np.array([self.row(s, Position.STANDING).params[name] for s in common])
         return supine, standing
 
 

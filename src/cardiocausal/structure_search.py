@@ -20,7 +20,7 @@ from scipy import linalg as sla
 from scipy import stats
 from scipy.interpolate import BSpline
 
-from .association import AssociationError, Direction, generalized_corr_pair
+from .association import AssociationError, Direction, GeneralizedCorrPairs
 from .graphs import Cpdag, Dag, consistent_extension, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
@@ -61,7 +61,6 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    score: str = "gaussian_bic"
     max_parents: int = 4
     tabu_length: int = 10
     tabu_max_stalls: int = 15
@@ -70,8 +69,6 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.score != "gaussian_bic":
-            raise SearchError(f"unknown score {self.score!r}")
         for field in ("max_parents", "tabu_length", "tabu_max_stalls"):
             if getattr(self, field) < 1:
                 raise SearchError(f"{field} must be positive")
@@ -857,12 +854,11 @@ def gc_graph(table: ParameterTable, position: Position, names=None) -> set[tuple
     fails are skipped with a warning.
     """
     names = tuple(names) if names is not None else PARAMETER_NAMES
+    pairs = GeneralizedCorrPairs([table.column(name, position) for name in names])
     edges: set[tuple[str, str]] = set()
-    for a, b in itertools.combinations(names, 2):
+    for (i, a), (j, b) in itertools.combinations(enumerate(names), 2):
         try:
-            pair = generalized_corr_pair(
-                table.column(a, position), table.column(b, position)
-            )
+            pair = pairs.pair(i, j)
         except AssociationError as exc:
             _log.warning("skipping pair (%s, %s): %s", a, b, exc)
             continue

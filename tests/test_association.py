@@ -1,7 +1,7 @@
 """Tests for correlation screening and generalized-correlation direction."""
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -12,11 +12,13 @@ from cardiocausal.association import (
     BayesRegressionFit,
     Direction,
     GeneralizedCorrPair,
+    GeneralizedCorrPairs,
     bayes_correlation,
     correlation_matrix,
     generalized_corr_pair,
 )
 from cardiocausal.record_io import PARAMETER_NAMES, ParameterRow, ParameterTable, Position
+from cardiocausal.synthetic import sem_cohort
 
 
 def make_table(columns, position=Position.SUPINE, start=0):
@@ -263,3 +265,44 @@ class TestGeneralizedCorrPair:
                 direction=Direction.UNDECIDED,
                 gate_p=0.5,
             )
+
+
+def _loo_kernel_prediction(x, y):
+    """Reference: leave-one-out Nadaraya-Watson estimate of E(y | x), one
+    kernel per call.  GeneralizedCorrPairs must reproduce it bit for bit."""
+    n = x.size
+    h = 1.06 * float(np.std(x, ddof=1)) * n ** (-0.2)
+    if h <= 0:
+        raise AssociationError("degenerate variance: zero bandwidth")
+    z = (x[:, None] - x[None, :]) / h
+    weights = np.exp(-0.5 * z * z)
+    np.fill_diagonal(weights, 0.0)
+    denom = weights.sum(axis=1)
+    numer = weights @ y
+    fallback = (y.sum() - y) / (n - 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pred = np.where(denom > 1e-300, numer / np.maximum(denom, 1e-300), fallback)
+    return pred
+
+
+class TestGeneralizedCorrPairs:
+    def test_shared_kernel_predictions_equal_per_pair_ones(self):
+        table, _ = sem_cohort(200, seed=0)
+        # a far outlier has no neighbours inside the kernel: the fallback path
+        outlier = np.random.default_rng(15).normal(0.0, 1.0, 200)
+        outlier[0] = 1e4
+        for position in Position:
+            columns = [table.column(n, position) for n in PARAMETER_NAMES] + [outlier]
+            pairs = GeneralizedCorrPairs(columns)
+            for i, j in permutations(range(len(columns)), 2):
+                want = _loo_kernel_prediction(columns[i], columns[j])
+                assert np.array_equal(pairs._prediction(i, j), want)
+            y = columns[0]
+            assert pairs._prediction(len(columns) - 1, 0)[0] == (y.sum() - y[0]) / 199
+
+    def test_pair_matches_generalized_corr_pair(self):
+        table, _ = sem_cohort(200, seed=1)
+        columns = [table.column(n, Position.STANDING) for n in PARAMETER_NAMES]
+        pairs = GeneralizedCorrPairs(columns)
+        for i, j in permutations(range(len(columns)), 2):
+            assert pairs.pair(i, j) == generalized_corr_pair(columns[i], columns[j])

@@ -408,6 +408,119 @@ def test_saved_table_bytes_for_ordinary_ids(tmp_path):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
+class _RowScanTable:
+    """Reference lookups by scanning the rows, which the indexed
+    ParameterTable must reproduce.  Values come out as float64, and a
+    matrix has one column per requested name even with no subjects."""
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+
+    def subjects(self, position):
+        return sorted(r.subject_id for r in self.rows if r.position == position)
+
+    def row(self, subject_id, position):
+        for r in self.rows:
+            if r.subject_id == subject_id and r.position == position:
+                return r
+        raise KeyError((subject_id, position))
+
+    def column(self, name, position):
+        return self.matrix(position, (name,))[:, 0]
+
+    def matrix(self, position, names):
+        for name in names:
+            if name not in PARAMETER_NAMES:
+                raise KeyError(name)
+        subjects = self.subjects(position)
+        values = [[self.row(s, position).params[n] for n in names] for s in subjects]
+        return np.array(values, dtype=float).reshape(len(subjects), len(names))
+
+    def paired_columns(self, name):
+        if name not in PARAMETER_NAMES:
+            raise KeyError(name)
+        common = sorted(
+            set(self.subjects(Position.SUPINE)) & set(self.subjects(Position.STANDING))
+        )
+        return tuple(
+            np.array([self.row(s, pos).params[name] for s in common], dtype=float)
+            for pos in (Position.SUPINE, Position.STANDING)
+        )
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _assert_same_key_error(got, want, *args):
+    with pytest.raises(KeyError) as want_exc:
+        want(*args)
+    with pytest.raises(KeyError) as got_exc:
+        got(*args)
+    assert got_exc.value.args == want_exc.value.args
+
+
+@st.composite
+def _shuffled_tables(draw):
+    """Rows of up to 8 subjects, each in one or both positions, with
+    integer-valued, float or mixed parameters, in shuffled order."""
+    kind = draw(st.sampled_from(["int", "float", "mixed"]))
+
+    def value(low, high):
+        ints = st.integers(min_value=int(math.ceil(low)), max_value=int(high))
+        floats = st.floats(min_value=low, max_value=high)
+        return draw({"int": ints, "float": floats, "mixed": st.one_of(ints, floats)}[kind])
+
+    rows = []
+    for i in range(draw(st.integers(min_value=0, max_value=8))):
+        for pos in draw(st.sampled_from([("supine",), ("standing",), ("supine", "standing")])):
+            params = {name: value(0.0, 1e3) for name in PARAMETER_NAMES}
+            params.update(HR=value(1.0, 300.0), RMSSD=value(1.0, 300.0), RR=value(1.0, 60.0))
+            params.update(lnRMSSD=value(-10.0, 10.0), BR=value(0.0, 100.0))
+            rows.append(ParameterRow(f"s{i}", Position(pos), params))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _shuffled_tables(),
+    st.lists(st.sampled_from(PARAMETER_NAMES), max_size=12),
+)
+def test_indexed_table_matches_row_scan(rows, names):
+    table = ParameterTable(rows)
+    ref = _RowScanTable(rows)
+    assert table == ParameterTable(ref.rows)
+    for position in Position:
+        assert table.subjects(position) == ref.subjects(position)
+        for subject in ref.subjects(position):
+            assert table.row(subject, position) is ref.row(subject, position)
+        for name in PARAMETER_NAMES:
+            _assert_same_array(table.column(name, position), ref.column(name, position))
+        _assert_same_array(table.matrix(position), ref.matrix(position, PARAMETER_NAMES))
+        _assert_same_array(table.matrix(position, names), ref.matrix(position, names))
+        _assert_same_key_error(table.column, ref.column, "HRV", position)
+        _assert_same_key_error(table.matrix, ref.matrix, position, (*names, "HRV", "x"))
+        _assert_same_key_error(table.row, ref.row, "nobody", position)
+        other = Position.STANDING if position is Position.SUPINE else Position.SUPINE
+        for subject in set(ref.subjects(position)) - set(ref.subjects(other)):
+            _assert_same_key_error(table.row, ref.row, subject, other)
+    for name in PARAMETER_NAMES:
+        for got, want in zip(table.paired_columns(name), ref.paired_columns(name)):
+            _assert_same_array(got, want)
+    _assert_same_key_error(table.paired_columns, ref.paired_columns, "HRV")
+
+
+def test_lookups_return_copies():
+    table = ParameterTable((_param_row("a", "supine"), _param_row("a", "standing")))
+    table.column("HR", Position.SUPINE)[:] = 0.0
+    table.matrix(Position.SUPINE)[:] = 0.0
+    table.paired_columns("HR")[1][:] = 0.0
+    assert table.column("HR", Position.SUPINE)[0] == 72.0
+    assert table.paired_columns("HR")[1][0] == 72.0
+
+
 # Cells that exercise both signal parsers: loadtxt takes the plain numbers,
 # and everything else must come out of the row parser unchanged.
 _ODD_CELLS = st.sampled_from(

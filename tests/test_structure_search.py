@@ -2,12 +2,15 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cardiocausal import association
+from cardiocausal.association import AssociationError, Direction, generalized_corr_pair
 from cardiocausal.graphs import Cpdag, Dag, GraphError, cpdag_of
-from cardiocausal.record_io import Position
+from cardiocausal.record_io import PARAMETER_NAMES, Position
 from cardiocausal.structure_search import (
     SearchConfig,
     SearchError,
@@ -20,6 +23,7 @@ from cardiocausal.structure_search import (
     tabu_search,
 )
 from cardiocausal.structure_search import _legal_moves, _state_from_edges
+from cardiocausal.synthetic import sem_cohort
 from test_association import make_table, random_columns
 
 
@@ -79,8 +83,6 @@ class TestSearchConfig:
         assert c.cam_prune_alpha == 0.001
 
     def test_validation(self):
-        with pytest.raises(SearchError):
-            SearchConfig(score="aic")
         with pytest.raises(SearchError):
             SearchConfig(max_parents=0)
         with pytest.raises(SearchError):
@@ -463,3 +465,48 @@ class TestGcGraph:
             edges = gc_graph(make_table(cols), Position.SUPINE)
         assert any("skipping pair" in m for m in caplog.messages)
         assert all("BR" not in e for e in edges)
+
+    def test_matches_pairwise_calls_on_sem_cohort(self):
+        table, _ = sem_cohort(200, seed=0)
+        for position in Position:
+            edges, skipped = _pairwise_gc(table, position, PARAMETER_NAMES)
+            assert edges and not skipped
+            assert gc_graph(table, position) == edges
+
+    @pytest.mark.parametrize("n, constant", [(50, ("RR", "cExpV")), (12, ())])
+    def test_skips_the_pairs_that_fail_one_at_a_time(self, caplog, n, constant):
+        rng = np.random.default_rng(20)
+        cols = random_columns(rng, n)
+        for name in constant:
+            cols[name] = np.full(n, 0.5)
+        table = make_table(cols)
+        edges, skipped = _pairwise_gc(table, Position.SUPINE, PARAMETER_NAMES)
+        assert len(skipped) == (17 if constant else 45)
+        with caplog.at_level("WARNING", logger="cardiocausal.structure_search"):
+            assert gc_graph(table, Position.SUPINE) == edges
+        assert caplog.messages == skipped
+
+    def test_builds_one_kernel_per_column(self):
+        table, _ = sem_cohort(100, seed=0)
+        with mock.patch.object(
+            association, "_loo_kernel", wraps=association._loo_kernel
+        ) as kernel:
+            gc_graph(table, Position.SUPINE)
+        assert kernel.call_count == len(PARAMETER_NAMES)
+
+
+def _pairwise_gc(table, position, names):
+    """gc_graph as one generalized_corr_pair call per pair: the edges and the
+    warning of each pair that fails."""
+    edges, skipped = set(), []
+    for a, b in combinations(names, 2):
+        try:
+            pair = generalized_corr_pair(table.column(a, position), table.column(b, position))
+        except AssociationError as exc:
+            skipped.append(f"skipping pair ({a}, {b}): {exc}")
+            continue
+        if pair.direction is Direction.X_CAUSES_Y:
+            edges.add((a, b))
+        elif pair.direction is Direction.Y_CAUSES_X:
+            edges.add((b, a))
+    return edges, skipped
