@@ -44,7 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--positions", default="supine,standing")
     analyze.add_argument("--methods", default=",".join(METHOD_NAMES))
-    analyze.add_argument("--seed", type=int, default=0)
+    analyze.add_argument(
+        "--seed", type=int, default=0,
+        help="echoed in report.json; every method is deterministic, so it has no effect",
+    )
     analyze.add_argument("--out", required=True, help="output directory")
     analyze.add_argument(
         "--mask-derived", choices=("exclude", "post-hoc"), default="exclude",

@@ -1,14 +1,15 @@
-"""Directed and partially directed graphs over named parameter nodes.
+"""Graphs of directed and undirected edges over named parameter nodes.
 
-A ``Dag`` is a plain directed acyclic graph.  A ``Cpdag`` is the completed
-partially directed representative of a Markov equivalence class: directed
-edges are those shared by every member of the class, undirected edges are
-those whose orientation the class leaves open.
+Every structure method returns one ``EdgeGraph``: gc's pairwise directed
+edges (cycles allowed), the DAGs of hc, tabu and cam, and fges's CPDAG, the
+completed partially directed representative of a Markov equivalence class,
+whose directed edges are shared by every member of the class and whose
+undirected edges are those the class leaves open.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 Edge = tuple[str, str]
@@ -45,80 +46,57 @@ def topological_sort(nodes: tuple[str, ...], edges: frozenset[Edge]) -> list[str
 
 
 @dataclass(frozen=True)
-class Dag:
-    """Directed acyclic graph; construction validates acyclicity."""
+class EdgeGraph:
+    """Directed plus undirected edges; directed cycles are allowed until
+    ``require_dag`` is called."""
 
     nodes: tuple[str, ...]
-    edges: frozenset[Edge]
+    directed: frozenset[Edge]
+    undirected: frozenset[frozenset[str]] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "directed", frozenset(self.directed))
+        object.__setattr__(self, "undirected", frozenset(frozenset(e) for e in self.undirected))
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise GraphError("duplicate node names")
-        for a, b in self.edges:
+        for a, b in self.directed:
             if a == b:
                 raise GraphError(f"self-loop on {a!r}")
             if a not in node_set or b not in node_set:
                 raise GraphError(f"edge ({a!r}, {b!r}) references unknown node")
-        topological_sort(self.nodes, self.edges)  # raises on cycle
-
-    def parents(self, node: str) -> frozenset[str]:
-        return frozenset(a for a, b in self.edges if b == node)
-
-    def sorted_edges(self) -> list[Edge]:
-        idx = {v: i for i, v in enumerate(self.nodes)}
-        return sorted(self.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
-
-    def to_dot(self, name: str = "dag") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.nodes:
-            lines.append(f'  "{v}";')
-        for a, b in self.sorted_edges():
-            lines.append(f'  "{a}" -> "{b}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class Cpdag:
-    """Equivalence-class graph: directed plus undirected edges, Meek-closed."""
-
-    nodes: tuple[str, ...]
-    directed_edges: frozenset[Edge]
-    undirected_edges: frozenset[frozenset[str]] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "directed_edges", frozenset(self.directed_edges))
-        object.__setattr__(
-            self, "undirected_edges", frozenset(frozenset(e) for e in self.undirected_edges)
-        )
-        node_set = set(self.nodes)
-        for a, b in self.directed_edges:
-            if a == b or a not in node_set or b not in node_set:
-                raise GraphError(f"bad directed edge ({a!r}, {b!r})")
-        dir_skel = {frozenset(e) for e in self.directed_edges}
-        for pair in self.undirected_edges:
+        dir_skel = {frozenset(e) for e in self.directed}
+        for pair in self.undirected:
             if len(pair) != 2 or not pair <= node_set:
                 raise GraphError(f"bad undirected edge {set(pair)!r}")
             if pair in dir_skel:
                 raise GraphError(f"edge {set(pair)!r} both directed and undirected")
 
+    def require_dag(self) -> EdgeGraph:
+        """Return the graph itself; GraphError unless it is a DAG, that is,
+        it has no undirected edge and no directed cycle."""
+        if self.undirected:
+            raise GraphError("a DAG has no undirected edges")
+        topological_sort(self.nodes, self.directed)  # raises on cycle
+        return self
+
+    def parents(self, node: str) -> frozenset[str]:
+        return frozenset(a for a, b in self.directed if b == node)
+
     def skeleton(self) -> frozenset[frozenset[str]]:
-        return frozenset(frozenset(e) for e in self.directed_edges) | self.undirected_edges
+        return frozenset(frozenset(e) for e in self.directed) | self.undirected
 
     def sorted_directed(self) -> list[Edge]:
         idx = {v: i for i, v in enumerate(self.nodes)}
-        return sorted(self.directed_edges, key=lambda e: (idx[e[0]], idx[e[1]]))
+        return sorted(self.directed, key=lambda e: (idx[e[0]], idx[e[1]]))
 
     def sorted_undirected(self) -> list[Edge]:
         idx = {v: i for i, v in enumerate(self.nodes)}
-        pairs = [tuple(sorted(p, key=idx.__getitem__)) for p in self.undirected_edges]
+        pairs = [tuple(sorted(p, key=idx.__getitem__)) for p in self.undirected]
         return sorted(pairs, key=lambda e: (idx[e[0]], idx[e[1]]))
 
-    def to_dot(self, name: str = "cpdag") -> str:
+    def to_dot(self, name: str = "edges") -> str:
         lines = [f"digraph {name} {{"]
         for v in self.nodes:
             lines.append(f'  "{v}";')
@@ -128,6 +106,21 @@ class Cpdag:
             lines.append(f'  "{a}" -> "{b}" [dir=none];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+    def payload(self) -> dict[str, list[list[str]]]:
+        """JSON form: sorted edge lists, each undirected pair in sorted order."""
+        return {
+            "directed": sorted(list(e) for e in self.directed),
+            "undirected": sorted(sorted(p) for p in self.undirected),
+        }
+
+    def without_pairs(self, pairs: frozenset[frozenset[str]]) -> EdgeGraph:
+        """The graph minus every edge, of either kind, that joins a pair in ``pairs``."""
+        return EdgeGraph(
+            self.nodes,
+            frozenset(e for e in self.directed if frozenset(e) not in pairs),
+            frozenset(p for p in self.undirected if p not in pairs),
+        )
 
 
 def _meek_closure(
@@ -191,14 +184,16 @@ def _meek_closure(
     return directed, undirected
 
 
-def cpdag_of(dag: Dag) -> Cpdag:
+def cpdag_of(dag: EdgeGraph) -> EdgeGraph:
     """Equivalence-class completion: skeleton, v-structures, Meek closure.
 
-    Idempotent in the sense that the result is a Meek fixpoint.
+    Idempotent in the sense that the result is a Meek fixpoint.  ``dag``
+    must be a DAG (GraphError otherwise).
     """
+    dag.require_dag()
     parents = {v: dag.parents(v) for v in dag.nodes}
     adj: dict[str, set[str]] = {v: set() for v in dag.nodes}
-    for a, b in dag.edges:
+    for a, b in dag.directed:
         adj[a].add(b)
         adj[b].add(a)
 
@@ -208,16 +203,16 @@ def cpdag_of(dag: Dag) -> Cpdag:
             if q not in adj[p]:  # collider p -> v <- q with p, q non-adjacent
                 directed.add((p, v))
                 directed.add((q, v))
-    undirected = {frozenset((a, b)) for a, b in dag.edges if (a, b) not in directed}
+    undirected = {frozenset((a, b)) for a, b in dag.directed if (a, b) not in directed}
     directed, undirected = _meek_closure(dag.nodes, directed, undirected)
-    return Cpdag(dag.nodes, frozenset(directed), frozenset(undirected))
+    return EdgeGraph(dag.nodes, frozenset(directed), frozenset(undirected))
 
 
 def consistent_extension(
     nodes: tuple[str, ...],
     directed: frozenset[Edge],
     undirected: frozenset[frozenset[str]],
-) -> Dag | None:
+) -> EdgeGraph | None:
     """Orient a PDAG into a DAG keeping all directed edges and v-structures.
 
     Dor-Tarsi sink-elimination; returns None when no extension exists.
@@ -256,4 +251,4 @@ def consistent_extension(
         for v in adj[sink]:
             adj[v].discard(sink)
         remaining.discard(sink)
-    return Dag(nodes, frozenset(result))
+    return EdgeGraph(nodes, frozenset(result)).require_dag()

@@ -14,7 +14,7 @@ import numpy as np
 
 from .association import AssociationError, correlation_matrix
 from .cardio_signals import SignalError, detect_r_peaks, detrend_ecg, rr_intervals
-from .graphs import Cpdag, Dag
+from .graphs import EdgeGraph
 from .mediation import MediationError, MediationFit, mediation_fit
 from .param_features import FeatureError, PairedTestResult, paired_compare, param_vector
 from .record_io import (
@@ -38,7 +38,19 @@ from .structure_search import (
     tabu_search,
 )
 
-METHOD_NAMES = ("gc", "hc", "tabu", "fges", "cam")
+# Each structure method as (table, position, design, names, config,
+# warnings) -> EdgeGraph; ``design`` is the table matrix over ``names``.
+_METHODS = {
+    "gc": lambda table, pos, design, names, cfg, warnings: EdgeGraph(
+        names, gc_graph(table, pos, names, warnings)
+    ),
+    "hc": lambda table, pos, design, names, cfg, warnings: hill_climb(design, cfg, names=names),
+    "tabu": lambda table, pos, design, names, cfg, warnings: tabu_search(design, cfg, names=names),
+    "fges": lambda table, pos, design, names, cfg, warnings: fges(design, cfg, names=names),
+    "cam": lambda table, pos, design, names, cfg, warnings: cam_learn(design, cfg, names=names),
+}
+
+METHOD_NAMES = tuple(_METHODS)
 
 # Pairs whose relationship is deterministic by construction and therefore
 # never reported as a structure edge.
@@ -65,7 +77,7 @@ class RunConfig:
     input_kind: str
     positions: tuple[str, ...] = ("supine", "standing")
     methods: tuple[str, ...] = METHOD_NAMES
-    seed: int = 0
+    seed: int = 0  # echoed in the report; every method is deterministic
     out_dir: str | None = None
     mask_derived: str = "exclude"
     mediation_paths: tuple[tuple[str, str, str], ...] = ()
@@ -97,25 +109,8 @@ class RunConfig:
                     raise ConfigError(f"unknown parameter {name!r} in mediation path")
 
 
-@dataclass(frozen=True)
-class DirectedEdgeSet:
-    """Pairwise directed graph; unlike a Dag, cycles are allowed."""
-
-    nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        idx = {v: i for i, v in enumerate(self.nodes)}
-        return sorted(self.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
-
-    def to_dot(self, name: str = "edges") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.nodes:
-            lines.append(f'  "{v}";')
-        for a, b in self.sorted_edges():
-            lines.append(f'  "{a}" -> "{b}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+# bench/replica.py builds gc's graph under this name, as (nodes, edges).
+DirectedEdgeSet = EdgeGraph
 
 
 @dataclass(frozen=True)
@@ -168,18 +163,7 @@ class ConsensusGraph:
         return "\n".join(lines) + "\n"
 
 
-def _graph_edge_sets(graph) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
-    """Normalize a method output to (directed edges, undirected sorted pairs)."""
-    if isinstance(graph, Dag):
-        return set(graph.edges), set()
-    if isinstance(graph, Cpdag):
-        return set(graph.directed_edges), {tuple(sorted(p)) for p in graph.undirected_edges}
-    if isinstance(graph, DirectedEdgeSet):
-        return set(graph.edges), set()
-    raise PipelineError(f"unsupported graph type {type(graph).__name__}")
-
-
-def consensus(graphs) -> ConsensusGraph:
+def consensus(graphs: list[tuple[str, EdgeGraph]]) -> ConsensusGraph:
     """Per-ordered-pair vote tally over method outputs.
 
     Each method contributes one vote per skeleton edge: supporting the pair's
@@ -194,10 +178,9 @@ def consensus(graphs) -> ConsensusGraph:
     for method, graph in graphs:
         if tuple(graph.nodes) != nodes:
             raise PipelineError("consensus inputs must share one node set")
-        directed, und = _graph_edge_sets(graph)
-        for a, b in directed:
+        for a, b in graph.directed:
             support[(a, b)].add(method)
-        for a, b in und:
+        for a, b in map(tuple, graph.undirected):
             undirected[(a, b)].add(method)
             undirected[(b, a)].add(method)
 
@@ -218,23 +201,9 @@ def consensus(graphs) -> ConsensusGraph:
     )
 
 
-def _mask_ignored(graph):
+def _mask_ignored(graph: EdgeGraph) -> EdgeGraph:
     """Drop edges connecting a derived parameter with any of its sources."""
-
-    def keep(a, b):
-        return frozenset((a, b)) not in IGNORED_PAIRS
-
-    if isinstance(graph, Dag):
-        return Dag(graph.nodes, frozenset(e for e in graph.edges if keep(*e)))
-    if isinstance(graph, Cpdag):
-        return Cpdag(
-            graph.nodes,
-            frozenset(e for e in graph.directed_edges if keep(*e)),
-            frozenset(p for p in graph.undirected_edges if keep(*tuple(p))),
-        )
-    if isinstance(graph, DirectedEdgeSet):
-        return DirectedEdgeSet(graph.nodes, frozenset(e for e in graph.edges if keep(*e)))
-    raise PipelineError(f"unsupported graph type {type(graph).__name__}")
+    return graph.without_pairs(IGNORED_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -243,19 +212,12 @@ class CausalReport:
     table: ParameterTable
     paired_tests: tuple[PairedTestResult, ...]
     correlations: dict[str, np.ndarray]
-    method_graphs: dict[str, dict[str, object]]
+    method_graphs: dict[str, dict[str, EdgeGraph]]
     consensus_graphs: dict[str, ConsensusGraph]
     mediation_results: tuple[tuple[str, MediationFit], ...]
     warnings: tuple[str, ...]
 
     def to_json(self) -> str:
-        def graph_payload(graph):
-            directed, und = _graph_edge_sets(graph)
-            return {
-                "directed": sorted(list(e) for e in directed),
-                "undirected": sorted(list(e) for e in und),
-            }
-
         payload = {
             "config": {
                 "input_path": self.config.input_path,
@@ -288,7 +250,7 @@ class CausalReport:
                 for pos, matrix in self.correlations.items()
             },
             "methods": {
-                pos: {name: graph_payload(g) for name, g in graphs.items()}
+                pos: {name: g.payload() for name, g in graphs.items()}
                 for pos, graphs in self.method_graphs.items()
             },
             "consensus": {
@@ -408,7 +370,7 @@ def run_pipeline(config: RunConfig) -> CausalReport:
             warnings_list.append("fewer than 8 common subjects; paired tests skipped")
 
     correlations: dict[str, np.ndarray] = {}
-    method_graphs: dict[str, dict[str, object]] = {}
+    method_graphs: dict[str, dict[str, EdgeGraph]] = {}
     consensus_graphs: dict[str, ConsensusGraph] = {}
     structure_names = STRUCTURE_NAMES if config.mask_derived == "exclude" else PARAMETER_NAMES
     search_config = SearchConfig(seed=config.seed)
@@ -420,22 +382,12 @@ def run_pipeline(config: RunConfig) -> CausalReport:
             raise PipelineError(f"correlation matrix for {pos.value}: {exc}") from None
 
         design = table.matrix(pos, structure_names)
-        graphs: dict[str, object] = {}
+        graphs: dict[str, EdgeGraph] = {}
         try:
             for method in config.methods:
-                if method == "gc":
-                    graph = DirectedEdgeSet(
-                        structure_names,
-                        frozenset(gc_graph(table, pos, structure_names)),
-                    )
-                elif method == "hc":
-                    graph = hill_climb(design, search_config, names=structure_names)
-                elif method == "tabu":
-                    graph = tabu_search(design, search_config, names=structure_names)
-                elif method == "fges":
-                    graph = fges(design, search_config, names=structure_names)
-                else:
-                    graph = cam_learn(design, search_config, names=structure_names)
+                graph = _METHODS[method](
+                    table, pos, design, structure_names, search_config, warnings_list
+                )
                 if config.mask_derived == "post-hoc":
                     graph = _mask_ignored(graph)
                 graphs[method] = graph

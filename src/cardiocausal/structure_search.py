@@ -21,7 +21,7 @@ from scipy import stats
 from scipy.interpolate import BSpline
 
 from .association import AssociationError, Direction, GeneralizedCorrPairs
-from .graphs import Cpdag, Dag, consistent_extension, cpdag_of, topological_sort
+from .graphs import EdgeGraph, consistent_extension, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 __all__ = [
@@ -61,10 +61,13 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings.  ``seed`` has no effect on any result: every search
+    is deterministic.  It is kept so that a run can echo the seed it was
+    given."""
+
     max_parents: int = 4
     tabu_length: int = 10
     tabu_max_stalls: int = 15
-    random_restarts: int = 0
     cam_prune_alpha: float = 0.001
     seed: int = 0
 
@@ -72,8 +75,6 @@ class SearchConfig:
         for field in ("max_parents", "tabu_length", "tabu_max_stalls"):
             if getattr(self, field) < 1:
                 raise SearchError(f"{field} must be positive")
-        if self.random_restarts < 0:
-            raise SearchError("random_restarts must be nonnegative")
 
 
 def _node_names(names, p: int) -> tuple[str, ...]:
@@ -139,8 +140,9 @@ class _BicScorer:
         return sum(self.local(v, frozenset(parents[v])) for v in range(self.p))
 
 
-def bic_score(data, dag: Dag) -> float:
+def bic_score(data, dag: EdgeGraph) -> float:
     """Gaussian BIC of a DAG; column i of ``data`` is ``dag.nodes[i]``."""
+    dag.require_dag()
     scorer = _BicScorer(data)
     if len(dag.nodes) != scorer.p:
         raise SearchError("dag node count must match data columns")
@@ -241,12 +243,13 @@ def _edges_of(children) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) for u, cs in children.items() for v in cs)
 
 
-def _start_edges(start: Dag | None, names: tuple[str, ...]) -> frozenset[tuple[int, int]]:
+def _start_edges(start: EdgeGraph | None, names: tuple[str, ...]) -> frozenset[tuple[int, int]]:
     if start is None:
         return frozenset()
+    start.require_dag()
     index = {name: i for i, name in enumerate(names)}
     try:
-        return frozenset((index[a], index[b]) for a, b in start.edges)
+        return frozenset((index[a], index[b]) for a, b in start.directed)
     except KeyError as exc:
         raise SearchError(f"start graph node {exc.args[0]!r} not in data") from None
 
@@ -307,30 +310,14 @@ def _climb(scorer: _BicScorer, config: SearchConfig, edges0) -> tuple[frozenset,
     return edges, score
 
 
-def _random_edges(rng, p: int, max_parents: int) -> frozenset[tuple[int, int]]:
-    perm = rng.permutation(p)
-    edges = set()
-    indegree = {v: 0 for v in range(p)}
-    for i in range(p):
-        for j in range(i + 1, p):
-            u, v = int(perm[i]), int(perm[j])
-            if indegree[v] < max_parents and rng.random() < 0.5:
-                edges.add((u, v))
-                indegree[v] += 1
-    return frozenset(edges)
+def _dag(names: tuple[str, ...], edges) -> EdgeGraph:
+    """The DAG over ``names`` with column-index edges; GraphError on a cycle."""
+    return EdgeGraph(names, frozenset((names[u], names[v]) for u, v in edges)).require_dag()
 
 
-def _hill_climb_edges(scorer: _BicScorer, config: SearchConfig, edges0) -> tuple[frozenset, float]:
-    best_edges, best_score = _climb(scorer, config, edges0)
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.random_restarts):
-        edges, score = _climb(scorer, config, _random_edges(rng, scorer.p, config.max_parents))
-        if score > best_score + _EPS_GAIN:
-            best_edges, best_score = edges, score
-    return best_edges, best_score
-
-
-def hill_climb(data, config: SearchConfig | None = None, *, names=None, start: Dag | None = None) -> Dag:
+def hill_climb(
+    data, config: SearchConfig | None = None, *, names=None, start: EdgeGraph | None = None
+) -> EdgeGraph:
     """Greedy best-improvement search over {add, delete, reverse}, across plateaus.
 
     Strict ascent can stop on a plateau, where every remaining gain first
@@ -340,17 +327,19 @@ def hill_climb(data, config: SearchConfig | None = None, *, names=None, start: D
     and the strict ascent is re-run from each; the first one that climbs
     becomes the incumbent and the walk repeats from its result.  The search
     ends when no DAG in the reachable class has a strictly improving move.
-    Every accepted move is a strict improvement and no randomness is used;
-    ``random_restarts`` climbs from random DAGs take the same route.
+    Every accepted move is a strict improvement and no randomness is used.
+    ``start`` must be a DAG over ``names``.
     """
     config = config or SearchConfig()
     scorer = _BicScorer(data)
     names = _node_names(names, scorer.p)
-    best_edges, _ = _hill_climb_edges(scorer, config, _start_edges(start, names))
-    return Dag(names, frozenset((names[u], names[v]) for u, v in best_edges))
+    best_edges, _ = _climb(scorer, config, _start_edges(start, names))
+    return _dag(names, best_edges)
 
 
-def tabu_search(data, config: SearchConfig | None = None, *, names=None, start: Dag | None = None) -> Dag:
+def tabu_search(
+    data, config: SearchConfig | None = None, *, names=None, start: EdgeGraph | None = None
+) -> EdgeGraph:
     """Hill climbing that escapes local optima via a tabu list.
 
     The ascent is ``hill_climb`` itself.  From its result the best
@@ -363,7 +352,7 @@ def tabu_search(data, config: SearchConfig | None = None, *, names=None, start: 
     config = config or SearchConfig()
     scorer = _BicScorer(data)
     names = _node_names(names, scorer.p)
-    best_edges, best_score = _hill_climb_edges(scorer, config, _start_edges(start, names))
+    best_edges, best_score = _climb(scorer, config, _start_edges(start, names))
     children, parents = _state_from_edges(scorer.p, best_edges)
     score = best_score
     tabu: deque = deque(maxlen=config.tabu_length)
@@ -400,7 +389,7 @@ def tabu_search(data, config: SearchConfig | None = None, *, names=None, start: 
             best_edges, best_score = _edges_of(children), score
             stalls = 0
 
-    return Dag(names, frozenset((names[u], names[v]) for u, v in best_edges))
+    return _dag(names, best_edges)
 
 
 # --- greedy equivalence search -------------------------------------------
@@ -457,10 +446,10 @@ def _pattern_rebuild(p: int, directed, undirected):
     if dag is None:
         return None
     cp = cpdag_of(dag)
-    return set(cp.directed_edges), set(cp.undirected_edges)
+    return set(cp.directed), set(cp.undirected)
 
 
-def fges(data, config: SearchConfig | None = None, *, names=None) -> Cpdag:
+def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     """Greedy equivalence search: Insert phase, then Delete phase.
 
     Operators follow the standard characterization: Insert(x, y, T) requires
@@ -569,7 +558,7 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> Cpdag:
     run_phase(forward_candidates, apply_insert)
     run_phase(backward_candidates, apply_delete)
 
-    return Cpdag(
+    return EdgeGraph(
         names,
         frozenset((names[a], names[b]) for a, b in directed),
         frozenset(frozenset(names[v] for v in pair) for pair in undirected),
@@ -581,9 +570,9 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> Cpdag:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    best: Dag
+    best: EdgeGraph
     best_score: float
-    best_cpdag: Cpdag
+    best_cpdag: EdgeGraph
     n_dags: int
 
 
@@ -615,7 +604,7 @@ def enumerate_best_dag(data, *, names=None) -> EnumerationResult:
             if score > best_score or (score == best_score and key < best_key):
                 best_edges, best_key, best_score = edges, key, score
 
-    best = Dag(names, frozenset((names[u], names[v]) for u, v in best_edges))
+    best = _dag(names, best_edges)
     return EnumerationResult(
         best=best, best_score=best_score, best_cpdag=cpdag_of(best), n_dags=len(seen)
     )
@@ -777,7 +766,7 @@ def _prune_node(
     return kept
 
 
-def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> Dag:
+def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     """Causal additive model: greedy order search, then term-wise pruning.
 
     Stage 1 repeatedly inserts the order-compatible edge with the largest
@@ -840,18 +829,22 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> Dag:
         if not preds:
             continue
         for u in _prune_node(terms, preds, z[:, v], config.cam_prune_alpha):
-            edges.append((names[u], names[v]))
-    return Dag(names, frozenset(edges))
+            edges.append((u, v))
+    return _dag(names, edges)
 
 
 # --- pairwise generalized-correlation graph --------------------------------
 
 
-def gc_graph(table: ParameterTable, position: Position, names=None) -> set[tuple[str, str]]:
+def gc_graph(
+    table: ParameterTable, position: Position, names=None, warnings: list[str] | None = None
+) -> set[tuple[str, str]]:
     """Directed edges from the pairwise kernel-cause rule (cycles allowed).
 
     Every unordered pair of parameters is tested; pairs whose computation
-    fails are skipped with a warning.
+    fails are skipped with a warning.  The warning is appended to
+    ``warnings`` as ``gc search for <position>: skipping pair (a, b): ...``
+    when a list is given, and logged otherwise.
     """
     names = tuple(names) if names is not None else PARAMETER_NAMES
     pairs = GeneralizedCorrPairs([table.column(name, position) for name in names])
@@ -860,7 +853,10 @@ def gc_graph(table: ParameterTable, position: Position, names=None) -> set[tuple
         try:
             pair = pairs.pair(i, j)
         except AssociationError as exc:
-            _log.warning("skipping pair (%s, %s): %s", a, b, exc)
+            if warnings is None:
+                _log.warning("skipping pair (%s, %s): %s", a, b, exc)
+            else:
+                warnings.append(f"gc search for {position.value}: skipping pair ({a}, {b}): {exc}")
             continue
         if pair.direction is Direction.X_CAUSES_Y:
             edges.add((a, b))

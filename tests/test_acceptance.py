@@ -157,17 +157,17 @@ def test_criterion_05_collider_and_chain_benchmarks():
     data = np.column_stack([x, y, z])
     names = ("X", "Y", "Z")
     target = frozenset({("X", "Y"), ("Z", "Y")})
-    hc = hill_climb(data, names=names).edges == target
-    tb = tabu_search(data, names=names).edges == target
+    hc = hill_climb(data, names=names).directed == target
+    tb = tabu_search(data, names=names).directed == target
     cp = fges(data, names=names)
-    fg = cp.directed_edges == target and cp.undirected_edges == frozenset()
+    fg = cp.directed == target and cp.undirected == frozenset()
 
     rng = np.random.default_rng(2)
     cx = rng.normal(0.0, 1.0, n)
     cy = 0.8 * cx + rng.normal(0.0, 1.0, n)
     cz = 0.8 * cy + rng.normal(0.0, 1.0, n)
     chain = fges(np.column_stack([cx, cy, cz]), names=names)
-    ch = chain.directed_edges == frozenset() and chain.undirected_edges == frozenset(
+    ch = chain.directed == frozenset() and chain.undirected == frozenset(
         {frozenset(("X", "Y")), frozenset(("Y", "Z"))}
     )
     ok = hc and tb and fg and ch
@@ -182,9 +182,9 @@ def test_criterion_06_cam_nonlinear_benchmark():
         y = np.sin(2.0 * x) + 0.2 * rng.normal(0.0, 1.0, 500)
         sin_hits += cam_learn(
             np.column_stack([x, y]), names=("X", "Y")
-        ).edges == frozenset({("X", "Y")})
+        ).directed == frozenset({("X", "Y")})
         indep = np.random.default_rng(1000 + seed).normal(0.0, 1.0, (500, 3))
-        empty_hits += cam_learn(indep).edges == frozenset()
+        empty_hits += cam_learn(indep).directed == frozenset()
     ok = sin_hits >= 18 and empty_hits >= 18
     _line(6, ok, f"sin(2x) recovered {sin_hits}/20 (need 18); "
                  f"independent empty {empty_hits}/20 (need 18)")

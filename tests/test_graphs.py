@@ -1,12 +1,12 @@
-"""Tests for DAG/CPDAG structures, equivalence completion, and extension."""
+"""Tests for the edge graph as DAG, CPDAG and gc edge set, equivalence
+completion, and extension."""
 
 from itertools import combinations, product
 
 import pytest
 
 from cardiocausal.graphs import (
-    Cpdag,
-    Dag,
+    EdgeGraph,
     GraphError,
     _meek_closure,
     consistent_extension,
@@ -17,7 +17,7 @@ from cardiocausal.graphs import (
 NODES3 = ("x", "y", "z")
 
 
-def all_dags_3() -> list[Dag]:
+def all_dags_3() -> list[EdgeGraph]:
     """All 25 DAGs on three labelled nodes."""
     pairs = [("x", "y"), ("x", "z"), ("y", "z")]
     dags = []
@@ -29,20 +29,20 @@ def all_dags_3() -> list[Dag]:
             elif s == 2:
                 edges.add((b, a))
         try:
-            dags.append(Dag(NODES3, frozenset(edges)))
+            dags.append(EdgeGraph(NODES3, frozenset(edges)).require_dag())
         except GraphError:
             pass
     return dags
 
 
-def skeleton_of(dag: Dag) -> frozenset:
-    return frozenset(frozenset(e) for e in dag.edges)
+def skeleton_of(dag: EdgeGraph) -> frozenset:
+    return frozenset(frozenset(e) for e in dag.directed)
 
 
-def vstructs_of(dag: Dag) -> frozenset:
+def vstructs_of(dag: EdgeGraph) -> frozenset:
     """Canonical (parent, collider, parent) triples with nonadjacent parents."""
     adj = {v: set() for v in dag.nodes}
-    for a, b in dag.edges:
+    for a, b in dag.directed:
         adj[a].add(b)
         adj[b].add(a)
     out = set()
@@ -53,7 +53,7 @@ def vstructs_of(dag: Dag) -> frozenset:
     return frozenset(out)
 
 
-def random_dag(rng, n_nodes: int) -> Dag:
+def random_dag(rng, n_nodes: int) -> EdgeGraph:
     nodes = tuple(f"v{i}" for i in range(n_nodes))
     order = list(rng.permutation(n_nodes))
     edges = set()
@@ -61,7 +61,7 @@ def random_dag(rng, n_nodes: int) -> Dag:
         if rng.random() < 0.4:
             a, b = (order[i], order[j])
             edges.add((nodes[a], nodes[b]))
-    return Dag(nodes, frozenset(edges))
+    return EdgeGraph(nodes, frozenset(edges))
 
 
 class TestTopologicalSort:
@@ -83,39 +83,44 @@ class TestTopologicalSort:
 class TestDag:
     def test_validation(self):
         with pytest.raises(GraphError):
-            Dag(("a",), frozenset({("a", "a")}))
+            EdgeGraph(("a",), frozenset({("a", "a")}))
         with pytest.raises(GraphError):
-            Dag(("a", "b"), frozenset({("a", "q")}))
+            EdgeGraph(("a", "b"), frozenset({("a", "q")}))
         with pytest.raises(GraphError):
-            Dag(("a", "a"), frozenset())
+            EdgeGraph(("a", "a"), frozenset())
+        cycle = EdgeGraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")}))
         with pytest.raises(GraphError):
-            Dag(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")}))
+            cycle.require_dag()
+        with pytest.raises(GraphError):
+            EdgeGraph(("a", "b"), frozenset(), frozenset({frozenset(("a", "b"))})).require_dag()
+        dag = EdgeGraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
+        assert dag.require_dag() is dag
 
     def test_parents(self):
-        d = Dag(("a", "b", "c"), frozenset({("a", "c"), ("b", "c")}))
+        d = EdgeGraph(("a", "b", "c"), frozenset({("a", "c"), ("b", "c")}))
         assert d.parents("c") == {"a", "b"}
         assert d.parents("a") == frozenset()
 
     def test_dot_format(self):
-        d = Dag(("x", "y"), frozenset({("x", "y")}))
-        assert d.to_dot() == 'digraph dag {\n  "x";\n  "y";\n  "x" -> "y";\n}\n'
+        d = EdgeGraph(("x", "y"), frozenset({("x", "y")}))
+        assert d.to_dot("dag") == 'digraph dag {\n  "x";\n  "y";\n  "x" -> "y";\n}\n'
 
     def test_sorted_edges_deterministic(self):
-        d = Dag(("b", "a", "c"), frozenset({("a", "c"), ("b", "c"), ("b", "a")}))
-        assert d.sorted_edges() == [("b", "a"), ("b", "c"), ("a", "c")]
+        d = EdgeGraph(("b", "a", "c"), frozenset({("a", "c"), ("b", "c"), ("b", "a")}))
+        assert d.sorted_directed() == [("b", "a"), ("b", "c"), ("a", "c")]
 
 
 class TestCpdag:
     def test_validation(self):
         with pytest.raises(GraphError):
-            Cpdag(("a", "b"), frozenset({("a", "b")}), frozenset({frozenset(("a", "b"))}))
+            EdgeGraph(("a", "b"), frozenset({("a", "b")}), frozenset({frozenset(("a", "b"))}))
         with pytest.raises(GraphError):
-            Cpdag(("a", "b"), frozenset({("a", "a")}))
+            EdgeGraph(("a", "b"), frozenset({("a", "a")}))
         with pytest.raises(GraphError):
-            Cpdag(("a", "b"), frozenset(), frozenset({frozenset(("a", "q"))}))
+            EdgeGraph(("a", "b"), frozenset(), frozenset({frozenset(("a", "q"))}))
 
     def test_skeleton_merges_both_kinds(self):
-        c = Cpdag(
+        c = EdgeGraph(
             ("a", "b", "c"),
             frozenset({("a", "b")}),
             frozenset({frozenset(("b", "c"))}),
@@ -125,12 +130,12 @@ class TestCpdag:
         )
 
     def test_dot_marks_undirected_edges(self):
-        c = Cpdag(
+        c = EdgeGraph(
             ("x", "y", "z"),
             frozenset({("x", "y")}),
             frozenset({frozenset(("y", "z"))}),
         )
-        assert c.to_dot() == (
+        assert c.to_dot("cpdag") == (
             'digraph cpdag {\n  "x";\n  "y";\n  "z";\n'
             '  "x" -> "y";\n  "y" -> "z" [dir=none];\n}\n'
         )
@@ -138,56 +143,56 @@ class TestCpdag:
 
 class TestCpdagOf:
     def test_chain_becomes_undirected(self):
-        c = cpdag_of(Dag(NODES3, frozenset({("x", "y"), ("y", "z")})))
-        assert c.directed_edges == frozenset()
-        assert c.undirected_edges == frozenset(
+        c = cpdag_of(EdgeGraph(NODES3, frozenset({("x", "y"), ("y", "z")})))
+        assert c.directed == frozenset()
+        assert c.undirected == frozenset(
             {frozenset(("x", "y")), frozenset(("y", "z"))}
         )
 
     def test_collider_stays_directed(self):
-        c = cpdag_of(Dag(NODES3, frozenset({("x", "y"), ("z", "y")})))
-        assert c.directed_edges == frozenset({("x", "y"), ("z", "y")})
-        assert c.undirected_edges == frozenset()
+        c = cpdag_of(EdgeGraph(NODES3, frozenset({("x", "y"), ("z", "y")})))
+        assert c.directed == frozenset({("x", "y"), ("z", "y")})
+        assert c.undirected == frozenset()
 
     def test_collider_with_tail_out_of_parent(self):
         # z -> w reversed to w -> z creates only the chain w -> z -> y, no
         # new v-structure, so the class leaves z - w undirected
-        d = Dag(("x", "y", "z", "w"), frozenset({("x", "y"), ("z", "y"), ("z", "w")}))
+        d = EdgeGraph(("x", "y", "z", "w"), frozenset({("x", "y"), ("z", "y"), ("z", "w")}))
         c = cpdag_of(d)
-        assert c.directed_edges == frozenset({("x", "y"), ("z", "y")})
-        assert c.undirected_edges == frozenset({frozenset(("z", "w"))})
+        assert c.directed == frozenset({("x", "y"), ("z", "y")})
+        assert c.undirected == frozenset({frozenset(("z", "w"))})
 
     def test_collider_with_tail_out_of_collider_uses_rule_one(self):
         # w - y reversed to w -> y would add the v-structure x -> y <- w,
         # so orientation propagates: y -> w stays directed
-        d = Dag(("x", "y", "z", "w"), frozenset({("x", "y"), ("z", "y"), ("y", "w")}))
+        d = EdgeGraph(("x", "y", "z", "w"), frozenset({("x", "y"), ("z", "y"), ("y", "w")}))
         c = cpdag_of(d)
-        assert c.directed_edges == frozenset({("x", "y"), ("z", "y"), ("y", "w")})
-        assert c.undirected_edges == frozenset()
+        assert c.directed == frozenset({("x", "y"), ("z", "y"), ("y", "w")})
+        assert c.undirected == frozenset()
 
     def test_rule_two_transitive_closure(self):
         # x -> z <- y is a v-structure; rule 1 orients z -> w (y not
         # adjacent to w), then rule 2 orients x -> w along x -> z -> w
-        d = Dag(
+        d = EdgeGraph(
             ("x", "y", "z", "w"),
             frozenset({("x", "z"), ("y", "z"), ("z", "w"), ("x", "w")}),
         )
         c = cpdag_of(d)
-        assert c.directed_edges == frozenset(
+        assert c.directed == frozenset(
             {("x", "z"), ("y", "z"), ("z", "w"), ("x", "w")}
         )
-        assert c.undirected_edges == frozenset()
+        assert c.undirected == frozenset()
 
     def test_rule_three_diamond(self):
         # a1 -> c <- a2 with b undirected-adjacent to a1, a2 and c: any
         # orientation with c -> b would force a new v-structure, so b -> c
-        d = Dag(
+        d = EdgeGraph(
             ("b", "a1", "a2", "c"),
             frozenset({("a1", "c"), ("a2", "c"), ("b", "a1"), ("b", "a2"), ("b", "c")}),
         )
         c = cpdag_of(d)
-        assert c.directed_edges == frozenset({("a1", "c"), ("a2", "c"), ("b", "c")})
-        assert c.undirected_edges == frozenset(
+        assert c.directed == frozenset({("a1", "c"), ("a2", "c"), ("b", "c")})
+        assert c.undirected == frozenset(
             {frozenset(("b", "a1")), frozenset(("b", "a2"))}
         )
 
@@ -210,7 +215,7 @@ class TestCpdagOf:
             c = cpdag_of(d)
             assert c.skeleton() == skeleton_of(d)
             for p, v, q in vstructs_of(d):
-                assert (p, v) in c.directed_edges and (q, v) in c.directed_edges
+                assert (p, v) in c.directed and (q, v) in c.directed
 
 
 class TestMeekRuleFour:
@@ -229,14 +234,14 @@ class TestMeekRuleFour:
 
 class TestConsistentExtension:
     def test_collider_class_has_unique_member(self):
-        d = Dag(NODES3, frozenset({("x", "y"), ("z", "y")}))
+        d = EdgeGraph(NODES3, frozenset({("x", "y"), ("z", "y")}))
         c = cpdag_of(d)
-        ext = consistent_extension(c.nodes, c.directed_edges, c.undirected_edges)
+        ext = consistent_extension(c.nodes, c.directed, c.undirected)
         assert ext == d
 
     def test_chain_extension_avoids_new_collider(self):
-        c = cpdag_of(Dag(NODES3, frozenset({("x", "y"), ("y", "z")})))
-        ext = consistent_extension(c.nodes, c.directed_edges, c.undirected_edges)
+        c = cpdag_of(EdgeGraph(NODES3, frozenset({("x", "y"), ("y", "z")})))
+        ext = consistent_extension(c.nodes, c.directed, c.undirected)
         assert ext is not None
         assert vstructs_of(ext) == frozenset()
         assert cpdag_of(ext) == c
@@ -259,6 +264,6 @@ class TestConsistentExtension:
         for _ in range(100):
             d = random_dag(rng, int(rng.integers(2, 6)))
             c = cpdag_of(d)
-            ext = consistent_extension(c.nodes, c.directed_edges, c.undirected_edges)
+            ext = consistent_extension(c.nodes, c.directed, c.undirected)
             assert ext is not None
             assert cpdag_of(ext) == c

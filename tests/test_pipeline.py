@@ -4,12 +4,15 @@ import json
 import math
 import shutil
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cardiocausal.cli import main
-from cardiocausal.graphs import Cpdag, Dag
+from cardiocausal.graphs import EdgeGraph, GraphError
 from cardiocausal.pipeline import (
     IGNORED_PAIRS,
     STRUCTURE_NAMES,
@@ -18,7 +21,6 @@ from cardiocausal.pipeline import (
     DirectedEdgeSet,
     PipelineError,
     RunConfig,
-    _graph_edge_sets,
     _mask_ignored,
     consensus,
     run_pipeline,
@@ -103,14 +105,14 @@ class TestRunConfig:
 
 
 def dag(nodes, *edges):
-    return Dag(tuple(nodes), frozenset(edges))
+    return EdgeGraph(tuple(nodes), frozenset(edges)).require_dag()
 
 
 class TestConsensus:
     def test_majority_vote_counts(self):
         nodes = ("A", "B")
         graphs = [(f"m{i}", dag(nodes, ("A", "B"))) for i in range(5)]
-        graphs.append(("m5", Cpdag(nodes, frozenset(), frozenset({frozenset(("A", "B"))}))))
+        graphs.append(("m5", EdgeGraph(nodes, frozenset(), frozenset({frozenset(("A", "B"))}))))
         cg = consensus(graphs)
         assert cg.total_methods == 6
         assert cg.votes_for("A", "B") == (5, 0, 1)
@@ -132,7 +134,7 @@ class TestConsensus:
         graphs = [
             ("hc", dag(nodes, ("A", "B"), ("B", "C"))),
             ("tabu", dag(nodes, ("A", "B"))),
-            ("fges", Cpdag(nodes, frozenset({("A", "B")}), frozenset({frozenset(("B", "C"))}))),
+            ("fges", EdgeGraph(nodes, {("A", "B")}, {frozenset(("B", "C"))})),
             ("gc", DirectedEdgeSet(nodes, frozenset({("B", "A"), ("C", "B")}))),
         ]
         forward = consensus(graphs)
@@ -182,7 +184,9 @@ class TestDirectedEdgeSet:
 
     def test_cycles_allowed(self):
         g = DirectedEdgeSet(("A", "B"), frozenset({("A", "B"), ("B", "A")}))
-        assert g.sorted_edges() == [("A", "B"), ("B", "A")]
+        assert g.sorted_directed() == [("A", "B"), ("B", "A")]
+        with pytest.raises(GraphError):
+            g.require_dag()
 
 
 class TestMaskIgnored:
@@ -192,26 +196,103 @@ class TestMaskIgnored:
         masked_dag = _mask_ignored(
             dag(nodes, kept, ("RMSSD", "lnRMSSD"), ("BR", "ciRR"))
         )
-        assert masked_dag.edges == frozenset({kept})
+        assert masked_dag.directed == frozenset({kept})
         masked_cp = _mask_ignored(
-            Cpdag(
+            EdgeGraph(
                 nodes,
                 frozenset({kept, ("lnRMSSD", "RMSSD")}),
                 frozenset({frozenset(("BR", "cExpV"))}),
             )
         )
-        assert masked_cp.directed_edges == frozenset({kept})
-        assert masked_cp.undirected_edges == frozenset()
+        assert masked_cp.directed == frozenset({kept})
+        assert masked_cp.undirected == frozenset()
         masked_set = _mask_ignored(
             DirectedEdgeSet(nodes, frozenset({kept, ("cInsT", "BR")}))
         )
-        assert masked_set.edges == frozenset({kept})
+        assert masked_set.directed == frozenset({kept})
 
     def test_ignored_pairs_cover_derivations(self):
         assert frozenset(("RMSSD", "lnRMSSD")) in IGNORED_PAIRS
         for cv in ("ciRR", "cInsT", "cExpT", "cInsV", "cExpV"):
             assert frozenset(("BR", cv)) in IGNORED_PAIRS
         assert len(IGNORED_PAIRS) == 6
+
+
+def _reference_dot(nodes, directed, undirected, name):
+    """The DOT writer of the former CPDAG type, which the DAG and gc edge-set
+    types matched when a graph had no undirected edges."""
+    idx = {v: i for i, v in enumerate(nodes)}
+    lines = [f"digraph {name} {{"]
+    for v in nodes:
+        lines.append(f'  "{v}";')
+    for a, b in sorted(directed, key=lambda e: (idx[e[0]], idx[e[1]])):
+        lines.append(f'  "{a}" -> "{b}";')
+    pairs = [tuple(sorted(p, key=idx.__getitem__)) for p in undirected]
+    for a, b in sorted(pairs, key=lambda e: (idx[e[0]], idx[e[1]])):
+        lines.append(f'  "{a}" -> "{b}" [dir=none];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_payload(directed, undirected):
+    """The report's former graph payload: undirected pairs as sorted tuples."""
+    und = {tuple(sorted(p)) for p in undirected}
+    return {
+        "directed": sorted(list(e) for e in directed),
+        "undirected": sorted(list(e) for e in und),
+    }
+
+
+def _reference_mask(directed, undirected):
+    """The former post-hoc mask, edge by edge."""
+
+    def keep(a, b):
+        return frozenset((a, b)) not in IGNORED_PAIRS
+
+    return (
+        frozenset(e for e in directed if keep(*e)),
+        frozenset(p for p in undirected if keep(*tuple(p))),
+    )
+
+
+@st.composite
+def _edge_graphs(draw):
+    """(nodes, directed, undirected): parameter names in a drawn order, and for
+    each pair no edge, either direction, both directions (a gc cycle) or an
+    undirected edge."""
+    names = draw(st.permutations(PARAMETER_NAMES))
+    nodes = tuple(names[: draw(st.integers(2, len(names)))])
+    directed, undirected = set(), set()
+    for a, b in combinations(nodes, 2):
+        kind = draw(st.sampled_from(("none", "ab", "ba", "both", "undirected")))
+        if kind in ("ab", "both"):
+            directed.add((a, b))
+        if kind in ("ba", "both"):
+            directed.add((b, a))
+        if kind == "undirected":
+            undirected.add(frozenset((a, b)))
+    return nodes, frozenset(directed), frozenset(undirected)
+
+
+class TestEdgeGraphAgainstReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_graphs())
+    @example((
+        ("RR", "HR", "cInsV", "BR", "ciRR"),
+        frozenset({("RR", "HR"), ("HR", "cInsV"), ("cInsV", "RR"), ("BR", "ciRR")}),
+        frozenset({frozenset(("HR", "BR")), frozenset(("BR", "cInsV"))}),
+    ))
+    def test_dot_payload_and_mask_match_the_former_writers(self, graph):
+        nodes, directed, undirected = graph
+        g = EdgeGraph(nodes, directed, undirected)
+        assert g.to_dot("method_gc_supine") == _reference_dot(
+            nodes, directed, undirected, "method_gc_supine"
+        )
+        assert g.payload() == _reference_payload(directed, undirected)
+        masked = _mask_ignored(g)
+        kept = _reference_mask(directed, undirected)
+        assert (masked.nodes, masked.directed, masked.undirected) == (nodes, *kept)
+        assert masked.to_dot("m") == _reference_dot(nodes, *kept, "m")
 
 
 class TestRunPipelineOnParams:
@@ -270,9 +351,7 @@ class TestRunPipelineOnParams:
         for graphs in report.method_graphs.values():
             for graph in graphs.values():
                 assert tuple(graph.nodes) == PARAMETER_NAMES
-                directed, undirected = _graph_edge_sets(graph)
-                for edge in directed | undirected:
-                    assert frozenset(edge) not in IGNORED_PAIRS
+                assert not graph.skeleton() & IGNORED_PAIRS
 
 
 class TestRunPipelineErrors:
@@ -399,6 +478,27 @@ class TestCli:
         assert err[1].endswith("not UTF-8 text")
         report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
         assert len(report["warnings"]) == 2
+
+    def test_gc_skipped_pairs_reach_the_report(self, tmp_path, capsys):
+        # 12 subjects are too few for the generalized correlation of any pair
+        table, _ = sem_cohort(12, seed=0)
+        path = tmp_path / "small.csv"
+        save_parameter_table(table, path)
+        out = tmp_path / "out"
+        code = main([
+            "analyze", "--input", str(path), "--input-kind", "params",
+            "--methods", "gc,hc", "--out", str(out),
+        ])
+        assert code == 0
+        warnings = json.loads((out / "report.json").read_text("utf-8"))["warnings"]
+        assert warnings == [
+            f"gc search for {pos}: skipping pair ({a}, {b}): need at least 20 observations"
+            for pos in ("supine", "standing")
+            for a, b in combinations(STRUCTURE_NAMES, 2)
+        ]
+        assert len(warnings) == 56
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {w}" for w in warnings]
 
     def test_fatal_analysis_exits_2(self, tmp_path, capsys):
         table, _ = sem_cohort(3, seed=1)

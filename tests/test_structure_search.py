@@ -9,7 +9,7 @@ import pytest
 
 from cardiocausal import association
 from cardiocausal.association import AssociationError, Direction, generalized_corr_pair
-from cardiocausal.graphs import Cpdag, Dag, GraphError, cpdag_of
+from cardiocausal.graphs import EdgeGraph, GraphError, consistent_extension, cpdag_of
 from cardiocausal.record_io import PARAMETER_NAMES, Position
 from cardiocausal.structure_search import (
     SearchConfig,
@@ -58,7 +58,7 @@ def collider_data(n: int = 5000, seed: int = 1):
     return np.column_stack([x, y, z])
 
 
-def ols_bic(data: np.ndarray, dag: Dag) -> float:
+def ols_bic(data: np.ndarray, dag: EdgeGraph) -> float:
     """Per-node least-squares reference route for the Gaussian score."""
     n = data.shape[0]
     index = {v: i for i, v in enumerate(dag.nodes)}
@@ -79,14 +79,11 @@ class TestSearchConfig:
     def test_defaults(self):
         c = SearchConfig()
         assert (c.max_parents, c.tabu_length, c.tabu_max_stalls) == (4, 10, 15)
-        assert c.random_restarts == 0
         assert c.cam_prune_alpha == 0.001
 
     def test_validation(self):
         with pytest.raises(SearchError):
             SearchConfig(max_parents=0)
-        with pytest.raises(SearchError):
-            SearchConfig(random_restarts=-1)
 
 
 class TestBicScore:
@@ -99,16 +96,16 @@ class TestBicScore:
             for i, j in combinations(range(4), 2):
                 if rng.random() < 0.5:
                     edges.add((nodes[i], nodes[j]))
-            dag = Dag(nodes, frozenset(edges))
+            dag = EdgeGraph(nodes, frozenset(edges))
             assert bic_score(data, dag) == pytest.approx(ols_bic(data, dag), rel=1e-8)
 
     def test_empty_graph_beats_single_edges_on_independent_data(self):
         rng = np.random.default_rng(2)
         data = rng.normal(0.0, 1.0, (1000, 2))
         nodes = ("a", "b")
-        s_empty = bic_score(data, Dag(nodes, frozenset()))
-        s_ab = bic_score(data, Dag(nodes, frozenset({("a", "b")})))
-        s_ba = bic_score(data, Dag(nodes, frozenset({("b", "a")})))
+        s_empty = bic_score(data, EdgeGraph(nodes, frozenset()))
+        s_ab = bic_score(data, EdgeGraph(nodes, frozenset({("a", "b")})))
+        s_ba = bic_score(data, EdgeGraph(nodes, frozenset({("b", "a")})))
         assert s_empty > max(s_ab, s_ba)
 
     def test_equivalent_chain_dags_score_equal(self):
@@ -117,15 +114,15 @@ class TestBicScore:
         y = 0.8 * x + rng.normal(0.0, 1.0, 1000)
         data = np.column_stack([x, y])
         nodes = ("x", "y")
-        s1 = bic_score(data, Dag(nodes, frozenset({("x", "y")})))
-        s2 = bic_score(data, Dag(nodes, frozenset({("y", "x")})))
+        s1 = bic_score(data, EdgeGraph(nodes, frozenset({("x", "y")})))
+        s2 = bic_score(data, EdgeGraph(nodes, frozenset({("y", "x")})))
         assert s1 == pytest.approx(s2, abs=1e-9)
 
     def test_collinear_parents_score_minus_infinity(self):
         rng = np.random.default_rng(4)
         col = rng.normal(0.0, 1.0, 200)
         data = np.column_stack([col, col.copy(), rng.normal(0.0, 1.0, 200)])
-        dag = Dag(("a", "b", "c"), frozenset({("a", "c"), ("b", "c")}))
+        dag = EdgeGraph(("a", "b", "c"), frozenset({("a", "c"), ("b", "c")}))
         assert bic_score(data, dag) == -math.inf
 
     def test_decomposability_of_single_edits(self):
@@ -136,8 +133,8 @@ class TestBicScore:
         ctx2 = frozenset({("x3", "x2"), ("x0", "x3")})
         gains = []
         for ctx in (ctx1, ctx2):
-            without = Dag(nodes, ctx)
-            with_edge = Dag(nodes, ctx | {("x0", "x1")})
+            without = EdgeGraph(nodes, ctx)
+            with_edge = EdgeGraph(nodes, ctx | {("x0", "x1")})
             gains.append(bic_score(data, with_edge) - bic_score(data, without))
         assert gains[0] == pytest.approx(gains[1], abs=1e-9)
 
@@ -152,7 +149,7 @@ class TestBicScore:
             for i, j in combinations(range(p), 2):
                 if rng.random() < 0.5:
                     edges.add((nodes[order[i]], nodes[order[j]]))
-            dag = Dag(nodes, frozenset(edges))
+            dag = EdgeGraph(nodes, frozenset(edges))
             base_score = bic_score(data, dag)
             base_class = cpdag_of(dag)
             # walk the class via covered-edge reversals
@@ -160,40 +157,61 @@ class TestBicScore:
             for _ in range(10):
                 covered = [
                     (a, b)
-                    for a, b in sorted(current.edges)
+                    for a, b in sorted(current.directed)
                     if current.parents(b) - {a} == current.parents(a)
                 ]
                 if not covered:
                     break
                 a, b = covered[int(rng.integers(len(covered)))]
-                flipped = (current.edges - {(a, b)}) | {(b, a)}
-                current = Dag(nodes, frozenset(flipped))
+                flipped = (current.directed - {(a, b)}) | {(b, a)}
+                current = EdgeGraph(nodes, frozenset(flipped))
                 assert cpdag_of(current) == base_class
                 assert bic_score(data, current) == pytest.approx(base_score, abs=1e-6)
 
     def test_input_validation(self):
         with pytest.raises(SearchError):
-            bic_score(np.zeros((3, 4)), Dag(("a", "b", "c", "d"), frozenset()))
+            bic_score(np.zeros((3, 4)), EdgeGraph(("a", "b", "c", "d"), frozenset()))
         with pytest.raises(SearchError):
-            bic_score(np.full((30, 2), np.nan), Dag(("a", "b"), frozenset()))
+            bic_score(np.full((30, 2), np.nan), EdgeGraph(("a", "b"), frozenset()))
         with pytest.raises(SearchError):
-            bic_score(np.zeros(10), Dag(("a",), frozenset()))
+            bic_score(np.zeros(10), EdgeGraph(("a",), frozenset()))
         data = np.random.default_rng(0).normal(0.0, 1.0, (30, 2))
         with pytest.raises(SearchError):
-            bic_score(data, Dag(("a", "b", "c"), frozenset()))
+            bic_score(data, EdgeGraph(("a", "b", "c"), frozenset()))
         with pytest.raises(SearchError):
-            bic_score(data * 1e160, Dag(("a", "b"), frozenset({("a", "b")})))
+            bic_score(data * 1e160, EdgeGraph(("a", "b"), frozenset({("a", "b")})))
+
+
+class TestDagPreconditions:
+    # a directed cycle (the shape gc can return) and a mixed graph (fges's)
+    NOT_DAGS = [
+        EdgeGraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "a")})),
+        EdgeGraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "a")})),
+        EdgeGraph(("a", "b", "c"), frozenset({("a", "b")}), frozenset({frozenset(("b", "c"))})),
+        EdgeGraph(("a", "b", "c"), frozenset(), frozenset({frozenset(("a", "c"))})),
+    ]
+
+    @pytest.mark.parametrize("graph", NOT_DAGS, ids=["cycle", "two-cycle", "mixed", "undirected"])
+    def test_non_dags_rejected(self, graph):
+        data = np.random.default_rng(21).normal(0.0, 1.0, (60, 3))
+        with pytest.raises((SearchError, GraphError)):
+            bic_score(data, graph)
+        for search in (hill_climb, tabu_search):
+            with pytest.raises((SearchError, GraphError)):
+                search(data, names=graph.nodes, start=graph)
+        with pytest.raises(GraphError):
+            cpdag_of(graph)
 
 
 class TestHillClimb:
     def test_collider_recovered_exactly(self):
         dag = hill_climb(collider_data(), names=("X", "Y", "Z"))
-        assert dag.edges == frozenset({("X", "Y"), ("Z", "Y")})
+        assert dag.directed == frozenset({("X", "Y"), ("Z", "Y")})
 
     def test_independent_columns_give_empty_graph(self):
         rng = np.random.default_rng(7)
         dag = hill_climb(rng.normal(0.0, 1.0, (1000, 4)))
-        assert dag.edges == frozenset()
+        assert dag.directed == frozenset()
 
     def test_chain_reaches_oracle_score(self):
         rng = np.random.default_rng(8)
@@ -201,7 +219,7 @@ class TestHillClimb:
         y = 0.8 * x + rng.normal(0.0, 1.0, 2000)
         data = np.column_stack([x, y])
         dag = hill_climb(data)
-        assert dag.edges in (frozenset({("x0", "x1")}), frozenset({("x1", "x0")}))
+        assert dag.directed in (frozenset({("x0", "x1")}), frozenset({("x1", "x0")}))
         oracle = enumerate_best_dag(data)
         assert bic_score(data, dag) == pytest.approx(oracle.best_score, abs=1e-9)
 
@@ -246,7 +264,7 @@ class TestHillClimb:
                         if head is not None and sum(b == head for _, b in edited) > max_parents:
                             continue
                         try:
-                            Dag(tuple(range(p)), frozenset(edited))
+                            EdgeGraph(tuple(range(p)), frozenset(edited)).require_dag()
                         except GraphError:
                             continue
                         expected.append((op, u, v))
@@ -273,7 +291,7 @@ class TestTabuSearch:
 
     def test_collider_agrees_with_hill_climb(self):
         data = collider_data()
-        assert tabu_search(data).edges == hill_climb(data).edges
+        assert tabu_search(data).directed == hill_climb(data).directed
 
     def test_escapes_local_optimum_where_hill_climb_stalls(self):
         # frozen instance: on this 4-node SEM hill climbing, plateau walk
@@ -296,13 +314,13 @@ class TestTabuSearch:
         data = collider_data(seed=0)
         names = ("X", "Y", "Z")
         trap_edges = frozenset({("X", "Y"), ("X", "Z"), ("Y", "Z")})
-        trap = Dag(names, trap_edges)
+        trap = EdgeGraph(names, trap_edges)
         s_trap = bic_score(data, trap)
         for a, b in trap_edges:
             deleted = trap_edges - {(a, b)}
-            assert bic_score(data, Dag(names, deleted)) <= s_trap + 1e-9
+            assert bic_score(data, EdgeGraph(names, deleted)) <= s_trap + 1e-9
             try:
-                reversed_ = Dag(names, deleted | {(b, a)})
+                reversed_ = EdgeGraph(names, deleted | {(b, a)}).require_dag()
             except GraphError:
                 continue
             assert bic_score(data, reversed_) <= s_trap + 1e-9
@@ -310,7 +328,7 @@ class TestTabuSearch:
         oracle = enumerate_best_dag(data, names=names)
         for search in (hill_climb, tabu_search):
             found = search(data, names=names, start=trap)
-            assert found.edges == collider
+            assert found.directed == collider
             assert bic_score(data, found) == pytest.approx(oracle.best_score, abs=1e-9)
 
 
@@ -321,21 +339,21 @@ class TestFges:
         y = 0.8 * x + rng.normal(0.0, 1.0, 5000)
         z = 0.8 * y + rng.normal(0.0, 1.0, 5000)
         cp = fges(np.column_stack([x, y, z]), names=("X", "Y", "Z"))
-        assert cp.directed_edges == frozenset()
-        assert cp.undirected_edges == frozenset(
+        assert cp.directed == frozenset()
+        assert cp.undirected == frozenset(
             {frozenset(("X", "Y")), frozenset(("Y", "Z"))}
         )
 
     def test_collider_fully_directed(self):
         cp = fges(collider_data(), names=("X", "Y", "Z"))
-        assert cp.directed_edges == frozenset({("X", "Y"), ("Z", "Y")})
-        assert cp.undirected_edges == frozenset()
+        assert cp.directed == frozenset({("X", "Y"), ("Z", "Y")})
+        assert cp.undirected == frozenset()
 
     def test_independent_columns_give_empty_cpdag(self):
         rng = np.random.default_rng(11)
         cp = fges(rng.normal(0.0, 1.0, (1000, 4)))
-        assert cp.directed_edges == frozenset()
-        assert cp.undirected_edges == frozenset()
+        assert cp.directed == frozenset()
+        assert cp.undirected == frozenset()
 
     def test_matches_enumeration_class_on_frozen_sems(self):
         for seed in (0, 1, 2, 3, 4):
@@ -353,12 +371,12 @@ class TestEnumerateBestDag:
 
     def test_collider_class_found(self):
         res = enumerate_best_dag(collider_data(), names=("X", "Y", "Z"))
-        assert res.best_cpdag.directed_edges == frozenset({("X", "Y"), ("Z", "Y")})
+        assert res.best_cpdag.directed == frozenset({("X", "Y"), ("Z", "Y")})
 
     def test_independent_data_prefers_empty_graph(self):
         rng = np.random.default_rng(13)
         res = enumerate_best_dag(rng.normal(0.0, 1.0, (800, 3)))
-        assert res.best.edges == frozenset()
+        assert res.best.directed == frozenset()
 
     def test_six_nodes_rejected(self):
         rng = np.random.default_rng(14)
@@ -383,7 +401,7 @@ class TestSearchInvariances:
 
     def test_reruns_are_byte_identical(self):
         data, _ = sem_data(3, n=800)
-        cfg = SearchConfig(seed=5, random_restarts=2)
+        cfg = SearchConfig()
         assert hill_climb(data, cfg).to_dot() == hill_climb(data, cfg).to_dot()
         assert tabu_search(data, cfg).to_dot() == tabu_search(data, cfg).to_dot()
         assert fges(data, cfg).to_dot() == fges(data, cfg).to_dot()
@@ -391,14 +409,10 @@ class TestSearchInvariances:
     def test_outputs_are_valid_graphs(self):
         for seed in range(4):
             data, _ = sem_data(seed, n=600)
-            hc = hill_climb(data)
-            assert isinstance(hc, Dag)  # Dag construction revalidates acyclicity
+            hill_climb(data).require_dag()  # GraphError on a cycle or an undirected edge
             cp = fges(data)
-            assert isinstance(cp, Cpdag)
             # Meek fixpoint: re-completing any consistent extension changes nothing
-            from cardiocausal.graphs import consistent_extension
-
-            ext = consistent_extension(cp.nodes, cp.directed_edges, cp.undirected_edges)
+            ext = consistent_extension(cp.nodes, cp.directed, cp.undirected)
             assert ext is not None
             assert cpdag_of(ext) == cp
 
@@ -409,19 +423,19 @@ class TestCamLearn:
         x = rng.normal(0.0, 1.0, 500)
         y = np.sin(2.0 * x) + 0.2 * rng.normal(0.0, 1.0, 500)
         dag = cam_learn(np.column_stack([x, y]), names=("X", "Y"))
-        assert dag.edges == frozenset({("X", "Y")})
+        assert dag.directed == frozenset({("X", "Y")})
 
     def test_independent_columns_pruned_to_empty(self):
         rng = np.random.default_rng(1)
         dag = cam_learn(rng.normal(0.0, 1.0, (300, 3)))
-        assert dag.edges == frozenset()
+        assert dag.directed == frozenset()
 
     def test_linear_pair_keeps_one_edge(self):
         rng = np.random.default_rng(2)
         x = rng.normal(0.0, 1.0, 400)
         y = 2.0 * x + rng.normal(0.0, 1.0, 400)
         dag = cam_learn(np.column_stack([x, y]), names=("X", "Y"))
-        assert dag.edges in (frozenset({("X", "Y")}), frozenset({("Y", "X")}))
+        assert dag.directed in (frozenset({("X", "Y")}), frozenset({("Y", "X")}))
 
     def test_preconditions(self):
         rng = np.random.default_rng(3)
@@ -485,6 +499,22 @@ class TestGcGraph:
         with caplog.at_level("WARNING", logger="cardiocausal.structure_search"):
             assert gc_graph(table, Position.SUPINE) == edges
         assert caplog.messages == skipped
+
+    @pytest.mark.parametrize("position", list(Position))
+    def test_warnings_list_takes_the_skips_instead_of_the_log(self, caplog, position):
+        rng = np.random.default_rng(20)
+        cols = random_columns(rng, 50)
+        cols["RR"] = np.full(50, 0.5)
+        table = make_table(cols, position)
+        edges, skipped = _pairwise_gc(table, position, PARAMETER_NAMES)
+        warnings = ["earlier warning"]
+        with caplog.at_level("WARNING", logger="cardiocausal.structure_search"):
+            assert gc_graph(table, position, warnings=warnings) == edges
+        assert caplog.messages == []
+        assert warnings == ["earlier warning"] + [
+            f"gc search for {position.value}: {line}" for line in skipped
+        ]
+        assert len(skipped) == 9
 
     def test_builds_one_kernel_per_column(self):
         table, _ = sem_cohort(100, seed=0)
