@@ -19,16 +19,33 @@ class GraphError(ValueError):
     """Malformed graph structure: self-loop, cycle, or unknown endpoint."""
 
 
+def adjacency(nodes, directed=(), undirected=(), *, one_way: bool = False) -> dict:
+    """Neighbour set of each node in ``nodes``.
+
+    An undirected edge joins both of its ends; so does a directed edge
+    a -> b, unless ``one_way``, when only b is listed under a.
+    """
+    adj = {v: set() for v in nodes}
+    for a, b in directed:
+        adj[a].add(b)
+        if not one_way:
+            adj[b].add(a)
+    for pair in undirected:
+        a, b = tuple(pair)
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def topological_sort(nodes: tuple[str, ...], edges: frozenset[Edge]) -> list[str]:
     """Kahn's algorithm; raises GraphError when the edge set has a cycle.
 
     Ties are broken by node order in ``nodes`` so the result is deterministic.
     """
     in_deg = {v: 0 for v in nodes}
-    children: dict[str, list[str]] = {v: [] for v in nodes}
-    for a, b in edges:
-        children[a].append(b)
+    for _, b in edges:
         in_deg[b] += 1
+    children = adjacency(nodes, edges, one_way=True)
     order = []
     ready = [v for v in nodes if in_deg[v] == 0]
     while ready:
@@ -129,14 +146,7 @@ def _meek_closure(
     undirected: set[frozenset[str]],
 ) -> tuple[set[Edge], set[frozenset[str]]]:
     """Apply Meek orientation rules R1-R4 until a fixpoint is reached."""
-    adj: dict[str, set[str]] = {v: set() for v in nodes}
-    for a, b in directed:
-        adj[a].add(b)
-        adj[b].add(a)
-    for pair in undirected:
-        a, b = tuple(pair)
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = adjacency(nodes, directed, undirected)
 
     def orient(a: str, b: str) -> None:
         undirected.discard(frozenset((a, b)))
@@ -192,10 +202,7 @@ def cpdag_of(dag: EdgeGraph) -> EdgeGraph:
     """
     dag.require_dag()
     parents = {v: dag.parents(v) for v in dag.nodes}
-    adj: dict[str, set[str]] = {v: set() for v in dag.nodes}
-    for a, b in dag.directed:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = adjacency(dag.nodes, dag.directed)
 
     directed: set[Edge] = set()
     for v in dag.nodes:
@@ -217,38 +224,26 @@ def consistent_extension(
 
     Dor-Tarsi sink-elimination; returns None when no extension exists.
     """
-    dir_edges = set(directed)
-    und_edges = set(undirected)
+    adj = adjacency(nodes, directed, undirected)
+    und = adjacency(nodes, (), undirected)
+    children = adjacency(nodes, directed, one_way=True)
     remaining = set(nodes)
     result: set[Edge] = set(directed)
-
-    adj: dict[str, set[str]] = {v: set() for v in nodes}
-    for a, b in dir_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    for pair in und_edges:
-        a, b = tuple(pair)
-        adj[a].add(b)
-        adj[b].add(a)
-
     while remaining:
         sink = None
         for x in sorted(remaining):
-            if any(a == x and b in remaining for a, b in dir_edges):
-                continue  # has outgoing directed edge
-            und_nb = [tuple(p - {x})[0] for p in und_edges if x in p]
-            all_nb = [v for v in adj[x] if v in remaining]
-            if all(all(u == w or w in adj[u] for w in all_nb) for u in und_nb):
+            # no outgoing directed edge, and each undirected neighbour is
+            # adjacent to every other neighbour
+            if not children[x] and all(
+                all(u == w or w in adj[u] for w in adj[x]) for u in und[x]
+            ):
                 sink = x
                 break
         if sink is None:
             return None
-        for pair in [p for p in und_edges if sink in p]:
-            other = tuple(pair - {sink})[0]
-            result.add((other, sink))
-            und_edges.discard(pair)
-        dir_edges = {(a, b) for a, b in dir_edges if a != sink and b != sink}
+        result.update((other, sink) for other in und[sink])
         for v in adj[sink]:
-            adj[v].discard(sink)
+            for table in (adj, und, children):
+                table[v].discard(sink)
         remaining.discard(sink)
     return EdgeGraph(nodes, frozenset(result)).require_dag()

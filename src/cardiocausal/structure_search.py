@@ -21,7 +21,7 @@ from scipy import stats
 from scipy.interpolate import BSpline
 
 from .association import AssociationError, Direction, GeneralizedCorrPairs
-from .graphs import EdgeGraph, consistent_extension, cpdag_of, topological_sort
+from .graphs import EdgeGraph, adjacency, consistent_extension, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 __all__ = [
@@ -75,6 +75,8 @@ class SearchConfig:
         for field in ("max_parents", "tabu_length", "tabu_max_stalls"):
             if getattr(self, field) < 1:
                 raise SearchError(f"{field} must be positive")
+        if not 0.0 < self.cam_prune_alpha < 1.0:
+            raise SearchError("cam_prune_alpha must lie strictly between 0 and 1")
 
 
 def _node_names(names, p: int) -> tuple[str, ...]:
@@ -231,12 +233,13 @@ def _inverse_move(move) -> tuple[str, int, int]:
 
 
 def _state_from_edges(p: int, edges) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-    children = {v: set() for v in range(p)}
-    parents = {v: set() for v in range(p)}
-    for u, v in edges:
-        children[u].add(v)
-        parents[v].add(u)
-    return children, parents
+    """Children and parents of each of the ``p`` nodes."""
+    nodes = range(p)
+    edges = tuple(edges)
+    return (
+        adjacency(nodes, edges, one_way=True),
+        adjacency(nodes, [(v, u) for u, v in edges], one_way=True),
+    )
 
 
 def _edges_of(children) -> frozenset[tuple[int, int]]:
@@ -254,19 +257,45 @@ def _start_edges(start: EdgeGraph | None, names: tuple[str, ...]) -> frozenset[t
         raise SearchError(f"start graph node {exc.args[0]!r} not in data") from None
 
 
-def _greedy_climb(scorer: _BicScorer, config: SearchConfig, edges0) -> tuple[frozenset, float]:
+def _greedy_climb(
+    scorer: _BicScorer, config: SearchConfig, edges0, max_stalls: int = 0
+) -> tuple[frozenset, float]:
+    """Best-move search over {add, delete, reverse}; the best DAG seen and its score.
+
+    Each step scores every legal move once and takes the best strictly
+    improving one; a move on the tabu list (the inverses of the last
+    ``config.tabu_length`` moves) qualifies only when it beats the best score
+    seen.  When no move improves, the best non-tabu move is taken as a stall,
+    at most ``max_stalls`` times in a row without a new best.  With
+    ``max_stalls=0`` every accepted move is a new best: strict ascent.
+    """
     children, parents = _state_from_edges(scorer.p, edges0)
     score = scorer.total(parents)
+    best_edges, best_score = _edges_of(children), score
+    tabu: deque = deque(maxlen=config.tabu_length)
+    stalls = 0
     while True:
-        best_move, best_delta = None, _EPS_GAIN
+        up, up_delta, stall, stall_delta = None, _EPS_GAIN, None, -math.inf
         for move in _legal_moves(children, parents, scorer.p, config.max_parents):
             delta = _move_delta(scorer, parents, move)
-            if _beats(delta, best_delta):
-                best_move, best_delta = move, delta
-        if best_move is None:
-            return _edges_of(children), score
-        _apply_move(children, parents, best_move)
-        score += best_delta
+            if move in tabu:
+                if score + delta > best_score + _EPS_GAIN and _beats(delta, up_delta):
+                    up, up_delta = move, delta
+                continue
+            if _beats(delta, up_delta):
+                up, up_delta = move, delta
+            if stall is None or _beats(delta, stall_delta):
+                stall, stall_delta = move, delta
+        if up is None:
+            if stall is None or stalls >= max_stalls:
+                return best_edges, best_score
+            up, up_delta = stall, stall_delta
+            stalls += 1
+        _apply_move(children, parents, up)
+        score += up_delta
+        tabu.append(_inverse_move(up))
+        if score > best_score + _EPS_GAIN:
+            best_edges, best_score, stalls = _edges_of(children), score, 0
 
 
 def _covered_edges(parents) -> list[tuple[int, int]]:
@@ -342,88 +371,30 @@ def tabu_search(
 ) -> EdgeGraph:
     """Hill climbing that escapes local optima via a tabu list.
 
-    The ascent is ``hill_climb`` itself.  From its result the best
-    non-improving non-tabu move is taken, for at most ``tabu_max_stalls``
-    stalls without a new global best; improving moves are taken whenever
-    they exist (tabu ones too when they beat the best score seen).  The best
-    structure encountered is returned, so the result never scores below
-    hill_climb on the same data, configuration and start.
+    The ascent is ``hill_climb`` itself.  From its result hill-climb's move
+    loop continues with a tabu list and up to ``tabu_max_stalls`` stalls
+    without a new global best.  The best structure encountered is returned,
+    so the result never scores below hill_climb on the same data,
+    configuration and start.
     """
     config = config or SearchConfig()
     scorer = _BicScorer(data)
     names = _node_names(names, scorer.p)
-    best_edges, best_score = _climb(scorer, config, _start_edges(start, names))
-    children, parents = _state_from_edges(scorer.p, best_edges)
-    score = best_score
-    tabu: deque = deque(maxlen=config.tabu_length)
-    stalls = 0
-
-    while True:
-        moves = _legal_moves(children, parents, scorer.p, config.max_parents)
-        chosen, chosen_delta = None, _EPS_GAIN
-        for move in moves:
-            delta = _move_delta(scorer, parents, move)
-            if not _beats(delta, chosen_delta):
-                continue
-            if move in tabu and score + delta <= best_score + _EPS_GAIN:
-                continue
-            chosen, chosen_delta = move, delta
-        if chosen is None:
-            if stalls >= config.tabu_max_stalls:
-                break
-            worst = -math.inf
-            for move in moves:
-                if move in tabu:
-                    continue
-                delta = _move_delta(scorer, parents, move)
-                if chosen is None or _beats(delta, worst):
-                    chosen, worst = move, delta
-            if chosen is None:
-                break
-            chosen_delta = worst
-            stalls += 1
-        _apply_move(children, parents, chosen)
-        score += chosen_delta
-        tabu.append(_inverse_move(chosen))
-        if score > best_score + _EPS_GAIN:
-            best_edges, best_score = _edges_of(children), score
-            stalls = 0
-
+    edges, _ = _climb(scorer, config, _start_edges(start, names))
+    best_edges, _ = _greedy_climb(scorer, config, edges, config.tabu_max_stalls)
     return _dag(names, best_edges)
 
 
 # --- greedy equivalence search -------------------------------------------
 
 
-def _und_neighbors(undirected, v) -> set:
-    return {next(iter(pair - {v})) for pair in undirected if v in pair}
-
-
-def _adjacency(directed, undirected, p: int) -> dict[int, set[int]]:
-    adj = {v: set() for v in range(p)}
-    for a, b in directed:
-        adj[a].add(b)
-        adj[b].add(a)
-    for pair in undirected:
-        a, b = tuple(pair)
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
 def _is_clique(nodes, adj) -> bool:
     return all(b in adj[a] for a, b in itertools.combinations(sorted(nodes), 2))
 
 
-def _semi_directed_reaches(y: int, x: int, blocked, directed, undirected, p: int) -> bool:
-    """True when a semi-directed path y -> ... -> x avoids ``blocked``."""
-    step = {v: set() for v in range(p)}
-    for a, b in directed:
-        step[a].add(b)
-    for pair in undirected:
-        a, b = tuple(pair)
-        step[a].add(b)
-        step[b].add(a)
+def _semi_directed_reaches(y: int, x: int, blocked, step) -> bool:
+    """True when a semi-directed path y -> ... -> x avoids ``blocked``;
+    ``step`` lists each node's children and undirected neighbours."""
     stack = [y]
     seen = {y}
     while stack:
@@ -465,15 +436,19 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     directed: set[tuple[int, int]] = set()
     undirected: set[frozenset] = set()
 
-    def pa(y):
-        return {a for a, b in directed if b == y}
+    def neighbours():
+        """Adjacent nodes, undirected neighbours and parents of each node."""
+        nodes = range(p)
+        parents = _state_from_edges(p, directed)[1]
+        return adjacency(nodes, directed, undirected), adjacency(nodes, (), undirected), parents
 
     def forward_candidates():
-        adj = _adjacency(directed, undirected, p)
+        adj, und, parents = neighbours()
+        step = adjacency(range(p), directed, undirected, one_way=True)
         out = []
         order = 0
         for y in range(p):
-            nb_y = _und_neighbors(undirected, y)
+            nb_y = und[y]
             for x in range(p):
                 if x == y or x in adj[y]:
                     continue
@@ -482,13 +457,13 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                 for size in range(len(t0) + 1):
                     for t in itertools.combinations(t0, size):
                         block = na | set(t)
-                        base = frozenset(block | pa(y))
+                        base = frozenset(block | parents[y])
                         new = base | {x}
                         if len(new) > config.max_parents:
                             continue
                         if not _is_clique(block, adj):
                             continue
-                        if _semi_directed_reaches(y, x, block, directed, undirected, p):
+                        if _semi_directed_reaches(y, x, block, step):
                             continue
                         delta = scorer.local(y, frozenset(new)) - scorer.local(y, base)
                         if delta > _EPS_GAIN:
@@ -497,11 +472,11 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
         return out
 
     def backward_candidates():
-        adj = _adjacency(directed, undirected, p)
+        adj, und, parents = neighbours()
         out = []
         order = 0
         for y in range(p):
-            nb_y = _und_neighbors(undirected, y)
+            nb_y = und[y]
             for x in range(p):
                 if x == y:
                     continue
@@ -513,7 +488,7 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                         rest = na - set(h)
                         if not _is_clique(rest, adj):
                             continue
-                        base = frozenset((rest | pa(y)) - {x})
+                        base = frozenset((rest | parents[y]) - {x})
                         delta = scorer.local(y, base) - scorer.local(y, frozenset(base | {x}))
                         if delta > _EPS_GAIN:
                             out.append((delta, order, x, y, h))
@@ -596,10 +571,7 @@ def enumerate_best_dag(data, *, names=None) -> EnumerationResult:
             if edges in seen:
                 continue
             seen.add(edges)
-            parent_sets = {v: set() for v in range(p)}
-            for u, v in edges:
-                parent_sets[v].add(u)
-            score = scorer.total(parent_sets)
+            score = scorer.total(_state_from_edges(p, edges)[1])
             key = tuple(sorted(edges))
             if score > best_score or (score == best_score and key < best_key):
                 best_edges, best_key, best_score = edges, key, score
@@ -668,7 +640,7 @@ class _GamFit:
     lam: float
 
 
-def _fit_at_lambda(xtx, xty, yty, omega, lam: float, n: int) -> _GamFit | None:
+def _fit_at_lambda(xtx, xty, yty, omega, lam: float) -> _GamFit | None:
     d = xtx.shape[0]
     ridge = 1e-9 * (np.trace(xtx) / d if d else 1.0)
     a = xtx + lam * omega + ridge * np.eye(d)
@@ -683,9 +655,22 @@ def _fit_at_lambda(xtx, xty, yty, omega, lam: float, n: int) -> _GamFit | None:
     return _GamFit(rss=rss, edf=edf, lam=lam)
 
 
-def _assemble(terms: list[_SplineTerm], n: int):
-    blocks = [np.ones((n, 1))] + [t.basis for t in terms]
-    x = np.hstack(blocks)
+def _gcv_fit(xtx, xty, yty, omega, n: int) -> _GamFit:
+    """The fit whose penalty in ``_LAMBDA_GRID`` minimizes GCV; the first on ties."""
+    fits = []
+    for lam in _LAMBDA_GRID:
+        fit = _fit_at_lambda(xtx, xty, yty, omega, lam)
+        if fit is not None and fit.edf < n:
+            fits.append(fit)
+    if not fits:
+        raise SearchError("smoother failure: no valid penalty value")
+    return min(fits, key=lambda f: n * f.rss / (n - f.edf) ** 2)
+
+
+def _assemble(terms: list[_SplineTerm], y: np.ndarray):
+    """Gram matrix, X'y, y'y, penalty and term column slices of the
+    intercept-plus-splines design."""
+    x = np.hstack([np.ones((y.size, 1))] + [t.basis for t in terms])
     d = x.shape[1]
     omega = np.zeros((d, d))
     col = 1
@@ -695,31 +680,16 @@ def _assemble(terms: list[_SplineTerm], n: int):
         omega[col : col + k, col : col + k] = t.penalty
         slices.append(slice(col, col + k))
         col += k
-    return x, omega, slices
+    return x.T @ x, x.T @ y, float(y @ y), omega, slices
 
 
-def _gam_rss(terms: list[_SplineTerm], y: np.ndarray) -> tuple[float, float, float]:
-    """(rss, edf, lambda) of the GCV-best additive spline fit."""
-    n = y.size
+def _gam_rss(terms: list[_SplineTerm], y: np.ndarray) -> float:
+    """Residual sum of squares of the GCV-best additive spline fit."""
     if not terms:
         yc = y - y.mean()
-        return float(yc @ yc), 1.0, 0.0
-    x, omega, _ = _assemble(terms, n)
-    xtx = x.T @ x
-    xty = x.T @ y
-    yty = float(y @ y)
-    best: tuple[float, _GamFit] | None = None
-    for lam in _LAMBDA_GRID:
-        fit = _fit_at_lambda(xtx, xty, yty, omega, lam, n)
-        if fit is None or fit.edf >= n:
-            continue
-        gcv = n * fit.rss / (n - fit.edf) ** 2
-        if best is None or gcv < best[0]:
-            best = (gcv, fit)
-    if best is None:
-        raise SearchError("smoother failure: no valid penalty value")
-    fit = best[1]
-    return fit.rss, fit.edf, fit.lam
+        return float(yc @ yc)
+    xtx, xty, yty, omega, _ = _assemble(terms, y)
+    return _gcv_fit(xtx, xty, yty, omega, y.size).rss
 
 
 def _prune_node(
@@ -727,30 +697,14 @@ def _prune_node(
 ) -> list[int]:
     """Approximate F-test of each smooth term; keep parents with p < alpha."""
     n = y.size
-    terms = [terms_all[u] for u in preds]
-    x, omega, slices = _assemble(terms, n)
-    xtx = x.T @ x
-    xty = x.T @ y
-    yty = float(y @ y)
-    best: tuple[float, _GamFit] | None = None
-    for lam in _LAMBDA_GRID:
-        fit = _fit_at_lambda(xtx, xty, yty, omega, lam, n)
-        if fit is None or fit.edf >= n:
-            continue
-        gcv = n * fit.rss / (n - fit.edf) ** 2
-        if best is None or gcv < best[0]:
-            best = (gcv, fit)
-    if best is None:
-        raise SearchError("smoother failure: no valid penalty value")
-    full = best[1]
+    xtx, xty, yty, omega, slices = _assemble([terms_all[u] for u in preds], y)
+    full = _gcv_fit(xtx, xty, yty, omega, n)
 
     kept = []
     for j, u in enumerate(preds):
-        keep_cols = [
-            i for i in range(x.shape[1]) if not (slices[j].start <= i < slices[j].stop)
-        ]
+        keep_cols = [i for i in range(xtx.shape[0]) if not (slices[j].start <= i < slices[j].stop)]
         sub = np.ix_(keep_cols, keep_cols)
-        reduced = _fit_at_lambda(xtx[sub], xty[keep_cols], yty, omega[sub], full.lam, n)
+        reduced = _fit_at_lambda(xtx[sub], xty[keep_cols], yty, omega[sub], full.lam)
         if reduced is None:
             continue
         df1 = full.edf - reduced.edf
@@ -797,12 +751,10 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
         key = (v, parent_set)
         if key not in rss_cache:
             fit_terms = [terms[u] for u in sorted(parent_set)]
-            rss, _, _ = _gam_rss(fit_terms, z[:, v])
-            rss_cache[key] = max(rss, 1e-300)
+            rss_cache[key] = max(_gam_rss(fit_terms, z[:, v]), 1e-300)
         return rss_cache[key]
 
-    children = {v: set() for v in range(p)}
-    parents = {v: set() for v in range(p)}
+    children, parents = _state_from_edges(p, ())
     while True:
         best, best_gain = None, _EPS_GAIN
         reach = _descendants(children)

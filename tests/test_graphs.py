@@ -9,6 +9,7 @@ from cardiocausal.graphs import (
     EdgeGraph,
     GraphError,
     _meek_closure,
+    adjacency,
     consistent_extension,
     cpdag_of,
     topological_sort,
@@ -62,6 +63,16 @@ def random_dag(rng, n_nodes: int) -> EdgeGraph:
             a, b = (order[i], order[j])
             edges.add((nodes[a], nodes[b]))
     return EdgeGraph(nodes, frozenset(edges))
+
+
+class TestAdjacency:
+    def test_both_edge_kinds_join_both_ends(self):
+        adj = adjacency(("a", "b", "c", "d"), {("a", "b")}, {frozenset(("b", "c"))})
+        assert adj == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
+
+    def test_one_way_lists_a_directed_edge_under_its_tail(self):
+        adj = adjacency(("a", "b", "c"), {("a", "b")}, {frozenset(("b", "c"))}, one_way=True)
+        assert adj == {"a": {"b"}, "b": {"c"}, "c": {"b"}}
 
 
 class TestTopologicalSort:

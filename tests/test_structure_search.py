@@ -1,15 +1,17 @@
 """Tests for BIC scoring and the structure-search method ensemble."""
 
 import math
+from collections import deque
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cardiocausal import association
+from cardiocausal import association, structure_search
 from cardiocausal.association import AssociationError, Direction, generalized_corr_pair
-from cardiocausal.graphs import EdgeGraph, GraphError, consistent_extension, cpdag_of
+from cardiocausal.graphs import EdgeGraph, GraphError, adjacency, consistent_extension, cpdag_of
+from cardiocausal.pipeline import STRUCTURE_NAMES
 from cardiocausal.record_io import PARAMETER_NAMES, Position
 from cardiocausal.structure_search import (
     SearchConfig,
@@ -22,7 +24,23 @@ from cardiocausal.structure_search import (
     hill_climb,
     tabu_search,
 )
-from cardiocausal.structure_search import _legal_moves, _state_from_edges
+from cardiocausal.structure_search import (
+    _EPS_GAIN,
+    _LAMBDA_GRID,
+    _apply_move,
+    _beats,
+    _BicScorer,
+    _climb,
+    _edges_of,
+    _gcv_fit,
+    _greedy_climb,
+    _inverse_move,
+    _legal_moves,
+    _move_delta,
+    _semi_directed_reaches,
+    _SplineTerm,
+    _state_from_edges,
+)
 from cardiocausal.synthetic import sem_cohort
 from test_association import make_table, random_columns
 
@@ -84,6 +102,10 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(SearchError):
             SearchConfig(max_parents=0)
+        for alpha in (0.0, 1.0, 1.5, -0.01, math.nan):
+            with pytest.raises(SearchError):
+                SearchConfig(cam_prune_alpha=alpha)
+        assert SearchConfig(cam_prune_alpha=0.05).cam_prune_alpha == 0.05
 
 
 class TestBicScore:
@@ -332,7 +354,116 @@ class TestTabuSearch:
             assert bic_score(data, found) == pytest.approx(oracle.best_score, abs=1e-9)
 
 
+def _reference_strict_climb(scorer, config, edges0):
+    """Strict best-improvement ascent with a move loop of its own, as it was
+    before tabu search shared the loop: (edges, accumulated score)."""
+    children, parents = _state_from_edges(scorer.p, edges0)
+    score = scorer.total(parents)
+    while True:
+        best_move, best_delta = None, _EPS_GAIN
+        for move in _legal_moves(children, parents, scorer.p, config.max_parents):
+            delta = _move_delta(scorer, parents, move)
+            if _beats(delta, best_delta):
+                best_move, best_delta = move, delta
+        if best_move is None:
+            return _edges_of(children), score
+        _apply_move(children, parents, best_move)
+        score += best_delta
+
+
+def _reference_tabu_walk(scorer, config, best_edges, best_score):
+    """Tabu search's former loop from the hill-climb result: one scan for an
+    improving move and, on a stall step, a second scan for the stall move."""
+    children, parents = _state_from_edges(scorer.p, best_edges)
+    score = best_score
+    tabu = deque(maxlen=config.tabu_length)
+    stalls = 0
+    while True:
+        moves = _legal_moves(children, parents, scorer.p, config.max_parents)
+        chosen, chosen_delta = None, _EPS_GAIN
+        for move in moves:
+            delta = _move_delta(scorer, parents, move)
+            if not _beats(delta, chosen_delta):
+                continue
+            if move in tabu and score + delta <= best_score + _EPS_GAIN:
+                continue
+            chosen, chosen_delta = move, delta
+        if chosen is None:
+            if stalls >= config.tabu_max_stalls:
+                break
+            worst = -math.inf
+            for move in moves:
+                if move in tabu:
+                    continue
+                delta = _move_delta(scorer, parents, move)
+                if chosen is None or _beats(delta, worst):
+                    chosen, worst = move, delta
+            if chosen is None:
+                break
+            chosen_delta = worst
+            stalls += 1
+        _apply_move(children, parents, chosen)
+        score += chosen_delta
+        tabu.append(_inverse_move(chosen))
+        if score > best_score + _EPS_GAIN:
+            best_edges, best_score = _edges_of(children), score
+            stalls = 0
+    return best_edges, best_score
+
+
+_MOVE_LOOP_CONFIGS = [
+    SearchConfig(),
+    SearchConfig(max_parents=2, tabu_length=3, tabu_max_stalls=30),
+]
+
+
+class TestMoveLoopAgainstReferences:
+    """The one move loop gives hill-climb's and tabu search's former results."""
+
+    @staticmethod
+    def check(data, config):
+        scorer = _BicScorer(data)
+        with mock.patch.object(structure_search, "_greedy_climb", _reference_strict_climb):
+            ref_hc = _climb(scorer, config, frozenset())
+        hc = _climb(scorer, config, frozenset())
+        assert hc[0] == ref_hc[0]
+        assert hc[1] == pytest.approx(ref_hc[1], abs=1e-9)
+        ref_tabu = _reference_tabu_walk(scorer, config, *ref_hc)
+        tabu = _greedy_climb(scorer, config, hc[0], config.tabu_max_stalls)
+        assert tabu[0] == ref_tabu[0]
+        assert tabu[1] == pytest.approx(ref_tabu[1], abs=1e-9)
+        return hc[0], tabu[0]
+
+    @pytest.mark.parametrize("config", _MOVE_LOOP_CONFIGS, ids=["default", "short-tabu"])
+    def test_random_linear_sems(self, config):
+        for seed in range(200):
+            data, _ = sem_data(seed, n=300, p=3 + seed % 5)
+            self.check(data, config)
+
+    @pytest.mark.parametrize("config", _MOVE_LOOP_CONFIGS, ids=["default", "short-tabu"])
+    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
+    def test_sem_cohort_designs(self, config, names):
+        for seed in range(4):
+            table, _ = sem_cohort(100, seed=seed)
+            for position in Position:
+                data = table.matrix(position, names)
+                hc, tabu = self.check(data, config)
+                # the public searches are these two loops
+                assert hill_climb(data, config).directed == {(f"x{u}", f"x{v}") for u, v in hc}
+                assert tabu_search(data, config).directed == {
+                    (f"x{u}", f"x{v}") for u, v in tabu
+                }
+
+
 class TestFges:
+    def test_semi_directed_paths_follow_arrows(self):
+        # 3 -> 0 -> 1 - 2
+        step = adjacency(range(4), {(3, 0), (0, 1)}, {frozenset((1, 2))}, one_way=True)
+        assert _semi_directed_reaches(3, 2, set(), step)
+        assert _semi_directed_reaches(2, 1, set(), step)
+        assert not _semi_directed_reaches(2, 0, set(), step)
+        assert not _semi_directed_reaches(3, 2, {0}, step)
+
     def test_chain_gives_undirected_skeleton(self):
         rng = np.random.default_rng(10)
         x = rng.normal(0.0, 1.0, 5000)
@@ -445,6 +576,46 @@ class TestCamLearn:
         bad[:, 0] = 5.0
         with pytest.raises(SearchError):
             cam_learn(bad)
+
+
+class TestGcvSmoother:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_matches_dense_solves_at_every_penalty(self, k):
+        table, _ = sem_cohort(100, seed=0)
+        x = table.matrix(Position.SUPINE, STRUCTURE_NAMES)
+        z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+        y = z[:, 0]
+        n = y.size
+        terms = [_SplineTerm(z[:, j]) for j in range(1, k + 1)]
+        design = np.hstack([np.ones((n, 1))] + [t.basis for t in terms])
+        d = design.shape[1]
+        omega = np.zeros((d, d))
+        for j, t in enumerate(terms):
+            cols = slice(1 + 10 * j, 11 + 10 * j)
+            omega[cols, cols] = t.penalty
+        xtx = design.T @ design
+        ridge = 1e-9 * np.trace(xtx) / d
+        dense = []
+        for lam in _LAMBDA_GRID:
+            a = xtx + lam * omega + ridge * np.eye(d)
+            beta = np.linalg.solve(a, design.T @ y)
+            resid = y - design @ beta
+            edf = float(np.trace(np.linalg.solve(a, xtx)))
+            rss = float(resid @ resid)
+            dense.append((n * rss / (n - edf) ** 2, rss, edf, lam))
+        _, rss, edf, lam = min(dense)
+        fit = _gcv_fit(xtx, design.T @ y, float(y @ y), omega, n)
+        assert fit.lam == lam
+        assert fit.rss == pytest.approx(rss, rel=1e-8)
+        # each centered spline block makes X'X singular, and the system's
+        # condition number reaches 5e15 (k=1, lambda=1e6): against 40-digit
+        # arithmetic the Cholesky and LU routes each miss edf by up to 2e-7
+        assert fit.edf == pytest.approx(edf, rel=1e-6)
+
+    def test_no_valid_penalty_is_an_error(self):
+        # a Gram matrix that is not positive definite at any penalty
+        with pytest.raises(SearchError, match="no valid penalty value"):
+            _gcv_fit(-np.eye(3), np.zeros(3), 0.0, np.zeros((3, 3)), 10)
 
 
 class TestGcGraph:
