@@ -151,8 +151,8 @@ class ConsensusGraph:
         for v in self.nodes:
             lines.append(f'  "{v}";')
         for a, b in self.skeleton_pairs():
-            n_ab = len(self.edge_votes.get((a, b), EdgeVotes(frozenset(), frozenset(), frozenset())).supporting)
-            n_ba = len(self.edge_votes.get((b, a), EdgeVotes(frozenset(), frozenset(), frozenset())).supporting)
+            n_ab = self.votes_for(a, b)[0]
+            n_ba = self.votes_for(b, a)[0]
             if n_ab > n_ba:
                 lines.append(f'  "{a}" -> "{b}";')
             elif n_ba > n_ab:

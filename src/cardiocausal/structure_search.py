@@ -589,7 +589,13 @@ _LAMBDA_GRID = np.logspace(-6.0, 6.0, 25)
 
 
 class _SplineTerm:
-    """Centered cubic B-spline basis with an exact curvature penalty."""
+    """Centered cubic B-spline basis with an exact curvature penalty.
+
+    The B-splines sum to one, so their centered columns sum to zero.  The
+    last column and its penalty row and column are dropped: the remaining
+    ``_N_BASIS - 1`` columns span the same centered functions with no null
+    vector (the centering constraint absorbed).
+    """
 
     def __init__(self, x: np.ndarray):
         lo, hi = float(np.min(x)), float(np.max(x))
@@ -603,8 +609,8 @@ class _SplineTerm:
             interior = np.linspace(lo, hi, _N_BASIS - 2)[1:-1]
         knots = np.concatenate([[lo] * 4, interior, [hi] * 4])
         design = BSpline.design_matrix(x, knots, 3).toarray()
-        self.basis = design - design.mean(axis=0)
-        self.penalty = self._curvature_penalty(knots)
+        self.basis = (design - design.mean(axis=0))[:, :-1]
+        self.penalty = self._curvature_penalty(knots)[:-1, :-1]
 
     @staticmethod
     def _curvature_penalty(knots: np.ndarray) -> np.ndarray:
@@ -640,78 +646,48 @@ class _GamFit:
     lam: float
 
 
-def _fit_at_lambda(xtx, xty, yty, omega, lam: float) -> _GamFit | None:
-    d = xtx.shape[0]
-    ridge = 1e-9 * (np.trace(xtx) / d if d else 1.0)
-    a = xtx + lam * omega + ridge * np.eye(d)
+def _penalized_fits(xtx, xty, yty, omega, lams) -> tuple[np.ndarray, np.ndarray]:
+    """rss and edf of the penalized least-squares fit at each penalty in ``lams``.
+
+    One generalized eigendecomposition ``xtx V = (xtx + omega) V diag(mu)``,
+    with ``V'(xtx + omega) V = I``, turns ``xtx + lam * omega`` into
+    ``V^-T diag(mu + lam (1 - mu)) V^-1`` for every ``lam`` at once.
+    """
     try:
-        factor = sla.cho_factor(a)
-    except sla.LinAlgError:
-        return None
-    beta = sla.cho_solve(factor, xty)
-    rss = float(yty - 2.0 * beta @ xty + beta @ (xtx @ beta))
-    rss = max(rss, 0.0)
-    edf = float(np.trace(sla.cho_solve(factor, xtx)))
-    return _GamFit(rss=rss, edf=edf, lam=lam)
+        mu, v = sla.eigh(xtx, xtx + omega)
+    except sla.LinAlgError as exc:
+        raise SearchError("smoother failure: no valid penalty value") from exc
+    c2 = (v.T @ xty) ** 2
+    d = mu + np.outer(lams, 1.0 - mu)
+    rss = np.maximum(yty - ((2.0 * d - mu) / d**2) @ c2, 0.0)
+    edf = (mu / d).sum(axis=1)
+    return rss, edf
 
 
 def _gcv_fit(xtx, xty, yty, omega, n: int) -> _GamFit:
     """The fit whose penalty in ``_LAMBDA_GRID`` minimizes GCV; the first on ties."""
-    fits = []
-    for lam in _LAMBDA_GRID:
-        fit = _fit_at_lambda(xtx, xty, yty, omega, lam)
-        if fit is not None and fit.edf < n:
-            fits.append(fit)
-    if not fits:
+    rss, edf = _penalized_fits(xtx, xty, yty, omega, _LAMBDA_GRID)
+    valid = np.flatnonzero(edf < n)
+    if not valid.size:
         raise SearchError("smoother failure: no valid penalty value")
-    return min(fits, key=lambda f: n * f.rss / (n - f.edf) ** 2)
+    best = valid[np.argmin(n * rss[valid] / (n - edf[valid]) ** 2)]
+    return _GamFit(rss=float(rss[best]), edf=float(edf[best]), lam=float(_LAMBDA_GRID[best]))
 
 
-def _assemble(terms: list[_SplineTerm], y: np.ndarray):
-    """Gram matrix, X'y, y'y, penalty and term column slices of the
-    intercept-plus-splines design."""
-    x = np.hstack([np.ones((y.size, 1))] + [t.basis for t in terms])
-    d = x.shape[1]
-    omega = np.zeros((d, d))
-    col = 1
-    slices = []
-    for t in terms:
-        k = t.basis.shape[1]
-        omega[col : col + k, col : col + k] = t.penalty
-        slices.append(slice(col, col + k))
-        col += k
-    return x.T @ x, x.T @ y, float(y @ y), omega, slices
+def _prune_node(system, v: int, preds: list[int], n: int, alpha: float) -> list[int]:
+    """Approximate F-test of each smooth term; keep parents with p < alpha.
 
-
-def _gam_rss(terms: list[_SplineTerm], y: np.ndarray) -> float:
-    """Residual sum of squares of the GCV-best additive spline fit."""
-    if not terms:
-        yc = y - y.mean()
-        return float(yc @ yc)
-    xtx, xty, yty, omega, _ = _assemble(terms, y)
-    return _gcv_fit(xtx, xty, yty, omega, y.size).rss
-
-
-def _prune_node(
-    terms_all: list[_SplineTerm], preds: list[int], y: np.ndarray, alpha: float
-) -> list[int]:
-    """Approximate F-test of each smooth term; keep parents with p < alpha."""
-    n = y.size
-    xtx, xty, yty, omega, slices = _assemble([terms_all[u] for u in preds], y)
-    full = _gcv_fit(xtx, xty, yty, omega, n)
-
+    ``system(v, parents)`` gives the smoother inputs of ``v`` on ``parents``.
+    """
+    full = _gcv_fit(*system(v, preds), n)
     kept = []
-    for j, u in enumerate(preds):
-        keep_cols = [i for i in range(xtx.shape[0]) if not (slices[j].start <= i < slices[j].stop)]
-        sub = np.ix_(keep_cols, keep_cols)
-        reduced = _fit_at_lambda(xtx[sub], xty[keep_cols], yty, omega[sub], full.lam)
-        if reduced is None:
-            continue
-        df1 = full.edf - reduced.edf
+    for u in preds:
+        (rss,), (edf,) = _penalized_fits(*system(v, [w for w in preds if w != u]), [full.lam])
+        df1 = full.edf - edf
         df2 = n - full.edf
         if df1 <= 1e-9 or df2 <= 1e-9 or full.rss <= 0:
             continue
-        f_stat = ((reduced.rss - full.rss) / df1) / (full.rss / df2)
+        f_stat = ((rss - full.rss) / df1) / (full.rss / df2)
         if f_stat <= 0:
             continue
         p_value = float(stats.f.sf(f_stat, df1, df2))
@@ -727,7 +703,9 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
     additive-regression log-likelihood gain (penalized cubic splines, GCV
     smoothing).  Stage 2 regresses each node on all order-preceding nodes
     and keeps only parents whose smooth term tests significant below
-    ``cam_prune_alpha``.  Columns are standardized internally.
+    ``cam_prune_alpha``.  Columns are standardized internally.  Every fit
+    slices one Gram matrix and penalty of the intercept and all spline
+    columns.
     """
     config = config or SearchConfig()
     x = np.asarray(data, dtype=float)
@@ -742,16 +720,29 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
     if np.any(sd == 0):
         raise SearchError("degenerate column for smoother")
     z = (x - x.mean(axis=0)) / sd
+    if np.linalg.matrix_rank(np.column_stack([np.ones(n), z])) < p + 1:
+        raise SearchError("collinear columns")
     names = _node_names(names, p)
     terms = [_SplineTerm(z[:, j]) for j in range(p)]
+    design = np.hstack([np.ones((n, 1))] + [t.basis for t in terms])
+    gram, xtz = design.T @ design, design.T @ z
+    omega = sla.block_diag(np.zeros((1, 1)), *(t.penalty for t in terms))
+    width = _N_BASIS - 1
+
+    def system(v: int, parent_list):
+        cols = np.concatenate(
+            [[0]] + [np.arange(1 + width * u, 1 + width * (u + 1)) for u in parent_list]
+        )
+        block = np.ix_(cols, cols)
+        return gram[block], xtz[cols, v], float(z[:, v] @ z[:, v]), omega[block]
 
     rss_cache: dict[tuple[int, frozenset[int]], float] = {}
 
     def rss_of(v: int, parent_set: frozenset[int]) -> float:
         key = (v, parent_set)
         if key not in rss_cache:
-            fit_terms = [terms[u] for u in sorted(parent_set)]
-            rss_cache[key] = max(_gam_rss(fit_terms, z[:, v]), 1e-300)
+            fit = _gcv_fit(*system(v, sorted(parent_set)), n)
+            rss_cache[key] = max(fit.rss, 1e-300)
         return rss_cache[key]
 
     children, parents = _state_from_edges(p, ())
@@ -780,7 +771,7 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
         preds = order[:pos]
         if not preds:
             continue
-        for u in _prune_node(terms, preds, z[:, v], config.cam_prune_alpha):
+        for u in _prune_node(system, v, preds, n, config.cam_prune_alpha):
             edges.append((u, v))
     return _dag(names, edges)
 

@@ -600,6 +600,22 @@ class TestCli:
         assert code == 2
         assert "analysis failed" in capsys.readouterr().err
 
+    def test_collinear_columns_exit_2_for_cam(self, tmp_path, capsys):
+        table, _ = sem_cohort(100, seed=0)
+        rows = [
+            replace(row, params={**row.params, "cInsT": row.params["cExpT"]})
+            for row in table.rows
+        ]
+        path = tmp_path / "collinear.csv"
+        save_parameter_table(ParameterTable(rows=tuple(rows)), path)
+        code = main([
+            "analyze", "--input", str(path), "--input-kind", "params",
+            "--methods", "cam", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["analysis failed: cam search for supine: collinear columns"]
+
     @pytest.mark.parametrize(
         "argv",
         [

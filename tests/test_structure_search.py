@@ -37,6 +37,7 @@ from cardiocausal.structure_search import (
     _inverse_move,
     _legal_moves,
     _move_delta,
+    _prune_node,
     _semi_directed_reaches,
     _SplineTerm,
     _state_from_edges,
@@ -576,41 +577,99 @@ class TestCamLearn:
         bad[:, 0] = 5.0
         with pytest.raises(SearchError):
             cam_learn(bad)
+        x = rng.normal(0.0, 1.0, (100, 3))
+        for related in (x[:, 0], 2.0 * x[:, 0] + 1.0):
+            with pytest.raises(SearchError, match="collinear columns"):
+                cam_learn(np.column_stack([x, related]))
+
+    def test_keeps_a_term_the_f_test_finds_strong(self):
+        # the cExpV term for cInsV tests at p = 1e-20 here, far below
+        # cam_prune_alpha, at the full fit's lambda of 1e6
+        table, _ = sem_cohort(100, seed=1)
+        x = table.matrix(Position.STANDING, STRUCTURE_NAMES)
+        dag = cam_learn(x, names=STRUCTURE_NAMES)
+        assert dag.directed & {("cExpV", "cInsV"), ("cInsV", "cExpV")}
+
+
+def _standardized(seed: int, position: Position) -> np.ndarray:
+    table, _ = sem_cohort(100, seed=seed)
+    x = table.matrix(position, STRUCTURE_NAMES)
+    return (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+
+
+def _dense_smoother(z, v, parents):
+    """Smoother inputs of column v on the spline terms of parents, from one
+    stacked design, and the dense solve of the fit at a penalty."""
+    y = z[:, v]
+    terms = [_SplineTerm(z[:, u]) for u in parents]
+    design = np.hstack([np.ones((y.size, 1))] + [t.basis for t in terms])
+    d = design.shape[1]
+    omega = np.zeros((d, d))
+    col = 1
+    for t in terms:
+        width = t.basis.shape[1]
+        omega[col : col + width, col : col + width] = t.penalty
+        col += width
+    assert col == d
+    xtx = design.T @ design
+
+    def dense_fit(lam):
+        a = xtx + lam * omega
+        resid = y - design @ np.linalg.solve(a, design.T @ y)
+        return float(resid @ resid), float(np.trace(np.linalg.solve(a, xtx)))
+
+    return (xtx, design.T @ y, float(y @ y), omega), dense_fit
 
 
 class TestGcvSmoother:
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
     def test_matches_dense_solves_at_every_penalty(self, k):
-        table, _ = sem_cohort(100, seed=0)
-        x = table.matrix(Position.SUPINE, STRUCTURE_NAMES)
-        z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
-        y = z[:, 0]
-        n = y.size
-        terms = [_SplineTerm(z[:, j]) for j in range(1, k + 1)]
-        design = np.hstack([np.ones((n, 1))] + [t.basis for t in terms])
-        d = design.shape[1]
-        omega = np.zeros((d, d))
-        for j, t in enumerate(terms):
-            cols = slice(1 + 10 * j, 11 + 10 * j)
-            omega[cols, cols] = t.penalty
-        xtx = design.T @ design
-        ridge = 1e-9 * np.trace(xtx) / d
+        # k = 7 is the largest parent set of the 8-column design
+        z = _standardized(0, Position.SUPINE)
+        n = z.shape[0]
+        inputs, dense_fit = _dense_smoother(z, 0, range(1, k + 1))
         dense = []
         for lam in _LAMBDA_GRID:
-            a = xtx + lam * omega + ridge * np.eye(d)
-            beta = np.linalg.solve(a, design.T @ y)
-            resid = y - design @ beta
-            edf = float(np.trace(np.linalg.solve(a, xtx)))
-            rss = float(resid @ resid)
+            rss, edf = dense_fit(lam)
             dense.append((n * rss / (n - edf) ** 2, rss, edf, lam))
         _, rss, edf, lam = min(dense)
-        fit = _gcv_fit(xtx, design.T @ y, float(y @ y), omega, n)
+        fit = _gcv_fit(*inputs, n)
         assert fit.lam == lam
         assert fit.rss == pytest.approx(rss, rel=1e-8)
-        # each centered spline block makes X'X singular, and the system's
-        # condition number reaches 5e15 (k=1, lambda=1e6): against 40-digit
-        # arithmetic the Cholesky and LU routes each miss edf by up to 2e-7
-        assert fit.edf == pytest.approx(edf, rel=1e-6)
+        # the centering constraint is absorbed, so the penalized system has no
+        # null vector: its condition number is at most 4e7 here (k=1,
+        # lambda=1e6), and dense solves are accurate well below 1e-8
+        assert fit.edf == pytest.approx(edf, rel=1e-8)
+
+    def test_pruning_f_tests_match_dense_solves(self):
+        # each reduced fit is taken at the full fit's penalty
+        z = _standardized(1, Position.STANDING)
+        n = z.shape[0]
+        v = STRUCTURE_NAMES.index("cInsV")
+        preds = [u for u in range(z.shape[1]) if u != v]
+        inputs, dense_fit = _dense_smoother(z, v, preds)
+        lam = _gcv_fit(*inputs, n).lam
+        full_rss, full_edf = dense_fit(lam)
+        expected = []
+        for u in preds:
+            rss, edf = _dense_smoother(z, v, [w for w in preds if w != u])[1](lam)
+            df1, df2 = full_edf - edf, n - full_edf
+            expected.append(((rss - full_rss) / df1 / (full_rss / df2), df1, df2))
+        with mock.patch.object(
+            structure_search.stats.f, "sf", wraps=structure_search.stats.f.sf
+        ) as sf:
+            _prune_node(lambda v, parents: _dense_smoother(z, v, parents)[0], v, preds, n, 0.001)
+        assert [call.args for call in sf.call_args_list] == [
+            pytest.approx(e, rel=1e-6) for e in expected
+        ]
+
+    def test_one_eigendecomposition_per_sweep(self):
+        inputs, _ = _dense_smoother(_standardized(0, Position.SUPINE), 0, [1, 2])
+        with mock.patch.object(
+            structure_search.sla, "eigh", wraps=structure_search.sla.eigh
+        ) as eigh:
+            _gcv_fit(*inputs, 100)
+        assert eigh.call_count == 1
 
     def test_no_valid_penalty_is_an_error(self):
         # a Gram matrix that is not positive definite at any penalty
