@@ -140,21 +140,33 @@ def bayes_correlation(x, y) -> BayesRegressionFit:
 
 
 def correlation_matrix(
-    table: ParameterTable, position: Position, names=PARAMETER_NAMES
+    table: ParameterTable, position: Position, names=PARAMETER_NAMES, warnings=None
 ) -> np.ndarray:
     """Gated correlation matrix for one position.
 
     Entry (i, j) holds the correlation between parameters i and j when its
     MPE exceeds 0.9, NaN otherwise; the diagonal is NaN.  Symmetric by
-    construction (each unordered pair is evaluated once).
+    construction (each unordered pair is evaluated once).  A constant
+    column has no correlation: its row and column are NaN, and when a
+    ``warnings`` list is given it gets one message for each such column.
     """
     if len(table.subjects(position)) < 4:
         raise AssociationError("need at least 4 subjects for the position")
     k = len(names)
     out = np.full((k, k), np.nan)
-    columns = {name: table.column(name, position) for name in names}
+    columns = [table.column(name, position) for name in names]
+    constant = [np.std(c) == 0 for c in columns]
+    if warnings is not None:
+        warnings.extend(
+            f"correlation matrix for {position.value}: {name} is constant; "
+            "its correlations are null"
+            for name, flat in zip(names, constant)
+            if flat
+        )
     for i, j in combinations(range(k), 2):
-        fit = bayes_correlation(columns[names[i]], columns[names[j]])
+        if constant[i] or constant[j]:
+            continue
+        fit = bayes_correlation(columns[i], columns[j])
         if fit.mpe > MPE_GATE:
             out[i, j] = fit.r
             out[j, i] = fit.r

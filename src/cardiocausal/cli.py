@@ -74,6 +74,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _print_warnings(lines) -> None:
+    for line in lines:
+        print(f"warning: {line}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -88,11 +93,11 @@ def main(argv=None) -> int:
     try:
         report = run_pipeline(config)
     except (PipelineError, FormatError) as exc:
+        _print_warnings(getattr(exc, "warnings", ()))  # a FormatError has none
         print(f"analysis failed: {exc}", file=sys.stderr)
         return 2
 
-    for line in report.warnings:
-        print(f"warning: {line}", file=sys.stderr)
+    _print_warnings(report.warnings)
     print(f"report written to {config.out_dir}")
     return 0
 

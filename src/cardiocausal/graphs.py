@@ -145,12 +145,20 @@ def _meek_closure(
     directed: set[Edge],
     undirected: set[frozenset[str]],
 ) -> tuple[set[Edge], set[frozenset[str]]]:
-    """Apply Meek orientation rules R1-R4 until a fixpoint is reached."""
+    """Apply Meek orientation rules R1-R3 until a fixpoint is reached."""
     adj = adjacency(nodes, directed, undirected)
 
-    def orient(a: str, b: str) -> None:
-        undirected.discard(frozenset((a, b)))
-        directed.add((a, b))
+    def forced(b, c) -> bool:
+        """Whether R1, R2 or R3 orients the undirected edge b - c as b -> c."""
+        into_c = [a for a in nodes if (a, c) in directed and frozenset((b, a)) in undirected]
+        return (
+            # R1: a -> b, a and c not adjacent
+            any((a, b) in directed and c not in adj[a] for a in nodes)
+            # R2: b -> a -> c
+            or any((b, a) in directed and (a, c) in directed for a in nodes)
+            # R3: b - a1 -> c, b - a2 -> c, a1 and a2 not adjacent
+            or any(a2 not in adj[a1] for a1, a2 in combinations(into_c, 2))
+        )
 
     changed = True
     while changed:
@@ -160,38 +168,30 @@ def _meek_closure(
                 continue
             x, y = tuple(sorted(pair))
             for b, c in ((x, y), (y, x)):
-                # R1: a -> b, b - c, a and c not adjacent  =>  b -> c
-                if any((a, b) in directed and c not in adj[a] for a in nodes):
-                    orient(b, c)
+                if forced(b, c):
+                    undirected.discard(pair)
+                    directed.add((b, c))
                     changed = True
-                    break
-                # R2: b -> a -> c and b - c  =>  b -> c
-                if any((b, a) in directed and (a, c) in directed for a in nodes):
-                    orient(b, c)
-                    changed = True
-                    break
-                # R3: b - a1, b - a2, a1 -> c, a2 -> c, a1 and a2 not adjacent
-                into_c = [a for a in nodes if (a, c) in directed and frozenset((b, a)) in undirected]
-                if any(a2 not in adj[a1] for a1, a2 in combinations(into_c, 2)):
-                    orient(b, c)
-                    changed = True
-                    break
-                # R4: b - d (adjacent), d -> a, a -> c, d and c not adjacent
-                fired = False
-                for a in nodes:
-                    if (a, c) not in directed:
-                        continue
-                    for d in adj[b]:
-                        if (d, a) in directed and c not in adj[d]:
-                            orient(b, c)
-                            changed = True
-                            fired = True
-                            break
-                    if fired:
-                        break
-                if fired:
                     break
     return directed, undirected
+
+
+def _complete_pattern(nodes, directed, undirected) -> tuple[set[Edge], set[frozenset[str]]]:
+    """The completed pattern of a PDAG's Markov equivalence class.
+
+    The edges of unshielded colliders (a -> c <- b, a and b not adjacent)
+    stay directed, every other edge becomes undirected, and rules R1-R3
+    orient the rest; they are complete for a pattern (Meek, UAI 1995).
+    """
+    adj = adjacency(nodes, directed, undirected)
+    parents = adjacency(nodes, {(b, a) for a, b in directed}, one_way=True)
+    colliders: set[Edge] = set()
+    for v in nodes:
+        for p, q in combinations(parents[v], 2):
+            if q not in adj[p]:
+                colliders.update(((p, v), (q, v)))
+    loose = {frozenset(e) for e in directed if e not in colliders} | set(undirected)
+    return _meek_closure(nodes, colliders, loose)
 
 
 def cpdag_of(dag: EdgeGraph) -> EdgeGraph:
@@ -201,49 +201,5 @@ def cpdag_of(dag: EdgeGraph) -> EdgeGraph:
     must be a DAG (GraphError otherwise).
     """
     dag.require_dag()
-    parents = {v: dag.parents(v) for v in dag.nodes}
-    adj = adjacency(dag.nodes, dag.directed)
-
-    directed: set[Edge] = set()
-    for v in dag.nodes:
-        for p, q in combinations(sorted(parents[v]), 2):
-            if q not in adj[p]:  # collider p -> v <- q with p, q non-adjacent
-                directed.add((p, v))
-                directed.add((q, v))
-    undirected = {frozenset((a, b)) for a, b in dag.directed if (a, b) not in directed}
-    directed, undirected = _meek_closure(dag.nodes, directed, undirected)
+    directed, undirected = _complete_pattern(dag.nodes, dag.directed, ())
     return EdgeGraph(dag.nodes, frozenset(directed), frozenset(undirected))
-
-
-def consistent_extension(
-    nodes: tuple[str, ...],
-    directed: frozenset[Edge],
-    undirected: frozenset[frozenset[str]],
-) -> EdgeGraph | None:
-    """Orient a PDAG into a DAG keeping all directed edges and v-structures.
-
-    Dor-Tarsi sink-elimination; returns None when no extension exists.
-    """
-    adj = adjacency(nodes, directed, undirected)
-    und = adjacency(nodes, (), undirected)
-    children = adjacency(nodes, directed, one_way=True)
-    remaining = set(nodes)
-    result: set[Edge] = set(directed)
-    while remaining:
-        sink = None
-        for x in sorted(remaining):
-            # no outgoing directed edge, and each undirected neighbour is
-            # adjacent to every other neighbour
-            if not children[x] and all(
-                all(u == w or w in adj[u] for w in adj[x]) for u in und[x]
-            ):
-                sink = x
-                break
-        if sink is None:
-            return None
-        result.update((other, sink) for other in und[sink])
-        for v in adj[sink]:
-            for table in (adj, und, children):
-                table[v].discard(sink)
-        remaining.discard(sink)
-    return EdgeGraph(nodes, frozenset(result)).require_dag()

@@ -68,7 +68,14 @@ class ConfigError(ValueError):
 
 
 class PipelineError(RuntimeError):
-    """Fatal cohort-level analysis failure (exit code 2 at the CLI)."""
+    """Fatal cohort-level analysis failure (exit code 2 at the CLI).
+
+    ``warnings`` holds the warnings the run gathered before it failed.
+    """
+
+    def __init__(self, message: str, warnings=()):
+        super().__init__(message)
+        self.warnings = tuple(warnings)
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,7 @@ def _table_from_signals(input_path: Path, warnings_list: list[str]) -> Parameter
     try:
         return ParameterTable(tuple(rows))
     except FormatError as exc:
-        raise PipelineError(str(exc)) from None
+        raise PipelineError(str(exc), warnings_list) from None
 
 
 def _write_outputs(report: CausalReport, out_dir: Path) -> None:
@@ -339,8 +346,9 @@ def _write_outputs(report: CausalReport, out_dir: Path) -> None:
 def run_pipeline(config: RunConfig) -> CausalReport:
     """Run the full analysis described by ``config`` and return the report.
 
-    Per-subject ingestion failures become warnings; cohort-level failures
-    (too few subjects, malformed tables) raise PipelineError.
+    Per-subject ingestion failures and constant columns become warnings;
+    cohort-level failures (too few subjects, malformed tables, a method that
+    cannot run) raise PipelineError with the warnings gathered so far.
     """
     warnings_list: list[str] = []
     positions = [Position(p) for p in config.positions]
@@ -355,7 +363,9 @@ def run_pipeline(config: RunConfig) -> CausalReport:
 
     for pos in positions:
         if len(table.subjects(pos)) < 4:
-            raise PipelineError(f"fewer than 4 subjects for position {pos.value!r}")
+            raise PipelineError(
+                f"fewer than 4 subjects for position {pos.value!r}", warnings_list
+            )
 
     paired: list[PairedTestResult] = []
     if {Position.SUPINE, Position.STANDING} <= set(positions):
@@ -377,9 +387,11 @@ def run_pipeline(config: RunConfig) -> CausalReport:
 
     for pos in positions:
         try:
-            correlations[pos.value] = correlation_matrix(table, pos)
+            correlations[pos.value] = correlation_matrix(table, pos, warnings=warnings_list)
         except AssociationError as exc:
-            raise PipelineError(f"correlation matrix for {pos.value}: {exc}") from None
+            raise PipelineError(
+                f"correlation matrix for {pos.value}: {exc}", warnings_list
+            ) from None
 
         design = table.matrix(pos, structure_names)
         graphs: dict[str, EdgeGraph] = {}
@@ -392,7 +404,9 @@ def run_pipeline(config: RunConfig) -> CausalReport:
                     graph = _mask_ignored(graph)
                 graphs[method] = graph
         except (SearchError, AssociationError) as exc:
-            raise PipelineError(f"{method} search for {pos.value}: {exc}") from None
+            raise PipelineError(
+                f"{method} search for {pos.value}: {exc}", warnings_list
+            ) from None
         method_graphs[pos.value] = graphs
         consensus_graphs[pos.value] = consensus(list(graphs.items()))
 

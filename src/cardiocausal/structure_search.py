@@ -21,7 +21,7 @@ from scipy import stats
 from scipy.interpolate import BSpline
 
 from .association import AssociationError, Direction, GeneralizedCorrPairs
-from .graphs import EdgeGraph, adjacency, consistent_extension, cpdag_of, topological_sort
+from .graphs import EdgeGraph, _complete_pattern, adjacency, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 __all__ = [
@@ -409,44 +409,33 @@ def _semi_directed_reaches(y: int, x: int, blocked, step) -> bool:
     return False
 
 
-def _pattern_rebuild(p: int, directed, undirected):
-    nodes = tuple(range(p))
-    dag = consistent_extension(
-        nodes, frozenset(directed), frozenset(frozenset(e) for e in undirected)
-    )
-    if dag is None:
-        return None
-    cp = cpdag_of(dag)
-    return set(cp.directed), set(cp.undirected)
-
-
 def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     """Greedy equivalence search: Insert phase, then Delete phase.
 
     Operators follow the standard characterization: Insert(x, y, T) requires
     NA(y, x) | T to form a clique and to block every semi-directed path from
-    y to x; Delete(x, y, H) requires NA(y, x) \\ H to form a clique.  After
-    each operator the pattern is rebuilt (consistent extension, v-structures,
-    orientation-rule closure).
+    y to x; Delete(x, y, H) requires NA(y, x) \\ H to form a clique.  Each
+    step applies the first of the best-scoring operators and re-completes
+    the pattern: unshielded colliders, then Meek's rules R1-R3.  Every valid
+    operator leaves a PDAG that has a consistent extension (Chickering,
+    JMLR 2002, Theorems 15 and 17), so the class it names always exists.
     """
     config = config or SearchConfig()
     scorer = _BicScorer(data)
     p = scorer.p
     names = _node_names(names, p)
+    nodes = tuple(range(p))
     directed: set[tuple[int, int]] = set()
     undirected: set[frozenset] = set()
 
     def neighbours():
         """Adjacent nodes, undirected neighbours and parents of each node."""
-        nodes = range(p)
         parents = _state_from_edges(p, directed)[1]
         return adjacency(nodes, directed, undirected), adjacency(nodes, (), undirected), parents
 
     def forward_candidates():
         adj, und, parents = neighbours()
-        step = adjacency(range(p), directed, undirected, one_way=True)
-        out = []
-        order = 0
+        step = adjacency(nodes, directed, undirected, one_way=True)
         for y in range(p):
             nb_y = und[y]
             for x in range(p):
@@ -467,14 +456,10 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                             continue
                         delta = scorer.local(y, frozenset(new)) - scorer.local(y, base)
                         if delta > _EPS_GAIN:
-                            out.append((delta, order, x, y, t))
-                        order += 1
-        return out
+                            yield delta, x, y, t
 
     def backward_candidates():
         adj, und, parents = neighbours()
-        out = []
-        order = 0
         for y in range(p):
             nb_y = und[y]
             for x in range(p):
@@ -491,44 +476,31 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                         base = frozenset((rest | parents[y]) - {x})
                         delta = scorer.local(y, base) - scorer.local(y, frozenset(base | {x}))
                         if delta > _EPS_GAIN:
-                            out.append((delta, order, x, y, h))
-                        order += 1
-        return out
+                            yield delta, x, y, h
 
     def run_phase(candidate_fn, apply_fn):
         nonlocal directed, undirected
-        while True:
-            candidates = sorted(candidate_fn(), key=lambda c: (-c[0], c[1]))
-            applied = False
-            for _, _, x, y, extra in candidates:
-                new_dir = set(directed)
-                new_und = set(undirected)
-                apply_fn(new_dir, new_und, x, y, extra)
-                rebuilt = _pattern_rebuild(p, new_dir, new_und)
-                if rebuilt is None:
-                    continue
-                directed, undirected = rebuilt
-                applied = True
-                break
-            if not applied:
-                return
+        # max keeps the first of equal scores, in candidate order
+        while (best := max(candidate_fn(), key=lambda c: c[0], default=None)) is not None:
+            apply_fn(*best[1:])
+            directed, undirected = _complete_pattern(nodes, directed, undirected)
 
-    def apply_insert(new_dir, new_und, x, y, t):
-        new_dir.add((x, y))
+    def apply_insert(x, y, t):
+        directed.add((x, y))
         for v in t:
-            new_und.discard(frozenset((v, y)))
-            new_dir.add((v, y))
+            undirected.discard(frozenset((v, y)))
+            directed.add((v, y))
 
-    def apply_delete(new_dir, new_und, x, y, h):
-        new_dir.discard((x, y))
-        new_und.discard(frozenset((x, y)))
+    def apply_delete(x, y, h):
+        directed.discard((x, y))
+        undirected.discard(frozenset((x, y)))
         for v in h:
-            if frozenset((y, v)) in new_und:
-                new_und.discard(frozenset((y, v)))
-                new_dir.add((y, v))
-            if frozenset((x, v)) in new_und:
-                new_und.discard(frozenset((x, v)))
-                new_dir.add((x, v))
+            if frozenset((y, v)) in undirected:
+                undirected.discard(frozenset((y, v)))
+                directed.add((y, v))
+            if frozenset((x, v)) in undirected:
+                undirected.discard(frozenset((x, v)))
+                directed.add((x, v))
 
     run_phase(forward_candidates, apply_insert)
     run_phase(backward_candidates, apply_delete)

@@ -159,6 +159,28 @@ class TestCorrelationMatrix:
         with pytest.raises(AssociationError):
             correlation_matrix(make_table(random_columns(rng, 3)), Position.SUPINE)
 
+    def test_constant_column_is_null_with_one_warning(self):
+        rng = np.random.default_rng(10)
+        cols = random_columns(rng, 30)
+        table = make_table(cols)
+        cols["RR"] = np.full(30, 14.0)
+        cols["cExpT"] = np.full(30, 1.5)
+        warnings = []
+        out = correlation_matrix(make_table(cols), Position.SUPINE, warnings=warnings)
+        assert warnings == [
+            "correlation matrix for supine: RR is constant; its correlations are null",
+            "correlation matrix for supine: cExpT is constant; its correlations are null",
+        ]
+        flat = [PARAMETER_NAMES.index("RR"), PARAMETER_NAMES.index("cExpT")]
+        assert np.all(np.isnan(out[flat, :])) and np.all(np.isnan(out[:, flat]))
+        # every other pair is the one the table without the constants gives
+        rest = [i for i in range(len(PARAMETER_NAMES)) if i not in flat]
+        full = correlation_matrix(table, Position.SUPINE)
+        assert np.array_equal(out[np.ix_(rest, rest)], full[np.ix_(rest, rest)], equal_nan=True)
+        # without a list the matrix is the same and nothing is reported
+        again = correlation_matrix(make_table(cols), Position.SUPINE)
+        assert np.array_equal(again, out, equal_nan=True)
+
     def test_positions_are_independent(self):
         rng = np.random.default_rng(9)
         supine = make_table(random_columns(rng, 20), Position.SUPINE)

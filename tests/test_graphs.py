@@ -1,5 +1,5 @@
-"""Tests for the edge graph as DAG, CPDAG and gc edge set, equivalence
-completion, and extension."""
+"""Tests for the edge graph as DAG, CPDAG and gc edge set, and equivalence
+completion."""
 
 from itertools import combinations, product
 
@@ -8,9 +8,8 @@ import pytest
 from cardiocausal.graphs import (
     EdgeGraph,
     GraphError,
-    _meek_closure,
+    _complete_pattern,
     adjacency,
-    consistent_extension,
     cpdag_of,
     topological_sort,
 )
@@ -54,12 +53,12 @@ def vstructs_of(dag: EdgeGraph) -> frozenset:
     return frozenset(out)
 
 
-def random_dag(rng, n_nodes: int) -> EdgeGraph:
+def random_dag(rng, n_nodes: int, density: float = 0.4) -> EdgeGraph:
     nodes = tuple(f"v{i}" for i in range(n_nodes))
     order = list(rng.permutation(n_nodes))
     edges = set()
     for i, j in combinations(range(n_nodes), 2):
-        if rng.random() < 0.4:
+        if rng.random() < density:
             a, b = (order[i], order[j])
             edges.add((nodes[a], nodes[b]))
     return EdgeGraph(nodes, frozenset(edges))
@@ -229,52 +228,136 @@ class TestCpdagOf:
                 assert (p, v) in c.directed and (q, v) in c.directed
 
 
-class TestMeekRuleFour:
-    def test_rule_four_with_background_orientations(self):
-        # d -> a -> c with b adjacent to d and c nonadjacent to d: b - c
-        # must orient b -> c; this input is not reachable from cpdag_of
-        # (rules 1-3 are complete for patterns), so the closure is called
-        # directly as fges does with operator-induced orientations
-        nodes = ("a", "b", "c", "d")
-        directed = {("d", "a"), ("a", "c")}
-        undirected = {frozenset(("b", "c")), frozenset(("b", "d"))}
-        out_dir, out_und = _meek_closure(nodes, set(directed), set(undirected))
-        assert ("b", "c") in out_dir
-        assert frozenset(("b", "d")) in out_und
+def _former_meek_closure(nodes, directed, undirected):
+    """The former closure: Meek's rules R1-R4, each its own branch."""
+    adj = adjacency(nodes, directed, undirected)
+
+    def orient(a, b):
+        undirected.discard(frozenset((a, b)))
+        directed.add((a, b))
+
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(undirected, key=lambda p: tuple(sorted(p))):
+            if pair not in undirected:
+                continue
+            x, y = tuple(sorted(pair))
+            for b, c in ((x, y), (y, x)):
+                if any((a, b) in directed and c not in adj[a] for a in nodes):
+                    orient(b, c)
+                    changed = True
+                    break
+                if any((b, a) in directed and (a, c) in directed for a in nodes):
+                    orient(b, c)
+                    changed = True
+                    break
+                into_c = [a for a in nodes if (a, c) in directed and frozenset((b, a)) in undirected]
+                if any(a2 not in adj[a1] for a1, a2 in combinations(into_c, 2)):
+                    orient(b, c)
+                    changed = True
+                    break
+                # R4: b - d (adjacent), d -> a, a -> c, d and c not adjacent
+                fired = False
+                for a in nodes:
+                    if (a, c) not in directed:
+                        continue
+                    for d in adj[b]:
+                        if (d, a) in directed and c not in adj[d]:
+                            orient(b, c)
+                            changed = True
+                            fired = True
+                            break
+                    if fired:
+                        break
+                if fired:
+                    break
+    return directed, undirected
 
 
-class TestConsistentExtension:
-    def test_collider_class_has_unique_member(self):
-        d = EdgeGraph(NODES3, frozenset({("x", "y"), ("z", "y")}))
-        c = cpdag_of(d)
-        ext = consistent_extension(c.nodes, c.directed, c.undirected)
-        assert ext == d
+def former_cpdag_of(dag: EdgeGraph) -> EdgeGraph:
+    """The former completion of a DAG: its v-structures, then R1-R4."""
+    dag.require_dag()
+    adj = adjacency(dag.nodes, dag.directed)
+    directed = set()
+    for v in dag.nodes:
+        for p, q in combinations(sorted(dag.parents(v)), 2):
+            if q not in adj[p]:
+                directed.update(((p, v), (q, v)))
+    undirected = {frozenset(e) for e in dag.directed if e not in directed}
+    directed, undirected = _former_meek_closure(dag.nodes, directed, undirected)
+    return EdgeGraph(dag.nodes, frozenset(directed), frozenset(undirected))
 
-    def test_chain_extension_avoids_new_collider(self):
-        c = cpdag_of(EdgeGraph(NODES3, frozenset({("x", "y"), ("y", "z")})))
-        ext = consistent_extension(c.nodes, c.directed, c.undirected)
-        assert ext is not None
-        assert vstructs_of(ext) == frozenset()
-        assert cpdag_of(ext) == c
 
-    def test_chordless_square_has_no_extension(self):
-        nodes = ("a", "b", "c", "d")
-        square = frozenset(
-            frozenset(p) for p in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
-        )
-        assert consistent_extension(nodes, frozenset(), square) is None
+def former_consistent_extension(nodes, directed, undirected):
+    """Dor-Tarsi sink elimination: a DAG that keeps a PDAG's directed edges
+    and v-structures, or None when there is none."""
+    adj = adjacency(nodes, directed, undirected)
+    und = adjacency(nodes, (), undirected)
+    children = adjacency(nodes, directed, one_way=True)
+    remaining = set(nodes)
+    result = set(directed)
+    while remaining:
+        sink = None
+        for x in sorted(remaining):
+            if not children[x] and all(
+                all(u == w or w in adj[u] for w in adj[x]) for u in und[x]
+            ):
+                sink = x
+                break
+        if sink is None:
+            return None
+        result.update((other, sink) for other in und[sink])
+        for v in adj[sink]:
+            for table in (adj, und, children):
+                table[v].discard(sink)
+        remaining.discard(sink)
+    return EdgeGraph(nodes, frozenset(result)).require_dag()
 
-    def test_directed_cycle_has_no_extension(self):
-        nodes = ("a", "b")
-        assert consistent_extension(nodes, frozenset({("a", "b"), ("b", "a")}), frozenset()) is None
 
-    def test_extension_reproduces_class_on_random_dags(self):
+def _partly_unoriented(rng, dag: EdgeGraph) -> tuple[frozenset, frozenset]:
+    """A PDAG with ``dag`` as an extension: each edge outside a v-structure
+    is left undirected with probability one half."""
+    kept = {(p, v) for p, v, _ in vstructs_of(dag)} | {(q, v) for _, v, q in vstructs_of(dag)}
+    loose = {e for e in dag.sorted_directed() if e not in kept and rng.random() < 0.5}
+    return dag.directed - loose, frozenset(frozenset(e) for e in loose)
+
+
+class TestCompletePattern:
+    """One completion routine gives the former v-structures + R1-R4 result."""
+
+    def test_cpdag_of_matches_the_former_completion_on_random_dags(self):
         import numpy as np
 
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            d = random_dag(rng, int(rng.integers(2, 6)))
-            c = cpdag_of(d)
-            ext = consistent_extension(c.nodes, c.directed, c.undirected)
+        rng = np.random.default_rng(2)
+        for i in range(3000):
+            d = random_dag(rng, 2 + i % 8, density=(0.2, 0.4, 0.6, 0.8)[i % 4])
+            assert cpdag_of(d) == former_cpdag_of(d)
+
+    def test_pdags_with_an_extension_complete_to_its_class(self):
+        import numpy as np
+
+        rng = np.random.default_rng(3)
+        for i in range(500):
+            d = random_dag(rng, 2 + i % 8, density=(0.3, 0.5, 0.7)[i % 3])
+            directed, undirected = _partly_unoriented(rng, d)
+            ext = former_consistent_extension(d.nodes, directed, undirected)
             assert ext is not None
-            assert cpdag_of(ext) == c
+            out = _complete_pattern(d.nodes, directed, undirected)
+            assert EdgeGraph(d.nodes, *out) == former_cpdag_of(ext) == cpdag_of(d)
+
+    def test_completion_is_a_fixpoint(self):
+        import numpy as np
+
+        rng = np.random.default_rng(4)
+        for i in range(300):
+            c = cpdag_of(random_dag(rng, 2 + i % 8, density=0.5))
+            assert EdgeGraph(c.nodes, *_complete_pattern(c.nodes, c.directed, c.undirected)) == c
+
+    def test_inputs_are_not_modified(self):
+        directed = {("x", "y"), ("z", "y")}
+        undirected = {frozenset(("y", "w"))}
+        out = _complete_pattern(("x", "y", "z", "w"), directed, undirected)
+        assert out == ({("x", "y"), ("z", "y"), ("y", "w")}, set())
+        assert directed == {("x", "y"), ("z", "y")}
+        assert undirected == {frozenset(("y", "w"))}

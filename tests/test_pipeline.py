@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from cardiocausal.cli import main
@@ -517,6 +517,15 @@ class TestPairedSkipWarning:
         assert any("paired tests skipped" in w for w in report.warnings)
 
 
+def _constant_rr_csv(tmp_path):
+    """``sem_cohort(100, seed=0)`` with RR = 14.0 in every row."""
+    table, _ = sem_cohort(100, seed=0)
+    rows = [replace(row, params={**row.params, "RR": 14.0}) for row in table.rows]
+    path = tmp_path / "constant.csv"
+    save_parameter_table(ParameterTable(rows=tuple(rows)), path)
+    return path
+
+
 class TestCli:
     def test_successful_run_writes_all_outputs(self, cohort_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -616,6 +625,79 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["analysis failed: cam search for supine: collinear columns"]
 
+    @pytest.mark.parametrize("methods", ["gc,hc", "gc,hc,tabu,fges"])
+    def test_constant_column_is_null_and_isolated(self, tmp_path, capsys, methods):
+        path = _constant_rr_csv(tmp_path)
+        out = tmp_path / "out"
+        code = main([
+            "analyze", "--input", str(path), "--input-kind", "params",
+            "--methods", methods, "--out", str(out),
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text("utf-8"))
+        others = [name for name in STRUCTURE_NAMES if name != "RR"]
+        for pos in ("supine", "standing"):
+            expected = [
+                f"correlation matrix for {pos}: RR is constant; its correlations are null"
+            ] + [
+                f"gc search for {pos}: skipping pair ({a}, {b}): zero variance input"
+                for a, b in (sorted(("RR", o), key=STRUCTURE_NAMES.index) for o in others)
+            ]
+            got = [w for w in report["warnings"] if f" for {pos}: " in w]
+            assert got == expected
+            i = PARAMETER_NAMES.index("RR")
+            matrix = report["correlations"][pos]["matrix"]
+            assert matrix[i] == [None] * len(PARAMETER_NAMES)
+            assert [row[i] for row in matrix] == [None] * len(PARAMETER_NAMES)
+            assert sum(v is not None for row in matrix for v in row) > 0
+            lines = (out / f"correlations_{pos}.csv").read_text("utf-8").splitlines()
+            assert lines[1 + i] == "RR" + "," * len(PARAMETER_NAMES)
+            assert all(line.split(",")[1 + i] == "" for line in lines[1:])
+            for method, graph in report["methods"][pos].items():
+                edges = graph["directed"] + graph["undirected"]
+                assert edges and all("RR" not in e for e in edges), method
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {w}" for w in report["warnings"]]
+
+    def test_constant_column_still_stops_cam(self, tmp_path, capsys):
+        path = _constant_rr_csv(tmp_path)
+        code = main([
+            "analyze", "--input", str(path), "--input-kind", "params",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "analysis failed: cam search for supine: degenerate column for smoother"
+        assert all(line.startswith("warning: ") for line in err[:-1])
+        assert "warning: correlation matrix for supine: RR is constant; its correlations are null" in err
+
+    def test_warnings_gathered_before_an_abort_are_printed(self, tmp_path, capsys):
+        # 10 subjects: too few for gc's pairs, and hc needs more rows than
+        # the 10 columns of a post-hoc design
+        table, _ = sem_cohort(10, seed=0)
+        path = tmp_path / "small.csv"
+        save_parameter_table(table, path)
+        code = main([
+            "analyze", "--input", str(path), "--input-kind", "params",
+            "--mask-derived", "post-hoc", "--methods", "gc,hc", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        gc_skips = [
+            f"gc search for supine: skipping pair ({a}, {b}): need at least 20 observations"
+            for a, b in combinations(PARAMETER_NAMES, 2)
+        ]
+        assert len(gc_skips) == 45
+        assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in gc_skips] + [
+            "analysis failed: hc search for supine: need more rows than columns"
+        ]
+        config = RunConfig(
+            input_path=str(path), input_kind="params", methods=("gc", "hc"),
+            mask_derived="post-hoc",
+        )
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(config)
+        assert exc.value.warnings == tuple(gc_skips)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -631,3 +713,50 @@ class TestCli:
     def test_invalid_invocations_exit_3(self, argv, capsys):
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
+
+
+_DERIVED_FREE = ("HR", "RMSSD", "RR", "ciRR", "cInsT", "cExpT", "cInsV", "cExpV")
+
+
+@st.composite
+def _small_tables(draw):
+    """A sem_cohort table of 4-70 subjects as CSV text, sometimes with one
+    column made constant, a copy of another, or rounded."""
+    table, _ = sem_cohort(draw(st.integers(min_value=4, max_value=70)), seed=draw(st.integers(0, 99)))
+    rows = [dict(row.params) for row in table.rows]
+    edit = draw(st.sampled_from(["none", "constant", "duplicate", "rounded"]))
+    target = draw(st.sampled_from(PARAMETER_NAMES))
+    if edit == "constant":
+        for params in rows:
+            params[target] = 14.0
+    elif edit == "duplicate":
+        source = draw(st.sampled_from(_DERIVED_FREE))
+        for params in rows:
+            params[target] = params[source]
+    elif edit == "rounded":
+        digits = draw(st.integers(min_value=0, max_value=2))
+        for params in rows:
+            params[target] = round(params[target], digits)
+    lines = ["subject_id,position," + ",".join(PARAMETER_NAMES)]
+    for row, params in zip(table.rows, rows):
+        values = ",".join(repr(float(params[n])) for n in PARAMETER_NAMES)
+        lines.append(f"{row.subject_id},{row.position.value},{values}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _small_tables(),
+    st.sampled_from(["exclude", "post-hoc"]),
+    st.sampled_from(["gc,hc", "hc,tabu,fges", "cam", "gc,hc,tabu,fges,cam"]),
+)
+def test_cli_on_small_tables_exits_cleanly(tmp_path_factory, text, mask, methods):
+    root = tmp_path_factory.mktemp("small")
+    path = root / "params.csv"
+    path.write_text(text, "utf-8")
+    code = main([
+        "analyze", "--input", str(path), "--input-kind", "params",
+        "--mask-derived", mask, "--methods", methods, "--out", str(root / "out"),
+    ])
+    event(f"exit code {code}")
+    assert code in (0, 2, 3)

@@ -570,3 +570,30 @@ def test_loadtxt_path_matches_row_parser(tmp_path_factory, text):
     if not isinstance(outcome, str):
         data = _load_signal_rows(path)
         assert (data[:, 1].tobytes(), data[:, 2].tobytes()) == outcome[1:]
+
+
+_PARAMS_HEADER = ("subject_id,position," + ",".join(PARAMETER_NAMES) + "\n").encode()
+
+# raw bytes, and text made of the characters a CSV of numbers is made of
+_ARBITRARY_BYTES = st.one_of(
+    st.binary(max_size=400),
+    st.text(alphabet="0123456789.,-+eE \t\r\n\"naifsupinestandg_", max_size=400).map(
+        str.encode
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _ARBITRARY_BYTES,
+    st.sampled_from(["signal", "params"]),
+    st.sampled_from([b"", b"t,ecg,ip\n", _PARAMS_HEADER]),
+)
+def test_arbitrary_bytes_raise_only_format_error(tmp_path_factory, data, kind, header):
+    path = tmp_path_factory.mktemp("bytes") / "s1_supine.csv"
+    path.write_bytes(header + data)
+    loader = load_signal_record if kind == "signal" else load_parameter_table
+    try:
+        loader(path)
+    except FormatError:
+        pass

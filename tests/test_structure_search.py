@@ -1,5 +1,6 @@
 """Tests for BIC scoring and the structure-search method ensemble."""
 
+import itertools
 import math
 from collections import deque
 from itertools import combinations
@@ -10,7 +11,7 @@ import pytest
 
 from cardiocausal import association, structure_search
 from cardiocausal.association import AssociationError, Direction, generalized_corr_pair
-from cardiocausal.graphs import EdgeGraph, GraphError, adjacency, consistent_extension, cpdag_of
+from cardiocausal.graphs import EdgeGraph, GraphError, _complete_pattern, adjacency, cpdag_of
 from cardiocausal.pipeline import STRUCTURE_NAMES
 from cardiocausal.record_io import PARAMETER_NAMES, Position
 from cardiocausal.structure_search import (
@@ -35,8 +36,10 @@ from cardiocausal.structure_search import (
     _gcv_fit,
     _greedy_climb,
     _inverse_move,
+    _is_clique,
     _legal_moves,
     _move_delta,
+    _node_names,
     _prune_node,
     _semi_directed_reaches,
     _SplineTerm,
@@ -44,6 +47,7 @@ from cardiocausal.structure_search import (
 )
 from cardiocausal.synthetic import sem_cohort
 from test_association import make_table, random_columns
+from test_graphs import former_consistent_extension, former_cpdag_of, vstructs_of
 
 
 def sem_data(seed: int, n: int = 4000, p: int = 4):
@@ -494,6 +498,152 @@ class TestFges:
             assert fges(data) == oracle.best_cpdag
 
 
+def _former_fges(data, config=None, *, names=None):
+    """fges as it was: after each operator a Dor-Tarsi consistent extension
+    and the former completion of that DAG, with candidates sorted by score
+    and the next one tried when a PDAG has no extension.  Returns the graph
+    and the number of such retries."""
+    config = config or SearchConfig()
+    scorer = _BicScorer(data)
+    p = scorer.p
+    names = _node_names(names, p)
+    directed, undirected = set(), set()
+    retries = 0
+
+    def neighbours():
+        parents = _state_from_edges(p, directed)[1]
+        return adjacency(range(p), directed, undirected), adjacency(range(p), (), undirected), parents
+
+    def forward_candidates():
+        adj, und, parents = neighbours()
+        step = adjacency(range(p), directed, undirected, one_way=True)
+        out, order = [], 0
+        for y in range(p):
+            for x in range(p):
+                if x == y or x in adj[y]:
+                    continue
+                na = {v for v in und[y] if v in adj[x]}
+                t0 = sorted(und[y] - adj[x] - {x})
+                for size in range(len(t0) + 1):
+                    for t in combinations(t0, size):
+                        block = na | set(t)
+                        base = frozenset(block | parents[y])
+                        new = base | {x}
+                        if len(new) > config.max_parents or not _is_clique(block, adj):
+                            continue
+                        if _semi_directed_reaches(y, x, block, step):
+                            continue
+                        delta = scorer.local(y, frozenset(new)) - scorer.local(y, base)
+                        if delta > _EPS_GAIN:
+                            out.append((delta, order, x, y, t))
+                        order += 1
+        return out
+
+    def backward_candidates():
+        adj, und, parents = neighbours()
+        out, order = [], 0
+        for y in range(p):
+            for x in range(p):
+                if x == y or ((x, y) not in directed and frozenset((x, y)) not in undirected):
+                    continue
+                na = {v for v in und[y] if v in adj[x]}
+                for size in range(len(na) + 1):
+                    for h in combinations(sorted(na), size):
+                        rest = na - set(h)
+                        if not _is_clique(rest, adj):
+                            continue
+                        base = frozenset((rest | parents[y]) - {x})
+                        delta = scorer.local(y, base) - scorer.local(y, frozenset(base | {x}))
+                        if delta > _EPS_GAIN:
+                            out.append((delta, order, x, y, h))
+                        order += 1
+        return out
+
+    def apply_insert(new_dir, new_und, x, y, t):
+        new_dir.add((x, y))
+        for v in t:
+            new_und.discard(frozenset((v, y)))
+            new_dir.add((v, y))
+
+    def apply_delete(new_dir, new_und, x, y, h):
+        new_dir.discard((x, y))
+        new_und.discard(frozenset((x, y)))
+        for v in h:
+            for u in (y, x):
+                if frozenset((u, v)) in new_und:
+                    new_und.discard(frozenset((u, v)))
+                    new_dir.add((u, v))
+
+    def run_phase(candidate_fn, apply_fn):
+        nonlocal directed, undirected, retries
+        while True:
+            applied = False
+            for _, _, x, y, extra in sorted(candidate_fn(), key=lambda c: (-c[0], c[1])):
+                new_dir, new_und = set(directed), set(undirected)
+                apply_fn(new_dir, new_und, x, y, extra)
+                ext = former_consistent_extension(
+                    tuple(range(p)), frozenset(new_dir), frozenset(new_und)
+                )
+                if ext is None:
+                    retries += 1
+                    continue
+                cp = former_cpdag_of(ext)
+                directed, undirected = set(cp.directed), set(cp.undirected)
+                applied = True
+                break
+            if not applied:
+                return
+
+    run_phase(forward_candidates, apply_insert)
+    run_phase(backward_candidates, apply_delete)
+    graph = EdgeGraph(
+        names,
+        frozenset((names[a], names[b]) for a, b in directed),
+        frozenset(frozenset(names[v] for v in pair) for pair in undirected),
+    )
+    return graph, retries
+
+
+_FGES_CONFIGS = [SearchConfig(), SearchConfig(max_parents=2)]
+
+
+class TestFgesAgainstFormerRebuild:
+    """One pattern completion per operator gives the former rebuild's output,
+    and the former rebuild never needed its retry."""
+
+    @staticmethod
+    def check(data, config):
+        ref, retries = _former_fges(data, config)
+        got = fges(data, config)
+        assert got.directed == ref.directed
+        assert got.undirected == ref.undirected
+        assert retries == 0
+
+    @pytest.mark.parametrize("config", _FGES_CONFIGS, ids=["default", "max-parents-2"])
+    def test_random_linear_sems(self, config):
+        for seed in range(600):
+            data, _ = sem_data(seed, n=300, p=3 + seed % 6)
+            self.check(data, config)
+
+    def test_exact_ties_go_to_the_first_candidate(self):
+        # columns that are permutations or copies of one small-integer column
+        # have exactly equal scatter entries, so many operators tie exactly
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            base = rng.integers(-3, 4, 24)
+            cols = [rng.permutation(base) if rng.random() < 0.5 else base for _ in range(3 + seed % 3)]
+            self.check(np.column_stack(cols).astype(float), SearchConfig())
+
+    @pytest.mark.parametrize("config", _FGES_CONFIGS, ids=["default", "max-parents-2"])
+    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
+    @pytest.mark.parametrize("n", [30, 60, 100, 1000])
+    def test_sem_cohort_designs(self, n, names, config):
+        for seed in range(10):
+            table, _ = sem_cohort(n, seed=seed)
+            for position in Position:
+                self.check(table.matrix(position, names), config)
+
+
 class TestEnumerateBestDag:
     def test_known_dag_counts(self):
         rng = np.random.default_rng(12)
@@ -514,6 +664,22 @@ class TestEnumerateBestDag:
         rng = np.random.default_rng(14)
         with pytest.raises(SearchError):
             enumerate_best_dag(rng.normal(0.0, 1.0, (50, 6)))
+
+
+def _brute_force_member(cp: EdgeGraph) -> EdgeGraph | None:
+    """A DAG that orients each undirected edge of ``cp`` without a cycle or
+    a v-structure beyond those of ``cp``, or None."""
+    pairs = cp.sorted_undirected()
+    for flips in itertools.product((False, True), repeat=len(pairs)):
+        oriented = {(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)}
+        dag = EdgeGraph(cp.nodes, cp.directed | oriented)
+        try:
+            dag.require_dag()
+        except GraphError:
+            continue
+        if all({(p, v), (q, v)} <= cp.directed for p, v, q in vstructs_of(dag)):
+            return dag
+    return None
 
 
 class TestSearchInvariances:
@@ -539,14 +705,16 @@ class TestSearchInvariances:
         assert fges(data, cfg).to_dot() == fges(data, cfg).to_dot()
 
     def test_outputs_are_valid_graphs(self):
-        for seed in range(4):
-            data, _ = sem_data(seed, n=600)
+        for seed in range(8):
+            data, _ = sem_data(seed, n=600, p=4 + seed % 3)
             hill_climb(data).require_dag()  # GraphError on a cycle or an undirected edge
             cp = fges(data)
-            # Meek fixpoint: re-completing any consistent extension changes nothing
-            ext = consistent_extension(cp.nodes, cp.directed, cp.undirected)
-            assert ext is not None
-            assert cpdag_of(ext) == cp
+            # a completed pattern: a fixpoint of the completion, and the
+            # class of a member DAG found by brute force
+            assert EdgeGraph(cp.nodes, *_complete_pattern(cp.nodes, cp.directed, cp.undirected)) == cp
+            member = _brute_force_member(cp)
+            assert member is not None
+            assert cpdag_of(member) == cp
 
 
 class TestCamLearn:
