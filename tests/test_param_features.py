@@ -22,8 +22,10 @@ from cardiocausal.param_features import (
     respiratory_params,
     wilcoxon_signed_rank,
 )
-from cardiocausal.record_io import Position
-from cardiocausal.resp_signals import BreathSeries
+from cardiocausal.cardio_signals import detect_r_peaks, detrend_ecg, rr_intervals
+from cardiocausal.record_io import PARAMETER_NAMES, Position
+from cardiocausal.resp_signals import BreathSeries, delimit_breaths, remove_cardiac_component
+from cardiocausal.synthetic import synthetic_ecg
 
 TestKind.__test__ = False  # enum of statistical tests, not a test class
 
@@ -188,6 +190,36 @@ class TestParamVector:
             ParamVector(**{**good, "br_percent": 101.0})
         with pytest.raises(FeatureError):
             ParamVector(**{**good, "hr_bpm": 0.0})
+
+    def test_signal_record_parameters_are_pinned(self):
+        # One 60 s, 250 Hz record through the whole front end: noisy ECG with
+        # a rising rate; amplitude-modulated breathing plus 0.03x the ECG, so
+        # the LMS filter has an artifact to cancel.  Exact values guard every
+        # float operation between the samples and the ten parameters.
+        rate, duration = 250.0, 60.0
+        t = np.arange(int(duration * rate)) / rate
+        ecg, _ = synthetic_ecg(
+            duration, rate, hr_start_bpm=68.0, hr_end_bpm=80.0, noise_snr_db=25.0, seed=7
+        )
+        envelope = 1.0 + 0.35 * np.sin(2.0 * math.pi * 0.02 * t + 1.0)
+        ip = envelope * np.sin(2.0 * math.pi * 0.27 * t + 0.5) + 0.03 * ecg
+        clean = detrend_ecg(ecg, rate)
+        rr = rr_intervals(detect_r_peaks(clean, rate))
+        breaths = delimit_breaths(remove_cardiac_component(ip, clean, rate), rate)
+        row = param_vector(rr, breaths).to_row("s01", Position.SUPINE)
+        pinned = {
+            "HR": "0x1.278bc674b8da0p+6",
+            "RMSSD": "0x1.9f0ca9a3a51f9p+1",
+            "lnRMSSD": "0x1.2d266a9bbf73bp+0",
+            "RR": "0x1.03477def864fdp+4",
+            "ciRR": "0x1.a77a00fb48faep-9",
+            "cInsT": "0x1.935cc9270aa30p-8",
+            "cExpT": "0x1.dff4d87218dcap-8",
+            "cInsV": "0x1.f8cd2a99fc964p-3",
+            "cExpV": "0x1.f8ee9f8549631p-3",
+            "BR": "0x1.680026c31615ap+6",
+        }
+        assert {n: row.params[n].hex() for n in PARAMETER_NAMES} == pinned
 
 
 def enum_wilcoxon(d):
