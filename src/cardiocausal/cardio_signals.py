@@ -28,27 +28,19 @@ class NoBeatsError(SignalError):
 
 @dataclass(frozen=True)
 class BeatSeries:
-    """Detected R peaks with raw successive intervals (not artifact-filtered)."""
+    """Detected R peaks, in seconds."""
 
     r_peak_times_s: tuple[float, ...]
-    rr_intervals_ms: tuple[float, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.r_peak_times_s)
-        rr = np.asarray(self.rr_intervals_ms)
-        if rr.size != max(t.size - 1, 0):
-            raise SignalError("rr_intervals_ms must have one entry per peak gap")
-        if t.size >= 2:
-            if np.any(np.diff(t) <= 0):
-                raise SignalError("peak times must be strictly increasing")
-            if np.max(np.abs(rr - 1000.0 * np.diff(t))) > 1e-9:
-                raise SignalError("rr_intervals_ms inconsistent with peak times")
+        if np.any(np.diff(np.asarray(self.r_peak_times_s)) <= 0):
+            raise SignalError("peak times must be strictly increasing")
 
-    @classmethod
-    def from_peak_times(cls, times_s) -> "BeatSeries":
-        times = tuple(float(t) for t in times_s)
-        rr = tuple(1000.0 * (b - a) for a, b in zip(times, times[1:]))
-        return cls(times, rr)
+    @property
+    def rr_intervals_ms(self) -> tuple[float, ...]:
+        """Raw successive intervals (not artifact-filtered), in milliseconds."""
+        t = self.r_peak_times_s
+        return tuple(1000.0 * (b - a) for a, b in zip(t, t[1:]))
 
 
 def _check_input(samples, sample_rate_hz, min_duration_s):
@@ -200,7 +192,7 @@ def detect_r_peaks(samples, sample_rate_hz: float) -> BeatSeries:
 
     if len(refined) < 2:
         raise NoBeatsError("fewer than 2 beats detected")
-    return BeatSeries.from_peak_times([i / rate for i in refined])
+    return BeatSeries(tuple(i / rate for i in refined))
 
 
 def rr_intervals(beats: BeatSeries) -> np.ndarray:

@@ -67,6 +67,10 @@ def mediation_fit(x, m, y, path: tuple[str, str, str] = ("x", "m", "y")) -> Medi
             raise MediationError(f"non-finite values in {label}")
         if np.std(v) == 0:
             raise MediationError(f"degenerate variance in {label}")
+    # the rank of the standardized columns does not depend on their scale
+    standardized = np.column_stack([(v - v.mean()) / np.std(v) for v in (x, m)])
+    if np.linalg.matrix_rank(standardized) < 2:
+        raise MediationError("collinear x and m")
 
     ones = np.ones(n)
     coef_a, se_vec_a = _ols(np.column_stack([ones, x]), m)

@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 from scipy import stats
 
-from .record_io import ParameterRow, Position
+from .record_io import DERIVED_SOURCES, ParameterRow, Position
 from .resp_signals import BreathSeries
 
 
@@ -19,75 +19,13 @@ class FeatureError(ValueError):
 
 
 @dataclass(frozen=True)
-class CardiacParams:
-    hr_bpm: float
-    rmssd_ms: float
-    ln_rmssd: float
-
-
-@dataclass(frozen=True)
-class CvSet:
-    """Population coefficient of variation of each breath-series field."""
-
-    cv_irr: float
-    cv_ins_t: float
-    cv_exp_t: float
-    cv_ins_v: float
-    cv_exp_v: float
-
-    def __post_init__(self):
-        for value in self.as_tuple():
-            if not (math.isfinite(value) and value >= 0):
-                raise FeatureError("coefficients of variation must be finite and >= 0")
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.cv_irr, self.cv_ins_t, self.cv_exp_t, self.cv_ins_v, self.cv_exp_v)
-
-
-@dataclass(frozen=True)
-class RespiratoryParams:
-    rr_brpm: float
-    cv: CvSet
-
-
-@dataclass(frozen=True)
 class ParamVector:
-    hr_bpm: float
-    rmssd_ms: float
-    ln_rmssd: float
-    rr_brpm: float
-    ci_rr: float
-    c_ins_t: float
-    c_exp_t: float
-    c_ins_v: float
-    c_exp_v: float
-    br_percent: float
+    """The ten parameters of one recording, keyed by PARAMETER_NAMES."""
 
-    def __post_init__(self):
-        if min(self.hr_bpm, self.rmssd_ms, self.rr_brpm) <= 0:
-            raise FeatureError("HR, RMSSD and RR must be positive")
-        if abs(self.ln_rmssd - math.log(self.rmssd_ms)) > 1e-9:
-            raise FeatureError("ln_rmssd must equal ln(rmssd_ms)")
-        if not 0.0 <= self.br_percent <= 100.0:
-            raise FeatureError("BR must lie in [0, 100]")
+    params: dict[str, float]
 
     def to_row(self, subject_id: str, position: Position) -> ParameterRow:
-        return ParameterRow(
-            subject_id=subject_id,
-            position=position,
-            params={
-                "HR": self.hr_bpm,
-                "RMSSD": self.rmssd_ms,
-                "lnRMSSD": self.ln_rmssd,
-                "RR": self.rr_brpm,
-                "ciRR": self.ci_rr,
-                "cInsT": self.c_ins_t,
-                "cExpT": self.c_exp_t,
-                "cInsV": self.c_ins_v,
-                "cExpV": self.c_exp_v,
-                "BR": self.br_percent,
-            },
-        )
+        return ParameterRow(subject_id=subject_id, position=position, params=self.params)
 
 
 class TestKind(Enum):
@@ -111,18 +49,17 @@ class PairedTestResult:
             raise FeatureError("test_used inconsistent with normality_p")
 
 
-def cardiac_params(rr_ms) -> CardiacParams:
+def cardiac_params(rr_ms) -> dict[str, float]:
     """HR, RMSSD and lnRMSSD from artifact-filtered R-R intervals (ms)."""
     rr = np.asarray(rr_ms, dtype=float)
     if rr.size < 3:
         raise FeatureError("need at least 3 R-R intervals")
     if not np.all(np.isfinite(rr)) or np.any(rr <= 0):
         raise FeatureError("R-R intervals must be finite and positive")
-    hr = 60000.0 / float(np.mean(rr))
     rmssd = float(np.sqrt(np.mean(np.diff(rr) ** 2)))
     if rmssd == 0.0:
         raise FeatureError("constant rhythm: lnRMSSD undefined")
-    return CardiacParams(hr_bpm=hr, rmssd_ms=rmssd, ln_rmssd=math.log(rmssd))
+    return {"HR": 60000.0 / float(np.mean(rr)), "RMSSD": rmssd, "lnRMSSD": math.log(rmssd)}
 
 
 def _population_cv(values) -> float:
@@ -130,37 +67,37 @@ def _population_cv(values) -> float:
     return float(np.std(v) / np.mean(v))
 
 
-def respiratory_params(breaths: BreathSeries) -> RespiratoryParams:
-    """Breathing rate and the five coefficients of variation."""
+def respiratory_params(breaths: BreathSeries) -> dict[str, float]:
+    """Breathing rate RR and the five coefficients of variation.
+
+    The CVs are of i_rr_s, ins_t_s, exp_t_s, ins_v and exp_v, keyed
+    ciRR, cInsT, cExpT, cInsV and cExpV (the order of DERIVED_SOURCES["BR"]).
+    """
     fields = (breaths.i_rr_s, breaths.ins_t_s, breaths.exp_t_s, breaths.ins_v, breaths.exp_v)
     if min(len(f) for f in fields) < 5:
         raise FeatureError("need at least 5 complete breaths")
-    rr_brpm = 60.0 / float(np.mean(breaths.i_rr_s))
-    cv = CvSet(*(_population_cv(f) for f in fields))
-    return RespiratoryParams(rr_brpm=rr_brpm, cv=cv)
+    return {
+        "RR": 60.0 / float(np.mean(fields[0])),
+        **{name: _population_cv(f) for name, f in zip(DERIVED_SOURCES["BR"], fields)},
+    }
 
 
-def breathing_regularity(cv: CvSet) -> float:
-    """Regularity score in percent: 100 - 20 * sum of tanh of the five CVs."""
-    return 100.0 - 20.0 * sum(math.tanh(v) for v in cv.as_tuple())
+def breathing_regularity(cvs) -> float:
+    """Regularity score in percent: 100 - 20 * sum of tanh of the five CVs.
+
+    ``cvs`` holds the five coefficients of variation in the order of
+    DERIVED_SOURCES["BR"]; the order fixes the floating-point sum.
+    """
+    if len(cvs) != len(DERIVED_SOURCES["BR"]):
+        raise FeatureError("need the five coefficients of variation")
+    return 100.0 - 20.0 * sum(math.tanh(v) for v in cvs)
 
 
 def param_vector(rr_ms, breaths: BreathSeries) -> ParamVector:
-    """Assemble the full 10-parameter vector for one recording."""
-    cardiac = cardiac_params(rr_ms)
-    resp = respiratory_params(breaths)
-    return ParamVector(
-        hr_bpm=cardiac.hr_bpm,
-        rmssd_ms=cardiac.rmssd_ms,
-        ln_rmssd=cardiac.ln_rmssd,
-        rr_brpm=resp.rr_brpm,
-        ci_rr=resp.cv.cv_irr,
-        c_ins_t=resp.cv.cv_ins_t,
-        c_exp_t=resp.cv.cv_exp_t,
-        c_ins_v=resp.cv.cv_ins_v,
-        c_exp_v=resp.cv.cv_exp_v,
-        br_percent=breathing_regularity(resp.cv),
-    )
+    """Assemble the ten parameters of one recording, in PARAMETER_NAMES order."""
+    params = {**cardiac_params(rr_ms), **respiratory_params(breaths)}
+    params["BR"] = breathing_regularity([params[name] for name in DERIVED_SOURCES["BR"]])
+    return ParamVector(params)
 
 
 def _wilcoxon_exact_two_sided(doubled_ranks: np.ndarray, w_plus_doubled: int) -> float:

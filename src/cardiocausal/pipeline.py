@@ -213,6 +213,11 @@ def _mask_ignored(graph: EdgeGraph) -> EdgeGraph:
     return graph.without_pairs(IGNORED_PAIRS)
 
 
+def _finite_or_null(value: float) -> float | None:
+    """JSON has no infinities or NaN; report.json writes them as null."""
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class CausalReport:
     config: RunConfig
@@ -240,19 +245,16 @@ class CausalReport:
                 {
                     "parameter": t.parameter,
                     "test_used": t.test_used.value,
-                    "statistic": t.statistic,
-                    "p_value": t.p_value,
-                    "normality_p": t.normality_p,
+                    "statistic": _finite_or_null(t.statistic),
+                    "p_value": _finite_or_null(t.p_value),
+                    "normality_p": _finite_or_null(t.normality_p),
                 }
                 for t in self.paired_tests
             ],
             "correlations": {
                 pos: {
                     "names": list(PARAMETER_NAMES),
-                    "matrix": [
-                        [None if math.isnan(v) else v for v in row]
-                        for row in matrix.tolist()
-                    ],
+                    "matrix": [[_finite_or_null(v) for v in row] for row in matrix.tolist()],
                 }
                 for pos, matrix in self.correlations.items()
             },
@@ -282,19 +284,19 @@ class CausalReport:
                 {
                     "position": pos,
                     "path": list(fit.path),
-                    "a_hat": fit.a_hat,
-                    "se_a": fit.se_a,
-                    "b_hat": fit.b_hat,
-                    "se_b": fit.se_b,
-                    "direct_effect": fit.direct_effect,
-                    "indirect_effect": fit.indirect_effect,
-                    "sobel_z": fit.sobel_z,
-                    "sobel_p": fit.sobel_p,
+                    "a_hat": _finite_or_null(fit.a_hat),
+                    "se_a": _finite_or_null(fit.se_a),
+                    "b_hat": _finite_or_null(fit.b_hat),
+                    "se_b": _finite_or_null(fit.se_b),
+                    "direct_effect": _finite_or_null(fit.direct_effect),
+                    "indirect_effect": _finite_or_null(fit.indirect_effect),
+                    "sobel_z": _finite_or_null(fit.sobel_z),
+                    "sobel_p": _finite_or_null(fit.sobel_p),
                 }
                 for pos, fit in self.mediation_results
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _row_from_signal_file(path: Path):

@@ -41,8 +41,6 @@ DERIVED_SOURCES = {
     "BR": ("ciRR", "cInsT", "cExpT", "cInsV", "cExpV"),
 }
 
-_CV_NAMES = ("ciRR", "cInsT", "cExpT", "cInsV", "cExpV")
-
 
 class FormatError(ValueError):
     """Input file violates the documented CSV contract."""
@@ -127,7 +125,7 @@ class ParameterRow:
         for name in ("HR", "RMSSD", "RR"):
             if self.params[name] <= 0:
                 raise FormatError(f"{ctx}: {name} must be positive")
-        for name in _CV_NAMES:
+        for name in DERIVED_SOURCES["BR"]:
             if self.params[name] < 0:
                 raise FormatError(f"{ctx}: {name} must be nonnegative")
         if not 0.0 <= self.params["BR"] <= 100.0:

@@ -31,20 +31,17 @@ class TooFewBreathsError(SignalError):
 
 @dataclass(frozen=True)
 class BreathSeries:
-    """Delimited breathing phases.
+    """Delimited breathing phases: onset times and per-breath amplitudes.
 
-    With N inspiratory onsets and E expiratory onsets (E = N or N - 1), the
-    per-breath fields have lengths: ins_t_s and ins_v have E entries,
-    exp_t_s, exp_v and i_rr_s have N - 1 entries.
+    With N inspiratory onsets and E expiratory onsets (E = N or N - 1),
+    ins_v has E entries and exp_v has N - 1.  The durations are differences
+    of the onsets: ins_t_s has E entries, exp_t_s and i_rr_s have N - 1.
     """
 
     insp_onsets_s: tuple[float, ...]
     exp_onsets_s: tuple[float, ...]
-    ins_t_s: tuple[float, ...]
-    exp_t_s: tuple[float, ...]
     ins_v: tuple[float, ...]
     exp_v: tuple[float, ...]
-    i_rr_s: tuple[float, ...]
 
     def __post_init__(self):
         insp = np.asarray(self.insp_onsets_s)
@@ -59,24 +56,29 @@ class BreathSeries:
                 raise SignalError("onsets must interleave: insp[i] < exp[i]")
             if i + 1 < n and not exp[i] < insp[i + 1]:
                 raise SignalError("onsets must interleave: exp[i] < insp[i+1]")
-        if len(self.ins_t_s) != e or len(self.ins_v) != e:
-            raise SignalError("ins_t_s and ins_v must have one entry per expiration onset")
-        if not (len(self.exp_t_s) == len(self.exp_v) == len(self.i_rr_s) == max(n - 1, 0)):
-            raise SignalError("exp_t_s, exp_v and i_rr_s must have N-1 entries")
-        for i in range(e):
-            if abs(self.ins_t_s[i] - (exp[i] - insp[i])) > 1e-9:
-                raise SignalError("ins_t_s inconsistent with onsets")
-        for i in range(n - 1):
-            if abs(self.i_rr_s[i] - (insp[i + 1] - insp[i])) > 1e-9:
-                raise SignalError("i_rr_s inconsistent with onsets")
-            if abs(self.exp_t_s[i] - (insp[i + 1] - exp[i])) > 1e-9:
-                raise SignalError("exp_t_s inconsistent with onsets")
-        for field in (self.ins_t_s, self.exp_t_s, self.ins_v, self.exp_v, self.i_rr_s):
+        if len(self.ins_v) != e:
+            raise SignalError("ins_v must have one entry per expiration onset")
+        if len(self.exp_v) != max(n - 1, 0):
+            raise SignalError("exp_v must have N-1 entries")
+        for field in (self.ins_v, self.exp_v):
             if any(v <= 0 for v in field):
-                raise SignalError("durations and amplitudes must be positive")
+                raise SignalError("amplitudes must be positive")
+
+    @property
+    def ins_t_s(self) -> tuple[float, ...]:
+        return tuple(b - a for a, b in zip(self.insp_onsets_s, self.exp_onsets_s))
+
+    @property
+    def exp_t_s(self) -> tuple[float, ...]:
+        return tuple(b - a for a, b in zip(self.exp_onsets_s, self.insp_onsets_s[1:]))
+
+    @property
+    def i_rr_s(self) -> tuple[float, ...]:
+        insp = self.insp_onsets_s
+        return tuple(b - a for a, b in zip(insp, insp[1:]))
 
     def breath_count(self) -> int:
-        return len(self.ins_t_s)
+        return len(self.exp_onsets_s)
 
 
 def remove_cardiac_component(ip, ecg, sample_rate_hz: float) -> np.ndarray:
@@ -236,15 +238,9 @@ def delimit_breaths(ip_clean, sample_rate_hz: float) -> BreathSeries:
 
     insp_idx = [a for a, _ in accepted]
     exp_idx = [b for _, b in accepted]
-    insp = [a / rate for a in insp_idx]
-    exp = [b / rate for b in exp_idx]
-    m = len(accepted)
     return BreathSeries(
-        insp_onsets_s=tuple(insp),
-        exp_onsets_s=tuple(exp),
-        ins_t_s=tuple(exp[i] - insp[i] for i in range(m)),
-        exp_t_s=tuple(insp[i + 1] - exp[i] for i in range(m - 1)),
-        ins_v=tuple(float(x[exp_idx[i]] - x[insp_idx[i]]) for i in range(m)),
-        exp_v=tuple(float(x[exp_idx[i]] - x[insp_idx[i + 1]]) for i in range(m - 1)),
-        i_rr_s=tuple(insp[i + 1] - insp[i] for i in range(m - 1)),
+        insp_onsets_s=tuple(a / rate for a in insp_idx),
+        exp_onsets_s=tuple(b / rate for b in exp_idx),
+        ins_v=tuple(float(x[b] - x[a]) for a, b in accepted),
+        exp_v=tuple(float(x[b] - x[a]) for b, a in zip(exp_idx, insp_idx[1:])),
     )

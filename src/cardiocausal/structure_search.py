@@ -688,6 +688,8 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
         raise SearchError("need at least 50 rows")
     if p > 20:
         raise SearchError("at most 20 columns supported")
+    if not np.all(np.isfinite(x)):
+        raise SearchError("non-finite data")
     sd = x.std(axis=0, ddof=1)
     if np.any(sd == 0):
         raise SearchError("degenerate column for smoother")

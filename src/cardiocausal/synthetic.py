@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .param_features import breathing_regularity, CvSet
-from .record_io import ParameterRow, ParameterTable, Position
+from .param_features import breathing_regularity
+from .record_io import DERIVED_SOURCES, ParameterRow, ParameterTable, Position
 
 # Ground-truth causal graph of the cohort generator, over the eight free
 # parameters (lnRMSSD and BR are deterministic functions and carry no edges).
@@ -160,15 +160,7 @@ def sem_cohort(n_subjects: int = 100, seed: int = 0) -> tuple[ParameterTable, fr
                 value = mean + sd * float(z[name][i])
                 params[name] = max(value, 1e-6)
             params["lnRMSSD"] = math.log(params["RMSSD"])
-            params["BR"] = breathing_regularity(
-                CvSet(
-                    cv_irr=params["ciRR"],
-                    cv_ins_t=params["cInsT"],
-                    cv_exp_t=params["cExpT"],
-                    cv_ins_v=params["cInsV"],
-                    cv_exp_v=params["cExpV"],
-                )
-            )
+            params["BR"] = breathing_regularity([params[n] for n in DERIVED_SOURCES["BR"]])
             rows.append(
                 ParameterRow(
                     subject_id=f"s{i + 1:0{width}d}", position=position, params=params

@@ -20,7 +20,7 @@ from cardiocausal.association import (
 )
 from cardiocausal.cardio_signals import detect_r_peaks, detrend_ecg
 from cardiocausal.mediation import mediation_fit
-from cardiocausal.param_features import CvSet, breathing_regularity, wilcoxon_signed_rank
+from cardiocausal.param_features import breathing_regularity, wilcoxon_signed_rank
 from cardiocausal.pipeline import RunConfig, run_pipeline
 from cardiocausal.record_io import (
     PARAMETER_NAMES,
@@ -58,10 +58,8 @@ def _line(criterion: int, ok: bool, detail: str) -> None:
 
 
 def _cv(values):
-    return CvSet(
-        cv_irr=values[0], cv_ins_t=values[1], cv_exp_t=values[2],
-        cv_ins_v=values[3], cv_exp_v=values[4],
-    )
+    """The five coefficients of variation, ciRR, cInsT, cExpT, cInsV, cExpV."""
+    return [float(v) for v in values]
 
 
 def test_criterion_01_breathing_regularity_formula():

@@ -169,6 +169,16 @@ class TestValidation:
         with pytest.raises(MediationError):
             mediation_fit(x, np.full(20, 3.0), y)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 7.5e4, 3e8])
+    def test_collinear_mediator_rejected(self, scale):
+        rng = np.random.default_rng(14)
+        x, _, y = mediated_sample(rng, n=40)
+        x = scale * x
+        for m in (2.0 * x + scale, -0.5 * x + 3.0 * scale):
+            with pytest.raises(MediationError, match="collinear"):
+                mediation_fit(x, m, y)
+        mediation_fit(x, 2.0 * x + scale * rng.normal(0.0, 1e-3, 40), y)
+
     def test_result_invariants_enforced(self):
         with pytest.raises(MediationError):
             MediationFit(

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cardiocausal.param_features import (
-    CvSet,
     FeatureError,
     ParamVector,
     PairedTestResult,
@@ -23,7 +22,7 @@ from cardiocausal.param_features import (
     wilcoxon_signed_rank,
 )
 from cardiocausal.cardio_signals import detect_r_peaks, detrend_ecg, rr_intervals
-from cardiocausal.record_io import PARAMETER_NAMES, Position
+from cardiocausal.record_io import DERIVED_SOURCES, PARAMETER_NAMES, FormatError, Position
 from cardiocausal.resp_signals import BreathSeries, delimit_breaths, remove_cardiac_component
 from cardiocausal.synthetic import synthetic_ecg
 
@@ -44,7 +43,6 @@ def make_breaths(
         n_exp = n_insp
     insp = [start + period * i for i in range(n_insp)]
     exp = [t + ins_t for t in insp[:n_exp]]
-    exp_t = [insp[i + 1] - exp[i] for i in range(n_insp - 1)]
     if ins_v is None:
         ins_v = [1.0] * n_exp
     if exp_v is None:
@@ -52,21 +50,19 @@ def make_breaths(
     return BreathSeries(
         insp_onsets_s=tuple(insp),
         exp_onsets_s=tuple(exp),
-        ins_t_s=tuple(ins_t for _ in range(n_exp)),
-        exp_t_s=tuple(exp_t),
         ins_v=tuple(ins_v),
         exp_v=tuple(exp_v),
-        i_rr_s=tuple(period for _ in range(n_insp - 1)),
     )
 
 
 class TestCardiacParams:
     def test_hand_computed_triplet(self):
         out = cardiac_params([800.0, 810.0, 790.0])
-        assert out.hr_bpm == 75.0
-        assert out.rmssd_ms == pytest.approx(math.sqrt(250.0), rel=1e-12)
-        assert out.ln_rmssd == pytest.approx(2.7607, abs=5e-5)
-        assert out.ln_rmssd == math.log(out.rmssd_ms)
+        assert list(out) == ["HR", "RMSSD", "lnRMSSD"]
+        assert out["HR"] == 75.0
+        assert out["RMSSD"] == pytest.approx(math.sqrt(250.0), rel=1e-12)
+        assert out["lnRMSSD"] == pytest.approx(2.7607, abs=5e-5)
+        assert out["lnRMSSD"] == math.log(out["RMSSD"])
 
     def test_constant_rhythm_rejected(self):
         with pytest.raises(FeatureError):
@@ -88,22 +84,24 @@ class TestCardiacParams:
         rng = np.random.default_rng(0)
         rr = rng.uniform(700.0, 1100.0, 50)
         out = cardiac_params(rr)
-        assert out.hr_bpm == pytest.approx(60000.0 / rr.mean(), rel=1e-12)
+        assert out["HR"] == pytest.approx(60000.0 / rr.mean(), rel=1e-12)
         sq = [(rr[i + 1] - rr[i]) ** 2 for i in range(len(rr) - 1)]
-        assert out.rmssd_ms == pytest.approx(math.sqrt(sum(sq) / len(sq)), rel=1e-12)
+        assert out["RMSSD"] == pytest.approx(math.sqrt(sum(sq) / len(sq)), rel=1e-12)
 
 
 class TestRespiratoryParams:
     def test_constant_breathing(self):
         out = respiratory_params(make_breaths(n_insp=6))
-        assert out.rr_brpm == 15.0
-        assert out.cv.as_tuple() == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert out == {
+            "RR": 15.0, "ciRR": 0.0, "cInsT": 0.0, "cExpT": 0.0, "cInsV": 0.0, "cExpV": 0.0,
+        }
+        assert list(out)[1:] == list(DERIVED_SOURCES["BR"])
 
     def test_hand_computed_amplitude_cv(self):
         series = make_breaths(n_insp=6, n_exp=5, ins_v=[1.0, 1.0, 1.0, 1.0, 2.0])
         out = respiratory_params(series)
         # population sd 0.4 over mean 1.2
-        assert out.cv.cv_ins_v == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert out["cInsV"] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_too_few_breaths(self):
         with pytest.raises(FeatureError):
@@ -118,9 +116,9 @@ class TestRespiratoryParams:
             scaled = respiratory_params(
                 make_breaths(n_insp=6, ins_v=[c * v for v in iv], exp_v=[c * v for v in ev])
             )
-            assert scaled.cv.cv_ins_v == pytest.approx(base.cv.cv_ins_v, rel=1e-9)
-            assert scaled.cv.cv_exp_v == pytest.approx(base.cv.cv_exp_v, rel=1e-9)
-            assert scaled.rr_brpm == base.rr_brpm
+            assert scaled["cInsV"] == pytest.approx(base["cInsV"], rel=1e-9)
+            assert scaled["cExpV"] == pytest.approx(base["cExpV"], rel=1e-9)
+            assert scaled["RR"] == base["RR"]
 
     def test_time_shift_invariance(self):
         iv = [1.0, 1.2, 0.9, 1.1, 1.05, 1.3]
@@ -131,65 +129,56 @@ class TestRespiratoryParams:
 
 class TestBreathingRegularity:
     def test_zero_cvs_give_100(self):
-        assert breathing_regularity(CvSet(0.0, 0.0, 0.0, 0.0, 0.0)) == 100.0
+        assert breathing_regularity([0.0, 0.0, 0.0, 0.0, 0.0]) == 100.0
 
     def test_saturation_limit_is_0(self):
-        br = breathing_regularity(CvSet(50.0, 50.0, 50.0, 50.0, 50.0))
+        br = breathing_regularity([50.0, 50.0, 50.0, 50.0, 50.0])
         assert 0.0 <= br <= 1e-40
 
     def test_direct_evaluation_at_0p1(self):
-        br = breathing_regularity(CvSet(0.1, 0.1, 0.1, 0.1, 0.1))
+        br = breathing_regularity([0.1, 0.1, 0.1, 0.1, 0.1])
         assert br == pytest.approx(100.0 - 100.0 * math.tanh(0.1), rel=1e-12)
         assert br == pytest.approx(90.033, abs=1e-3)
 
     def test_bounds_on_random_cv_vectors(self):
         rng = np.random.default_rng(2)
         for _ in range(10_000):
-            cv = CvSet(*np.abs(rng.normal(0.0, 2.0, 5)))
+            cv = np.abs(rng.normal(0.0, 2.0, 5))
             assert 0.0 <= breathing_regularity(cv) <= 100.0
 
     def test_strictly_decreasing_in_each_component(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             base = rng.uniform(0.0, 3.0, 5)
-            br0 = breathing_regularity(CvSet(*base))
+            br0 = breathing_regularity(base)
             for i in range(5):
                 bumped = base.copy()
                 bumped[i] += 0.1
-                assert breathing_regularity(CvSet(*bumped)) < br0
+                assert breathing_regularity(bumped) < br0
 
-    def test_negative_cv_rejected(self):
+    def test_wrong_count_rejected(self):
         with pytest.raises(FeatureError):
-            CvSet(-0.1, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(FeatureError):
-            CvSet(math.inf, 0.0, 0.0, 0.0, 0.0)
+            breathing_regularity([0.1, 0.1, 0.1, 0.1])
 
 
 class TestParamVector:
     def test_assembly_and_row(self):
         vec = param_vector([800.0, 810.0, 790.0], make_breaths(n_insp=8))
+        assert tuple(vec.params) == PARAMETER_NAMES
         row = vec.to_row("s001", Position.SUPINE)
-        assert set(row.params) == {
-            "HR", "RMSSD", "lnRMSSD", "RR", "ciRR",
-            "cInsT", "cExpT", "cInsV", "cExpV", "BR",
-        }
+        assert row.params == vec.params
         assert row.params["HR"] == 75.0
         assert row.params["RR"] == 15.0
         assert row.params["BR"] == 100.0
 
     def test_invariant_violations_rejected(self):
-        good = dict(
-            hr_bpm=60.0, rmssd_ms=20.0, ln_rmssd=math.log(20.0), rr_brpm=15.0,
-            ci_rr=0.1, c_ins_t=0.1, c_exp_t=0.1, c_ins_v=0.1, c_exp_v=0.1,
-            br_percent=90.0,
-        )
-        ParamVector(**good)
-        with pytest.raises(FeatureError):
-            ParamVector(**{**good, "ln_rmssd": math.log(20.0) + 1e-3})
-        with pytest.raises(FeatureError):
-            ParamVector(**{**good, "br_percent": 101.0})
-        with pytest.raises(FeatureError):
-            ParamVector(**{**good, "hr_bpm": 0.0})
+        # the row the vector becomes is where parameters are validated
+        values = (60.0, 20.0, math.log(20.0), 15.0, 0.1, 0.1, 0.1, 0.1, 0.1, 90.0)
+        good = dict(zip(PARAMETER_NAMES, values))
+        ParamVector(good).to_row("s001", Position.SUPINE)
+        for name, bad in (("BR", 101.0), ("HR", 0.0), ("cInsT", -0.1), ("RMSSD", math.inf)):
+            with pytest.raises(FormatError, match=name):
+                ParamVector({**good, name: bad}).to_row("s001", Position.SUPINE)
 
     def test_signal_record_parameters_are_pinned(self):
         # One 60 s, 250 Hz record through the whole front end: noisy ECG with

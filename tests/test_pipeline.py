@@ -625,6 +625,36 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["analysis failed: cam search for supine: collinear columns"]
 
+    def test_non_finite_statistic_is_null_in_report(self, tmp_path):
+        # standing HR = supine HR + 5 exactly: the differences are constant,
+        # so the paired t statistic is infinite
+        table, _ = sem_cohort(30, seed=0)
+        hr = {row.subject_id: float(round(row.params["HR"])) for row in table.rows}
+        shift = {Position.SUPINE: 0.0, Position.STANDING: 5.0}
+        rows = [
+            replace(row, params={**row.params, "HR": hr[row.subject_id] + shift[row.position]})
+            for row in table.rows
+        ]
+        path = tmp_path / "shifted.csv"
+        save_parameter_table(ParameterTable(tuple(rows)), path)
+        out = tmp_path / "out"
+        code = main([
+            "analyze", "--input", str(path), "--input-kind", "params",
+            "--methods", "gc,hc", "--mediation", "cInsV,ciRR,HR", "--out", str(out),
+        ])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+
+        text = (out / "report.json").read_text("utf-8")
+        report = json.loads(text, parse_constant=reject)
+        hr = next(t for t in report["paired_tests"] if t["parameter"] == "HR")
+        assert hr == {
+            "parameter": "HR", "test_used": "paired_t",
+            "statistic": None, "p_value": 0.0, "normality_p": 1.0,
+        }
+
     @pytest.mark.parametrize("methods", ["gc,hc", "gc,hc,tabu,fges"])
     def test_constant_column_is_null_and_isolated(self, tmp_path, capsys, methods):
         path = _constant_rr_csv(tmp_path)

@@ -749,6 +749,11 @@ class TestCamLearn:
         for related in (x[:, 0], 2.0 * x[:, 0] + 1.0):
             with pytest.raises(SearchError, match="collinear columns"):
                 cam_learn(np.column_stack([x, related]))
+        for value in (np.nan, np.inf, -np.inf):
+            bad = rng.normal(0.0, 1.0, (60, 4))
+            bad[7, 2] = value
+            with pytest.raises(SearchError, match="non-finite data"):
+                cam_learn(bad)
 
     def test_keeps_a_term_the_f_test_finds_strong(self):
         # the cExpV term for cInsV tests at p = 1e-20 here, far below
