@@ -10,9 +10,11 @@ invariant to positive amplitude scaling.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import median_filter
 
 from ._util import centered_moving_average
@@ -99,13 +101,16 @@ def _suppress_lesser_maxima(x: np.ndarray, maxima: np.ndarray, radius: int) -> n
     sub-peaks on its flanks that would otherwise fire first and push the true
     peak into the refractory shadow.
     """
-    kept = np.zeros(x.size, dtype=bool)
-    order = sorted(maxima, key=lambda i: (-x[i], i))
-    for c in order:
-        lo = max(c - radius + 1, 0)
-        if not kept[lo : c + radius].any():
-            kept[c] = True
-    return np.nonzero(kept)[0]
+    # largest first, ties by position
+    order = np.lexsort((maxima, -x[maxima]))
+    kept: list[int] = []  # sorted positions of the maxima kept so far
+    for c in maxima[order].tolist():
+        # the first kept position at or after c - radius + 1 is the only one
+        # that can lie within radius
+        k = bisect_left(kept, c - radius + 1)
+        if k == len(kept) or kept[k] >= c + radius:
+            kept.insert(k, c)
+    return np.asarray(kept, dtype=np.intp)
 
 
 def detect_r_peaks(samples, sample_rate_hz: float) -> BeatSeries:
@@ -155,7 +160,9 @@ def detect_r_peaks(samples, sample_rate_hz: float) -> BeatSeries:
         threshold1 = npki + 0.25 * (spki - npki)
         # Search-back: a gap beyond 1.66x the running RR average means a beat
         # was missed; re-examine sub-threshold events at half the threshold.
-        if qrs and rr_history and c - qrs[-1] > 1.66 * float(np.mean(rr_history)):
+        # the gaps are whole sample counts, so their sum is exact in any
+        # order and this mean is the one np.mean gives
+        if qrs and rr_history and c - qrs[-1] > 1.66 * (sum(rr_history) / len(rr_history)):
             back = [i for i in noise_since_qrs if i - qrs[-1] >= refractory]
             if back:
                 best = max(back, key=lambda i: mwi[i])
@@ -204,14 +211,13 @@ def rr_intervals(beats: BeatSeries) -> np.ndarray:
     if len(beats.r_peak_times_s) < 2:
         raise SignalError("need at least 2 peaks")
     rr = np.asarray(beats.rr_intervals_ms, dtype=float)
-    kept = []
-    for i, value in enumerate(rr):
-        if not 200.0 < value < 3000.0:
-            continue
-        lo = max(i - 2, 0)
-        hi = min(i + 3, rr.size)
-        med = float(np.median(rr[lo:hi]))
-        if abs(value - med) > 0.4 * med:
-            continue
-        kept.append(value)
-    return np.asarray(kept)
+    med = np.empty(rr.size)
+    # interior windows hold 5 intervals; the up-to-4 edge windows are shorter
+    if rr.size >= 5:
+        med[2:-2] = np.median(sliding_window_view(rr, 5), axis=1)
+    for i in (0, 1, rr.size - 2, rr.size - 1):
+        if 0 <= i < rr.size:
+            med[i] = np.median(rr[max(i - 2, 0) : i + 3])
+    # "not above the bound", so that a NaN median rejects nothing
+    keep = (200.0 < rr) & (rr < 3000.0) & ~(np.abs(rr - med) > 0.4 * med)
+    return rr[keep]

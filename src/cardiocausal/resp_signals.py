@@ -12,16 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from ._util import centered_moving_average, rolling_std
 from .cardio_signals import SignalError, _check_input
 
 _LMS_TAPS = 50
 _LMS_STEP = 0.05
-# Samples per exact block solve of the LMS recursion.  Blocks of 64 to 128
-# cost the same; smaller ones pay more per-call overhead, larger ones more
-# triangular work.
+# Samples per exact block solve of the LMS recursion.  The block size fixes
+# the floating-point summation order of the cleaned channel, and so of every
+# pinned output downstream: changing it is an output change.
 _LMS_BLOCK = 64
 
 
@@ -96,7 +96,9 @@ def remove_cardiac_component(ip, ecg, sample_rate_hz: float) -> np.ndarray:
     system (I + tril(X X^T, -1) diag(s)) e = y - X w, whose forward
     substitution is the recursion itself; the weights then advance by
     X^T (s * e).  Only the floating-point summation order differs from a
-    sample-by-sample loop.
+    sample-by-sample loop.  The product X X^T diag(s) is formed in full, but
+    only its strict lower triangle enters the solve: the unit-diagonal solve
+    never reads the diagonal or the upper triangle.
     """
     y = _check_input(ip, sample_rate_hz, 30.0)
     x = _check_input(ecg, sample_rate_hz, 30.0)
@@ -121,11 +123,13 @@ def remove_cardiac_component(ip, ecg, sample_rate_hz: float) -> np.ndarray:
     for start in range(0, n, _LMS_BLOCK):
         block = slice(start, start + _LMS_BLOCK)
         xb, sb = windows[block], step[block]
-        coupling = np.tril(xb @ xb.T, -1) * sb
-        error = solve_triangular(
-            coupling, y[block] - xb @ weights,
-            lower=True, unit_diagonal=True, check_finite=False,
-        )
+        coupling = xb @ xb.T
+        coupling *= sb
+        # coupling.T is a Fortran-ordered view; solving with its transpose
+        # and its upper triangle solves with the coupling's lower triangle
+        error, info = dtrtrs(coupling.T, y[block] - xb @ weights, lower=0, trans=1, unitdiag=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dtrtrs")
         cleaned[block] = error
         weights += xb.T @ (sb * error)
 

@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cardiocausal import cardio_signals
+from cardiocausal._util import centered_moving_average
 from cardiocausal.cardio_signals import (
     BeatSeries,
     NoBeatsError,
     SignalError,
+    _band_pass,
+    _derivative,
+    _local_maxima,
+    _suppress_lesser_maxima,
     detect_r_peaks,
     detrend_ecg,
     rr_intervals,
@@ -16,6 +22,62 @@ from cardiocausal.cardio_signals import (
 from cardiocausal.synthetic import synthetic_ecg
 
 RATE = 250.0
+
+
+def _former_suppress_lesser_maxima(x, maxima, radius):
+    """Peak suppression as first written: a Python sort by (-height,
+    position) and a boolean mask scanned per candidate."""
+    kept = np.zeros(x.size, dtype=bool)
+    order = sorted(maxima, key=lambda i: (-x[i], i))
+    for c in order:
+        lo = max(c - radius + 1, 0)
+        if not kept[lo : c + radius].any():
+            kept[c] = True
+    return np.nonzero(kept)[0]
+
+
+def _former_rr_intervals(beats):
+    """The R-R artifact filter as first written: one median per interval."""
+    rr = np.asarray(beats.rr_intervals_ms, dtype=float)
+    kept = []
+    for i, value in enumerate(rr):
+        if not 200.0 < value < 3000.0:
+            continue
+        lo = max(i - 2, 0)
+        hi = min(i + 3, rr.size)
+        med = float(np.median(rr[lo:hi]))
+        if abs(value - med) > 0.4 * med:
+            continue
+        kept.append(value)
+    return np.asarray(kept)
+
+
+def _weak_beat_train(rr=0.8, weak=30, amp=0.45):
+    """Spike train whose beat ``weak`` only search-back can recover."""
+    n = int(60 * RATE)
+    x = np.zeros(n)
+    t = np.arange(n) / RATE
+    beat_times = np.arange(1.0, 59.0, rr)
+    for i, bt in enumerate(beat_times):
+        x += (amp if i == weak else 1.0) * np.exp(-0.5 * ((t - bt) / 0.013) ** 2)
+    return x, beat_times
+
+
+def _synthetic_detrended(duration_s, hr_bpm, snr_db, seed, hr_end_bpm=None):
+    ecg, _ = synthetic_ecg(
+        duration_s, RATE, hr_start_bpm=hr_bpm, hr_end_bpm=hr_end_bpm,
+        noise_snr_db=snr_db, seed=seed,
+    )
+    return detrend_ecg(ecg, RATE)
+
+
+DETECTION_RECORDS = {
+    "300s_72bpm": lambda: _synthetic_detrended(300.0, 72.0, 20.0, 0),
+    "120s_68_to_80bpm": lambda: _synthetic_detrended(120.0, 68.0, 25.0, 7, hr_end_bpm=80.0),
+    "60s_110bpm_6db": lambda: _synthetic_detrended(60.0, 110.0, 6.0, 4),
+    "60s_45bpm_clean": lambda: _synthetic_detrended(60.0, 45.0, None, 9),
+    "weak_beat": lambda: _weak_beat_train()[0],
+}
 
 
 def _match_counts(detected_s, truth_s, tol_s=0.05):
@@ -162,18 +224,57 @@ class TestDetectRPeaks:
         # enough for search-back at half the threshold; without search-back
         # the series would show a 2x RR gap
         rr = 0.8
-        n = int(60 * RATE)
-        x = np.zeros(n)
-        t = np.arange(n) / RATE
-        beat_times = np.arange(1.0, 59.0, rr)
-        for i, bt in enumerate(beat_times):
-            amp = 0.45 if i == 30 else 1.0
-            x += amp * np.exp(-0.5 * ((t - bt) / 0.013) ** 2)
+        x, beat_times = _weak_beat_train(rr=rr, weak=30, amp=0.45)
         beats = detect_r_peaks(x, RATE)
         times = np.asarray(beats.r_peak_times_s)
         weak = beat_times[30]
         assert np.min(np.abs(times - weak)) < 0.05
         assert np.max(np.diff(times)) < 1.5 * rr
+
+    @pytest.mark.parametrize("make", DETECTION_RECORDS.values(), ids=DETECTION_RECORDS.keys())
+    def test_matches_former_peak_suppression(self, make, monkeypatch):
+        x = make()
+        beats = detect_r_peaks(x, RATE)
+        monkeypatch.setattr(
+            cardio_signals, "_suppress_lesser_maxima", _former_suppress_lesser_maxima
+        )
+        assert detect_r_peaks(x, RATE) == beats
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=8))
+    def test_search_back_average_is_exact(self, gaps):
+        # the running R-R history holds up to 8 integer sample gaps as floats;
+        # their plain mean is the one np.mean computes
+        history = [float(g) for g in gaps]
+        assert sum(history) / len(history) == float(np.mean(history))
+
+
+class TestSuppressLesserMaxima:
+    @pytest.mark.parametrize("make", DETECTION_RECORDS.values(), ids=DETECTION_RECORDS.keys())
+    def test_matches_former_on_integrated_signal(self, make):
+        x = make()
+        # the integrated signal as detect_r_peaks forms it
+        der = _derivative(_band_pass(x, RATE), RATE)
+        mwi = centered_moving_average(der * der, round(0.15 * RATE))
+        maxima = _local_maxima(mwi)
+        for radius in (1, 7, round(0.2 * RATE)):
+            out = _suppress_lesser_maxima(mwi, maxima, radius)
+            assert np.array_equal(out, _former_suppress_lesser_maxima(mwi, maxima, radius))
+
+    def test_matches_former_on_tie_heavy_integer_signals(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            n = int(rng.integers(2, 400))
+            x = rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float)
+            radius = int(rng.integers(1, 31))
+            if rng.random() < 0.5:
+                maxima = _local_maxima(x)
+            else:  # any increasing positions, plateaus and minima included
+                maxima = np.flatnonzero(rng.random(n) < rng.random())
+            out = _suppress_lesser_maxima(x, maxima, radius)
+            expected = _former_suppress_lesser_maxima(x, maxima, radius)
+            assert out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
 
 
 class TestBeatSeries:
@@ -215,3 +316,28 @@ class TestRrIntervals:
         # a 1000 ms interval deviates 200 <= 0.4 * 800 and survives
         beats2 = BeatSeries((0.0, 0.8, 1.6, 2.6, 3.4, 4.2, 5.0))
         assert 1000.0 in rr_intervals(beats2)
+
+    # intervals in seconds: in-band, out-of-band and artifact values, with
+    # repeats so that medians tie and edge windows of even length split
+    _INTERVAL = st.one_of(
+        st.sampled_from([0.1, 0.2, 0.45, 0.8, 1.0, 1.2, 2.0, 3.0, 3.5]),
+        st.floats(min_value=0.01, max_value=4.0),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_INTERVAL, min_size=1, max_size=12))
+    @example([0.8, 0.45])
+    @example([0.8, 0.8, 1.2])
+    @example([0.8, 1.2, 0.45, 0.8])
+    @example([0.45, 0.8, 0.8, 1.2, 0.8])
+    def test_matches_former_per_interval_filter(self, intervals):
+        beats = BeatSeries(tuple(np.cumsum([0.0, *intervals]).tolist()))
+        out = rr_intervals(beats)
+        expected = _former_rr_intervals(beats)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("make", DETECTION_RECORDS.values(), ids=DETECTION_RECORDS.keys())
+    def test_matches_former_per_interval_filter_on_records(self, make):
+        beats = detect_r_peaks(make(), RATE)
+        assert np.array_equal(rr_intervals(beats), _former_rr_intervals(beats))

@@ -179,6 +179,42 @@ class TestValidation:
                 mediation_fit(x, m, y)
         mediation_fit(x, 2.0 * x + scale * rng.normal(0.0, 1e-3, 40), y)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("scaled", ["xm", "xmy", "y"])
+    def test_extreme_magnitudes_fit_in_power_of_two_units(self, scale, scaled):
+        # squares of 1e200 overflow and those of 1e-200 underflow; the suite
+        # turns a numpy RuntimeWarning into an error, so none may be raised
+        rng = np.random.default_rng(15)
+        x = rng.normal(0.0, 1.0, 40)
+        m = x + 0.5 * rng.normal(0.0, 1.0, 40)
+        y = 0.5 * m + 0.3 * x + rng.normal(0.0, 1.0, 40)
+        plain = mediation_fit(x, m, y)
+        sx, sm, sy = (scale if c in scaled else 1.0 for c in "xmy")
+        fit = mediation_fit(sx * x, sm * m, sy * y)
+        assert fit.sobel_z == pytest.approx(plain.sobel_z, rel=1e-12)
+        assert fit.sobel_p == pytest.approx(plain.sobel_p, rel=1e-9)
+        assert fit.a_hat == pytest.approx(plain.a_hat * sm / sx, rel=1e-12)
+        assert fit.se_a == pytest.approx(plain.se_a * sm / sx, rel=1e-12)
+        assert fit.b_hat == pytest.approx(plain.b_hat * sy / sm, rel=1e-12)
+        assert fit.se_b == pytest.approx(plain.se_b * sy / sm, rel=1e-12)
+        assert fit.direct_effect == pytest.approx(plain.direct_effect * sy / sx, rel=1e-12)
+
+    def test_extreme_magnitudes_keep_their_validation_messages(self):
+        rng = np.random.default_rng(16)
+        x = 1e200 * rng.normal(0.0, 1.0, 40)
+        y = rng.normal(0.0, 1.0, 40)
+        with pytest.raises(MediationError, match="collinear"):
+            mediation_fit(x, 2.0 * x + 1e200, y)
+        with pytest.raises(MediationError, match="degenerate variance in m"):
+            mediation_fit(x, np.full(40, 1e-200), y)
+
+    def test_effects_beyond_float_range_rejected(self):
+        rng = np.random.default_rng(17)
+        x = 1e-300 * rng.normal(0.0, 1.0, 40)
+        m = 1e300 * (rng.normal(0.0, 1.0, 40) + 1e300 * x)
+        with pytest.raises(MediationError, match="overflow"):
+            mediation_fit(x, m, rng.normal(0.0, 1.0, 40))
+
     def test_result_invariants_enforced(self):
         with pytest.raises(MediationError):
             MediationFit(
