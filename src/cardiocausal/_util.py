@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import uniform_filter1d
 
 
 def centered_moving_average(x: np.ndarray, width: int) -> np.ndarray:
@@ -21,8 +22,6 @@ def centered_moving_average(x: np.ndarray, width: int) -> np.ndarray:
 
 def rolling_std(x: np.ndarray, width: int) -> np.ndarray:
     """Centered rolling population standard deviation, edge-replicated."""
-    from scipy.ndimage import uniform_filter1d
-
     x = np.asarray(x, dtype=float)
     m1 = uniform_filter1d(x, size=width, mode="nearest")
     m2 = uniform_filter1d(x * x, size=width, mode="nearest")

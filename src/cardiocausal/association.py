@@ -10,7 +10,7 @@ from enum import Enum
 from itertools import combinations
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
@@ -99,7 +99,7 @@ def _pearson_p(r: float, n: int) -> float:
     if abs(r) == 1.0:
         return 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * stats.t.sf(abs(t), n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
 def bayes_correlation(x, y) -> BayesRegressionFit:
@@ -127,7 +127,7 @@ def bayes_correlation(x, y) -> BayesRegressionFit:
         mpe = 1.0 if beta != 0 else 0.5
     else:
         t_stat = beta / math.sqrt(se2)
-        cdf = float(stats.t.cdf(t_stat, n - 2))
+        cdf = float(stdtr(n - 2, t_stat))
         mpe = max(cdf, 1.0 - cdf)
     return BayesRegressionFit(
         alpha_hat=alpha,

@@ -35,7 +35,10 @@ class BeatSeries:
     r_peak_times_s: tuple[float, ...]
 
     def __post_init__(self):
-        if np.any(np.diff(np.asarray(self.r_peak_times_s)) <= 0):
+        t = np.asarray(self.r_peak_times_s, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise SignalError("peak times must be finite")
+        if np.any(np.diff(t) <= 0):
             raise SignalError("peak times must be strictly increasing")
 
     @property

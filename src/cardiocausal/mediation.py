@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 
 class MediationError(ValueError):
@@ -104,7 +104,7 @@ def mediation_fit(x, m, y, path: tuple[str, str, str] = ("x", "m", "y")) -> Medi
         z, p = 0.0, 1.0
     else:
         z = a_hat * b_hat / denom
-        p = float(2.0 * stats.norm.sf(abs(z)))
+        p = float(2.0 * ndtr(-abs(z)))
     try:
         a_hat, se_a = math.ldexp(a_hat, km - kx), math.ldexp(se_a, km - kx)
         b_hat, se_b = math.ldexp(b_hat, ky - km), math.ldexp(se_b, ky - km)

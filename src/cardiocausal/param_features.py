@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, stdtr
 
 from .record_io import DERIVED_SOURCES, ParameterRow, Position
 from .resp_signals import BreathSeries
@@ -100,6 +99,12 @@ def param_vector(rr_ms, breaths: BreathSeries) -> ParamVector:
     return ParamVector(params)
 
 
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average (mid) ranks from 1 of ``values``, and the size of each tie group."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse], counts
+
+
 def _wilcoxon_exact_two_sided(doubled_ranks: np.ndarray, w_plus_doubled: int) -> float:
     """Exact two-sided p over all sign assignments, via subset-sum counting.
 
@@ -128,7 +133,7 @@ def wilcoxon_signed_rank(differences) -> tuple[float, float]:
     n = d.size
     if n == 0:
         raise FeatureError("all differences zero: signed-rank test undefined")
-    ranks = stats.rankdata(np.abs(d))
+    ranks, tie_counts = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     if n <= 25:
         doubled = np.rint(2.0 * ranks).astype(int)
@@ -137,13 +142,131 @@ def wilcoxon_signed_rank(differences) -> tuple[float, float]:
     else:
         mu = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(ranks, return_counts=True)
         var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
         if var <= 0:
             raise FeatureError("degenerate signed-rank variance")
         z = (w_plus - mu - 0.5 * np.sign(w_plus - mu)) / math.sqrt(var)
-        p = float(2.0 * stats.norm.sf(abs(z)))
+        p = float(2.0 * ndtr(-abs(z)))
     return w_plus, p
+
+
+# Royston's AS R94 (Applied Statistics 44, 1995) with the AS 111 normal
+# quantiles and the AS 66 normal tail it calls, in the double-precision
+# constants and operation order of scipy.stats.shapiro, whose W and p it
+# reproduces to the last bit.
+_SW_C1 = (0.0, 0.221157, -0.147981, -2.07119, 4.434685, -2.706056)
+_SW_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
+_SW_C3 = (0.544, -0.39978, 0.025054, -6.714e-4)
+_SW_C4 = (1.3822, -0.77857, 0.062767, -0.0020322)
+_SW_C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)
+_SW_C6 = (-0.4803, -0.082676, 0.0030302)
+_SW_GAMMA = (-2.273, 0.459)
+
+
+def _poly(c, x: float) -> float:
+    """c[0] + c[1] x + c[2] x^2 + ..., nested as in AS 181.2."""
+    p = x * c[-1]
+    for cj in c[-2:0:-1]:
+        p = (p + cj) * x
+    return c[0] + p
+
+
+def _normal_upper_tail(z: float) -> float:
+    """P(Z > z) for a standard normal Z (AS 66)."""
+    up = z >= 0.0
+    z = abs(z)
+    if z > 7.0 and not (up and z <= 38.0):
+        tail = 0.0
+    elif z <= 1.28:
+        y = 0.5 * z * z
+        frac = y + 2.62433121679 + 48.6959930692 / (y + 5.92885724438)
+        frac = y + 5.75885480458 - 29.8213557808 / frac
+        tail = 0.5 - z * (0.398942280444 - 0.399903438504 * y / frac)
+    else:
+        # a continued fraction, evaluated from the innermost term out
+        frac = z + 0.742380924027 + 30.789933034 / (z + 3.99019417011)
+        frac = z + 4.8385912808 - 15.1508972451 / frac
+        frac = z - 0.151679116635 + 5.29330324926 / frac
+        frac = z + 3.98064794e-4 + 1.98615381364 / frac
+        frac = z - 3.8052e-8 + 1.00000615302 / frac
+        tail = 0.398942280385 * math.exp(-0.5 * z * z) / frac
+    return tail if up else 1.0 - tail
+
+
+def _shapiro_coefficients(n: int) -> np.ndarray:
+    """The n // 2 Shapiro-Wilk coefficients of the top order statistics, largest first."""
+    if n == 3:
+        return np.array([math.sqrt(0.5)])
+    # AS 111 quantiles of the lower half of the expected normal order statistics
+    p = (np.arange(1, n // 2 + 1) - 0.375) / (n + 0.25)
+    q = p - 0.5
+    r = q * q
+    m = q * (((-25.44106049637 * r + 41.39119773534) * r - 18.61500062529) * r + 2.50662823884) / (
+        (((3.13082909833 * r - 21.06224101826) * r + 23.08336743743) * r - 8.4735109309) * r + 1.0
+    )
+    tail = q < -0.42
+    s = np.sqrt([-math.log(v) for v in p[tail]])
+    m[tail] = -(((2.32121276858 * s + 4.85014127135) * s - 2.29796479134) * s - 2.78718931138) / (
+        (1.63706781897 * s + 3.54388924762) * s + 1.0
+    )
+    summ2 = 2.0 * np.cumsum(m * m)[-1]
+    ssumm2 = math.sqrt(summ2)
+    rsn = 1.0 / math.sqrt(n)
+    head = [_poly(_SW_C1, rsn) - m[0] / ssumm2]
+    if n > 5:
+        head.append(-m[1] / ssumm2 + _poly(_SW_C2, rsn))
+    num, den = summ2, 1.0
+    for mi, hi in zip(m, head):
+        num -= 2.0 * mi * mi
+        den -= 2.0 * hi * hi
+    fac = math.sqrt(num / den)
+    a = -m * (1.0 / fac)
+    a[: len(head)] = head
+    return a
+
+
+def shapiro_wilk(x) -> tuple[float, float]:
+    """Shapiro-Wilk test of normality: (W, p) for a sample of at least 3 values.
+
+    As in scipy.stats.shapiro, the sorted sample is shifted by the value at
+    index n // 2 of the unsorted one, and a sample whose range is below
+    1e-19 gets W = p = 1.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if x.ndim != 1 or n < 3:
+        raise FeatureError("Shapiro-Wilk test needs a vector of at least 3 values")
+    y = np.sort(x) - x[n // 2]
+    span = y[-1] - y[0]
+    if span < 1e-19:
+        return 1.0, 1.0
+    a = _shapiro_coefficients(n)
+    c = np.zeros(n)
+    c[: n // 2] = -a
+    c[n - n // 2 :] = a[::-1]
+    u = y / span
+    # np.cumsum adds in sequence, in the order of the published loops
+    dc = c - np.cumsum(c)[-1] / n
+    du = u - np.cumsum(u)[-1] / n
+    ssa = np.cumsum(dc * dc)[-1]
+    ssu = np.cumsum(du * du)[-1]
+    sau = np.cumsum(dc * du)[-1]
+    root = math.sqrt(ssa * ssu)
+    w1 = float((root - sau) * (root + sau) / (ssa * ssu))  # 1 - W, free of cancellation
+    w = 1.0 - w1
+    if w1 <= 0.0:  # an exact fit, or W a rounding error above 1
+        return w, 1.0
+    if n == 3:
+        return w, max(0.0, 1.0 - 6.0 / math.pi * math.acos(math.sqrt(w)))
+    t = math.log(w1)
+    if n <= 11:
+        # AS R94 returns p = 1e-19 when t >= gamma, which needs 1 - W >= 0.646
+        # at n = 4 (W is at least 0.6298 there) and 1 - W > 1 for n > 4
+        t = -math.log(_poly(_SW_GAMMA, n) - t)
+        mean, sd = _poly(_SW_C3, n), math.exp(_poly(_SW_C4, n))
+    else:
+        mean, sd = _poly(_SW_C5, math.log(n)), math.exp(_poly(_SW_C6, math.log(n)))
+    return w, _normal_upper_tail((t - mean) / sd)
 
 
 def paired_compare(supine, standing, parameter: str) -> PairedTestResult:
@@ -164,9 +287,7 @@ def paired_compare(supine, standing, parameter: str) -> PairedTestResult:
     if np.all(d == 0):
         raise FeatureError("all differences zero: paired test undefined")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        normality_p = float(stats.shapiro(d).pvalue)
+    normality_p = shapiro_wilk(d)[1]
 
     if normality_p >= 0.05:
         mean = float(np.mean(d))
@@ -176,7 +297,7 @@ def paired_compare(supine, standing, parameter: str) -> PairedTestResult:
             p = 0.0
         else:
             statistic = mean / (sd / math.sqrt(n))
-            p = float(2.0 * stats.t.sf(abs(statistic), n - 1))
+            p = float(2.0 * stdtr(n - 1, -abs(statistic)))
         kind = TestKind.PAIRED_T
     else:
         statistic, p = wilcoxon_signed_rank(d)

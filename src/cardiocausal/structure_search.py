@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats
-from scipy.interpolate import BSpline
+from scipy.special import fdtrc
 
 from .association import AssociationError, Direction, GeneralizedCorrPairs
 from .graphs import EdgeGraph, _complete_pattern, adjacency, cpdag_of, topological_sort
@@ -560,6 +559,41 @@ _N_BASIS = 10
 _LAMBDA_GRID = np.logspace(-6.0, 6.0, 25)
 
 
+def _bspline_basis(knots: np.ndarray, x: np.ndarray, nu: int = 0) -> np.ndarray:
+    """Cubic B-splines on ``knots`` (nu = 0) or their second derivatives (nu = 2) at ``x``.
+
+    One row per point, one column per basis function.  The Cox-de Boor
+    recursion runs for all points at once on the span ``t[l] <= x < t[l+1]``
+    (the last span closed), with the derivative taken in the last ``nu``
+    steps (de Boor, *A Practical Guide to Splines*).  Each product and
+    quotient is the one scipy's ``BSpline`` evaluates, so the values agree
+    with ``BSpline.design_matrix`` and ``BSpline(..., nu=2)`` to the last bit.
+    The end knots are fourfold and the interior ones distinct, as
+    ``_SplineTerm`` places them, so no span has zero length.
+    """
+    nb = knots.size - 4
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, nb - 1)
+    h = np.zeros((x.size, 4))
+    h[:, 0] = 1.0
+    for j in range(1, 4):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            right = knots[span + m]
+            left = knots[span + m - j]
+            if j <= 3 - nu:
+                w = prev[:, m - 1] / (right - left)
+                h[:, m - 1] += w * (right - x)
+                h[:, m] = w * (x - left)
+            else:
+                w = j * prev[:, m - 1] / (right - left)
+                h[:, m - 1] -= w
+                h[:, m] = w
+    basis = np.zeros((x.size, nb))
+    basis[np.arange(x.size)[:, None], span[:, None] + np.arange(-3, 1)] = h
+    return basis
+
+
 class _SplineTerm:
     """Centered cubic B-spline basis with an exact curvature penalty.
 
@@ -579,10 +613,10 @@ class _SplineTerm:
         interior = interior[(interior > lo) & (interior < hi)]
         if interior.size < _N_BASIS - 4:
             interior = np.linspace(lo, hi, _N_BASIS - 2)[1:-1]
-        knots = np.concatenate([[lo] * 4, interior, [hi] * 4])
-        design = BSpline.design_matrix(x, knots, 3).toarray()
+        self.knots = np.concatenate([[lo] * 4, interior, [hi] * 4])
+        design = _bspline_basis(self.knots, x)
         self.basis = (design - design.mean(axis=0))[:, :-1]
-        self.penalty = self._curvature_penalty(knots)[:-1, :-1]
+        self.penalty = self._curvature_penalty(self.knots)[:-1, :-1]
 
     @staticmethod
     def _curvature_penalty(knots: np.ndarray) -> np.ndarray:
@@ -592,23 +626,12 @@ class _SplineTerm:
         pairwise products are quadratic per knot span and two-point
         Gauss-Legendre quadrature integrates them exactly.
         """
-        nb = knots.size - 4
         spans = np.unique(knots)
         gauss = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-        points, weights = [], []
-        for a, b in zip(spans[:-1], spans[1:]):
-            half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
-            points.extend(mid + half * gauss)
-            weights.extend([half, half])
-        points = np.asarray(points)
-        weights = np.asarray(weights)
-        d2 = np.empty((points.size, nb))
-        for j in range(nb):
-            coeff = np.zeros(nb)
-            coeff[j] = 1.0
-            d2[:, j] = BSpline(knots, coeff, 3)(points, nu=2)
-        return (d2 * weights[:, None]).T @ d2
+        half = 0.5 * np.diff(spans)
+        mid = 0.5 * (spans[:-1] + spans[1:])
+        d2 = _bspline_basis(knots, (mid[:, None] + half[:, None] * gauss).ravel(), nu=2)
+        return (d2 * np.repeat(half, 2)[:, None]).T @ d2
 
 
 @dataclass(frozen=True)
@@ -662,7 +685,7 @@ def _prune_node(system, v: int, preds: list[int], n: int, alpha: float) -> list[
         f_stat = ((rss - full.rss) / df1) / (full.rss / df2)
         if f_stat <= 0:
             continue
-        p_value = float(stats.f.sf(f_stat, df1, df2))
+        p_value = float(fdtrc(df1, df2, f_stat))
         if p_value < alpha:
             kept.append(u)
     return kept

@@ -1,5 +1,7 @@
 """ECG front-end contracts: detrending, R-peak detection, R-R filtering."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -281,6 +283,14 @@ class TestBeatSeries:
     def test_strictly_increasing_enforced(self):
         with pytest.raises(SignalError, match="increasing"):
             BeatSeries((0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_peak_times_rejected(self, bad):
+        # a NaN difference compares False with <= 0, so order alone misses it
+        with pytest.raises(SignalError, match="finite"):
+            BeatSeries((0.0, bad, 1.0, 1.8, 2.6, 3.4))
+        with pytest.raises(SignalError, match="finite"):
+            BeatSeries((bad,))
 
     def test_intervals_are_peak_time_differences(self):
         beats = BeatSeries((0.0, 0.8, 1.6))

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import cardiocausal
 from cardiocausal.cli import main
 from cardiocausal.graphs import EdgeGraph, GraphError
 from cardiocausal.pipeline import (
@@ -527,6 +531,21 @@ def _constant_rr_csv(tmp_path):
 
 
 class TestCli:
+    def test_import_loads_no_scipy_stats_interpolate_or_sparse(self):
+        # a fresh interpreter: this one has imported scipy.stats for the oracles
+        probe = (
+            "import sys, cardiocausal.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate', 'scipy.sparse') "
+            "if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(cardiocausal.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_successful_run_writes_all_outputs(self, cohort_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([

@@ -8,6 +8,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from cardiocausal import association, structure_search
 from cardiocausal.association import AssociationError, Direction, generalized_corr_pair
@@ -30,6 +33,7 @@ from cardiocausal.structure_search import (
     _LAMBDA_GRID,
     _apply_move,
     _beats,
+    _bspline_basis,
     _BicScorer,
     _climb,
     _edges_of,
@@ -794,6 +798,54 @@ def _dense_smoother(z, v, parents):
     return (xtx, design.T @ y, float(y @ y), omega), dense_fit
 
 
+def _scipy_second_derivatives(knots, points):
+    """Second derivative of each cubic B-spline at ``points``, one scipy
+    ``BSpline`` per basis function, as cam's curvature penalty first did."""
+    nb = knots.size - 4
+    return np.column_stack(
+        [BSpline(knots, np.eye(nb)[j], 3)(points, nu=2) for j in range(nb)]
+    )
+
+
+def _assert_basis_matches_scipy(x):
+    knots = _SplineTerm(x).knots
+    assert np.array_equal(_bspline_basis(knots, x), BSpline.design_matrix(x, knots, 3).toarray())
+    # the data, every knot, and the penalty's Gauss points of each span
+    spans = np.unique(knots)
+    half, mid = 0.5 * np.diff(spans), 0.5 * (spans[:-1] + spans[1:])
+    gauss = (mid[:, None] + half[:, None] * np.array([-1.0, 1.0]) / math.sqrt(3.0)).ravel()
+    points = np.concatenate([x, spans, gauss])
+    assert np.array_equal(
+        _bspline_basis(knots, points, nu=2), _scipy_second_derivatives(knots, points)
+    )
+
+
+class TestSplineBasis:
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_matches_scipy_on_standardized_cohort_columns(self, n):
+        for seed in range(8):
+            table, _ = sem_cohort(n, seed=seed)
+            for position in Position:
+                x = table.matrix(position)
+                for z in ((x - x.mean(axis=0)) / x.std(axis=0, ddof=1)).T:
+                    _assert_basis_matches_scipy(z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-400, max_value=400), min_size=8, max_size=80).filter(
+            lambda v: max(v) > min(v)
+        )
+    )
+    def test_matches_scipy_on_any_sample(self, values):
+        # on a 0.01 grid, as standardized data: knots 1e-234 apart would
+        # overflow both implementations.  Ties exercise the linspace fallback.
+        _assert_basis_matches_scipy(np.asarray(values) / 100.0)
+
+    def test_rows_are_a_partition_of_unity(self):
+        x = _standardized(2, Position.SUPINE)[:, 3]
+        np.testing.assert_allclose(_bspline_basis(_SplineTerm(x).knots, x).sum(axis=1), 1.0)
+
+
 class TestGcvSmoother:
     @pytest.mark.parametrize("k", [1, 2, 4, 7])
     def test_matches_dense_solves_at_every_penalty(self, k):
@@ -827,10 +879,8 @@ class TestGcvSmoother:
         for u in preds:
             rss, edf = _dense_smoother(z, v, [w for w in preds if w != u])[1](lam)
             df1, df2 = full_edf - edf, n - full_edf
-            expected.append(((rss - full_rss) / df1 / (full_rss / df2), df1, df2))
-        with mock.patch.object(
-            structure_search.stats.f, "sf", wraps=structure_search.stats.f.sf
-        ) as sf:
+            expected.append((df1, df2, (rss - full_rss) / df1 / (full_rss / df2)))
+        with mock.patch.object(structure_search, "fdtrc", wraps=structure_search.fdtrc) as sf:
             _prune_node(lambda v, parents: _dense_smoother(z, v, parents)[0], v, preds, n, 0.001)
         assert [call.args for call in sf.call_args_list] == [
             pytest.approx(e, rel=1e-6) for e in expected
