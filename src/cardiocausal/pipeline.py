@@ -31,6 +31,7 @@ from .resp_signals import delimit_breaths, remove_cardiac_component
 from .structure_search import (
     SearchConfig,
     SearchError,
+    _BicScorer,
     cam_learn,
     fges,
     gc_graph,
@@ -39,7 +40,8 @@ from .structure_search import (
 )
 
 # Each structure method as (table, position, design, names, config,
-# warnings) -> EdgeGraph; ``design`` is the table matrix over ``names``.
+# warnings) -> EdgeGraph; ``design`` is the table matrix over ``names``, or
+# for the methods in _BIC_METHODS the position's shared BIC scorer of it.
 _METHODS = {
     "gc": lambda table, pos, design, names, cfg, warnings: EdgeGraph(
         names, gc_graph(table, pos, names, warnings)
@@ -51,6 +53,7 @@ _METHODS = {
 }
 
 METHOD_NAMES = tuple(_METHODS)
+_BIC_METHODS = frozenset({"hc", "tabu", "fges"})
 
 # Pairs whose relationship is deterministic by construction and therefore
 # never reported as a structure edge.
@@ -345,6 +348,37 @@ def _write_outputs(report: CausalReport, out_dir: Path) -> None:
         )
 
 
+def _method_graphs(
+    table: ParameterTable, pos: Position, config: RunConfig, warnings_list: list[str]
+) -> dict[str, EdgeGraph]:
+    """The graph of each method of ``config`` for one position.
+
+    hc, tabu and fges are handed one BIC scorer of the design, so they share
+    its local scores and tabu continues from hc's climb.  The first of them
+    to run builds it, so an error of the scorer names that method, and it is
+    dropped with the position.
+    """
+    names = STRUCTURE_NAMES if config.mask_derived == "exclude" else PARAMETER_NAMES
+    search_config = SearchConfig(seed=config.seed)
+    design = table.matrix(pos, names)
+    scorer: _BicScorer | None = None
+    graphs: dict[str, EdgeGraph] = {}
+    try:
+        for method in config.methods:
+            data = design
+            if method in _BIC_METHODS:
+                if scorer is None:
+                    scorer = _BicScorer(design)
+                data = scorer
+            graph = _METHODS[method](table, pos, data, names, search_config, warnings_list)
+            if config.mask_derived == "post-hoc":
+                graph = _mask_ignored(graph)
+            graphs[method] = graph
+    except (SearchError, AssociationError) as exc:
+        raise PipelineError(f"{method} search for {pos.value}: {exc}", warnings_list) from None
+    return graphs
+
+
 def run_pipeline(config: RunConfig) -> CausalReport:
     """Run the full analysis described by ``config`` and return the report.
 
@@ -384,8 +418,6 @@ def run_pipeline(config: RunConfig) -> CausalReport:
     correlations: dict[str, np.ndarray] = {}
     method_graphs: dict[str, dict[str, EdgeGraph]] = {}
     consensus_graphs: dict[str, ConsensusGraph] = {}
-    structure_names = STRUCTURE_NAMES if config.mask_derived == "exclude" else PARAMETER_NAMES
-    search_config = SearchConfig(seed=config.seed)
 
     for pos in positions:
         try:
@@ -395,20 +427,7 @@ def run_pipeline(config: RunConfig) -> CausalReport:
                 f"correlation matrix for {pos.value}: {exc}", warnings_list
             ) from None
 
-        design = table.matrix(pos, structure_names)
-        graphs: dict[str, EdgeGraph] = {}
-        try:
-            for method in config.methods:
-                graph = _METHODS[method](
-                    table, pos, design, structure_names, search_config, warnings_list
-                )
-                if config.mask_derived == "post-hoc":
-                    graph = _mask_ignored(graph)
-                graphs[method] = graph
-        except (SearchError, AssociationError) as exc:
-            raise PipelineError(
-                f"{method} search for {pos.value}: {exc}", warnings_list
-            ) from None
+        graphs = _method_graphs(table, pos, config, warnings_list)
         method_graphs[pos.value] = graphs
         consensus_graphs[pos.value] = consensus(list(graphs.items()))
 

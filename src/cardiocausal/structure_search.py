@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import fdtrc
 
 from .association import AssociationError, Direction, GeneralizedCorrPairs
@@ -88,7 +89,13 @@ def _node_names(names, p: int) -> tuple[str, ...]:
 
 
 class _BicScorer:
-    """Decomposable Gaussian BIC from the centered scatter matrix."""
+    """Decomposable Gaussian BIC from the centered scatter matrix.
+
+    Caches each local score by (node, parent set), so at most p times the
+    number of parent sets of size up to ``max_parents``, and each strict
+    climb's result by (config, start edges).  Searches handed one scorer
+    share both caches.
+    """
 
     def __init__(self, data):
         x = np.asarray(data, dtype=float)
@@ -107,6 +114,7 @@ class _BicScorer:
         self.n = n
         self.p = p
         self._cache: dict[tuple[int, frozenset[int]], float] = {}
+        self.climbs: dict[tuple[SearchConfig, frozenset], tuple[frozenset, float]] = {}
 
     def local(self, v: int, parents: frozenset[int]) -> float:
         key = (v, parents)
@@ -119,11 +127,14 @@ class _BicScorer:
             idx = sorted(parents)
             spp = self.scatter[np.ix_(idx, idx)]
             spv = self.scatter[idx, v]
-            try:
-                # the scatter matrix was checked finite above
-                factor = sla.cho_factor(spp, check_finite=False)
-                beta = sla.cho_solve(factor, spv, check_finite=False)
-            except sla.LinAlgError:
+            # the LAPACK calls cho_factor and cho_solve make; the scatter
+            # matrix was checked finite above
+            factor, info = dpotrf(spp, lower=0, clean=0)
+            if info == 0:
+                beta, info = dpotrs(factor, spv, lower=0)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK potrf or potrs")
+            if info > 0:  # a leading minor is not positive definite
                 self._cache[key] = -math.inf
                 return -math.inf
             rss = svv - float(spv @ beta)
@@ -141,10 +152,15 @@ class _BicScorer:
         return sum(self.local(v, frozenset(parents[v])) for v in range(self.p))
 
 
+def _scorer(data) -> _BicScorer:
+    """``data`` when it is already a scorer, else a new scorer of the matrix."""
+    return data if isinstance(data, _BicScorer) else _BicScorer(data)
+
+
 def bic_score(data, dag: EdgeGraph) -> float:
     """Gaussian BIC of a DAG; column i of ``data`` is ``dag.nodes[i]``."""
     dag.require_dag()
-    scorer = _BicScorer(data)
+    scorer = _scorer(data)
     if len(dag.nodes) != scorer.p:
         raise SearchError("dag node count must match data columns")
     index = {name: i for i, name in enumerate(dag.nodes)}
@@ -332,10 +348,14 @@ def _plateau_escape(
 
 
 def _climb(scorer: _BicScorer, config: SearchConfig, edges0) -> tuple[frozenset, float]:
-    edges, score = _greedy_climb(scorer, config, edges0)
-    while (escaped := _plateau_escape(scorer, config, edges)) is not None:
-        edges, score = escaped
-    return edges, score
+    """Strict ascent and plateau walk from ``edges0``, run once per scorer."""
+    key = (config, edges0)
+    if key not in scorer.climbs:
+        edges, score = _greedy_climb(scorer, config, edges0)
+        while (escaped := _plateau_escape(scorer, config, edges)) is not None:
+            edges, score = escaped
+        scorer.climbs[key] = edges, score
+    return scorer.climbs[key]
 
 
 def _dag(names: tuple[str, ...], edges) -> EdgeGraph:
@@ -356,10 +376,12 @@ def hill_climb(
     becomes the incumbent and the walk repeats from its result.  The search
     ends when no DAG in the reachable class has a strictly improving move.
     Every accepted move is a strict improvement and no randomness is used.
-    ``start`` must be a DAG over ``names``.
+    ``start`` must be a DAG over ``names``.  ``data`` is a matrix or the
+    ``_BicScorer`` of one; hc, tabu and fges handed one scorer share its
+    local scores, and hc and tabu its climb.
     """
     config = config or SearchConfig()
-    scorer = _BicScorer(data)
+    scorer = _scorer(data)
     names = _node_names(names, scorer.p)
     best_edges, _ = _climb(scorer, config, _start_edges(start, names))
     return _dag(names, best_edges)
@@ -370,14 +392,14 @@ def tabu_search(
 ) -> EdgeGraph:
     """Hill climbing that escapes local optima via a tabu list.
 
-    The ascent is ``hill_climb`` itself.  From its result hill-climb's move
-    loop continues with a tabu list and up to ``tabu_max_stalls`` stalls
-    without a new global best.  The best structure encountered is returned,
-    so the result never scores below hill_climb on the same data,
-    configuration and start.
+    The ascent is ``hill_climb``'s, taken from the scorer when hill_climb
+    already ran on it.  From its result hill-climb's move loop continues
+    with a tabu list and up to ``tabu_max_stalls`` stalls without a new
+    global best.  The best structure encountered is returned, so the result
+    never scores below hill_climb on the same data, configuration and start.
     """
     config = config or SearchConfig()
-    scorer = _BicScorer(data)
+    scorer = _scorer(data)
     names = _node_names(names, scorer.p)
     edges, _ = _climb(scorer, config, _start_edges(start, names))
     best_edges, _ = _greedy_climb(scorer, config, edges, config.tabu_max_stalls)
@@ -418,9 +440,10 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     the pattern: unshielded colliders, then Meek's rules R1-R3.  Every valid
     operator leaves a PDAG that has a consistent extension (Chickering,
     JMLR 2002, Theorems 15 and 17), so the class it names always exists.
+    ``data`` is a matrix or the ``_BicScorer`` of one.
     """
     config = config or SearchConfig()
-    scorer = _BicScorer(data)
+    scorer = _scorer(data)
     p = scorer.p
     names = _node_names(names, p)
     nodes = tuple(range(p))

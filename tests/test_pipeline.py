@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import cardiocausal
+from cardiocausal import pipeline, structure_search
 from cardiocausal.cli import main
 from cardiocausal.graphs import EdgeGraph, GraphError
 from cardiocausal.pipeline import (
@@ -345,6 +347,23 @@ class TestRunPipelineOnParams:
             methods=("gc", "hc", "tabu", "fges"),
         )
         assert run_pipeline(config).to_json() == run_pipeline(config).to_json()
+
+    @pytest.mark.parametrize(
+        "methods, positions", [(("hc", "tabu", "fges", "gc"), 2), (("gc",), 0)], ids=["bic", "gc"]
+    )
+    def test_one_bic_scorer_per_position(self, cohort_csv, methods, positions):
+        built = []
+
+        def build(design):
+            built.append(structure_search._BicScorer(design))
+            return built[-1]
+
+        config = RunConfig(input_path=str(cohort_csv), input_kind="params", methods=methods)
+        with mock.patch.object(pipeline, "_BicScorer", side_effect=build):
+            run_pipeline(config)
+        assert len(built) == positions
+        for scorer in built:
+            assert len(scorer.climbs) == 1  # hc's climb, which tabu continued from
 
     def test_post_hoc_masking_reports_no_derived_edges(self, cohort_csv):
         config = RunConfig(
@@ -720,15 +739,21 @@ class TestCli:
         assert all(line.startswith("warning: ") for line in err[:-1])
         assert "warning: correlation matrix for supine: RR is constant; its correlations are null" in err
 
-    def test_warnings_gathered_before_an_abort_are_printed(self, tmp_path, capsys):
-        # 10 subjects: too few for gc's pairs, and hc needs more rows than
-        # the 10 columns of a post-hoc design
+    @pytest.mark.parametrize(
+        "methods, failing",
+        [("gc,hc", "hc"), ("gc,tabu,hc", "tabu"), ("gc,fges,tabu", "fges")],
+        ids=["hc", "tabu", "fges"],
+    )
+    def test_warnings_gathered_before_an_abort_are_printed(self, tmp_path, capsys, methods, failing):
+        # 10 subjects: too few for gc's pairs, and hc, tabu and fges need more
+        # rows than the 10 columns of a post-hoc design; the first of them to
+        # run builds their shared scorer, and the abort names it
         table, _ = sem_cohort(10, seed=0)
         path = tmp_path / "small.csv"
         save_parameter_table(table, path)
         code = main([
             "analyze", "--input", str(path), "--input-kind", "params",
-            "--mask-derived", "post-hoc", "--methods", "gc,hc", "--out", str(tmp_path / "out"),
+            "--mask-derived", "post-hoc", "--methods", methods, "--out", str(tmp_path / "out"),
         ])
         assert code == 2
         gc_skips = [
@@ -737,13 +762,13 @@ class TestCli:
         ]
         assert len(gc_skips) == 45
         assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in gc_skips] + [
-            "analysis failed: hc search for supine: need more rows than columns"
+            f"analysis failed: {failing} search for supine: need more rows than columns"
         ]
         config = RunConfig(
-            input_path=str(path), input_kind="params", methods=("gc", "hc"),
+            input_path=str(path), input_kind="params", methods=tuple(methods.split(",")),
             mask_derived="post-hoc",
         )
-        with pytest.raises(PipelineError) as exc:
+        with pytest.raises(PipelineError, match=f"^{failing} search for supine") as exc:
             run_pipeline(config)
         assert exc.value.warnings == tuple(gc_skips)
 

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 from scipy.interpolate import BSpline
+from scipy.linalg.lapack import dpotrf
 
 from cardiocausal import association, structure_search
 from cardiocausal.association import AssociationError, Direction, generalized_corr_pair
@@ -117,6 +119,27 @@ class TestSearchConfig:
         assert SearchConfig(cam_prune_alpha=0.05).cam_prune_alpha == 0.05
 
 
+def _cho_local(scorer, v, parents):
+    """A local score through ``cho_factor`` and ``cho_solve``, as it was
+    computed before the direct LAPACK calls."""
+    n = scorer.n
+    svv = float(scorer.scatter[v, v])
+    if parents:
+        idx = sorted(parents)
+        spp = scorer.scatter[np.ix_(idx, idx)]
+        spv = scorer.scatter[idx, v]
+        try:
+            factor = sla.cho_factor(spp, check_finite=False)
+        except sla.LinAlgError:
+            return -math.inf
+        rss = svv - float(spv @ sla.cho_solve(factor, spv, check_finite=False))
+    else:
+        rss = svv
+    sigma2 = max(rss / n, 1e-12 * (svv / n if svv > 0 else 1.0))
+    k = len(parents) + 2
+    return -0.5 * n * (math.log(2.0 * math.pi * sigma2) + 1.0) - 0.5 * k * math.log(n)
+
+
 class TestBicScore:
     def test_matches_least_squares_route(self):
         data, _ = sem_data(0, n=300)
@@ -155,6 +178,37 @@ class TestBicScore:
         data = np.column_stack([col, col.copy(), rng.normal(0.0, 1.0, 200)])
         dag = EdgeGraph(("a", "b", "c"), frozenset({("a", "c"), ("b", "c")}))
         assert bic_score(data, dag) == -math.inf
+
+    def test_local_scores_match_cho_factor_route_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        infinite = 0
+        for trial in range(60):
+            p = 3 + trial % 5
+            n = p + 1 + int(rng.integers(0, 60))
+            data = rng.normal(0.0, 1.0, (n, p)) @ rng.normal(0.0, 1.0, (p, p))
+            kind = trial % 4
+            if kind == 1:  # columns on scales far apart
+                data *= 10.0 ** rng.uniform(-6.0, 6.0, p)
+            elif kind == 2:  # one column nearly a multiple of another
+                data[:, 1] = 3.0 * data[:, 0] + 1e-9 * rng.normal(0.0, 1.0, n)
+            elif kind == 3:  # exact copies: a singular parent block
+                data[:, 1] = data[:, 0]
+                data[:, p - 1] = data[:, 0]
+            scorer = _BicScorer(data)
+            for v in range(p):
+                others = [u for u in range(p) if u != v]
+                for size in range(5):
+                    for parents in map(frozenset, combinations(others, size)):
+                        ref = _cho_local(scorer, v, parents)
+                        assert scorer.local(v, parents).hex() == ref.hex()
+                        infinite += ref == -math.inf
+        assert infinite > 0
+
+    def test_illegal_lapack_argument_raises(self):
+        scorer = _BicScorer(np.random.default_rng(23).normal(0.0, 1.0, (30, 3)))
+        with mock.patch.object(structure_search, "dpotrf", lambda a, **kw: (a, -1)):
+            with pytest.raises(ValueError, match="illegal value in argument 1"):
+                scorer.local(0, frozenset({1, 2}))
 
     def test_decomposability_of_single_edits(self):
         # the gain of adding u -> v must not depend on edges elsewhere
@@ -431,9 +485,10 @@ class TestMoveLoopAgainstReferences:
 
     @staticmethod
     def check(data, config):
-        scorer = _BicScorer(data)
+        # a scorer keeps its climb, so each climb gets a scorer of its own
         with mock.patch.object(structure_search, "_greedy_climb", _reference_strict_climb):
-            ref_hc = _climb(scorer, config, frozenset())
+            ref_hc = _climb(_BicScorer(data), config, frozenset())
+        scorer = _BicScorer(data)
         hc = _climb(scorer, config, frozenset())
         assert hc[0] == ref_hc[0]
         assert hc[1] == pytest.approx(ref_hc[1], abs=1e-9)
@@ -462,6 +517,40 @@ class TestMoveLoopAgainstReferences:
                 assert tabu_search(data, config).directed == {
                     (f"x{u}", f"x{v}") for u, v in tabu
                 }
+
+
+class TestSharedScorer:
+    """hc, tabu and fges handed one scorer, in any order, give the graphs of
+    fresh scorers, factor each local score once, and climb once."""
+
+    SEARCHES = {"hc": hill_climb, "tabu": tabu_search, "fges": fges}
+
+    @pytest.mark.parametrize(
+        "order",
+        [("hc", "tabu", "fges"), ("tabu", "hc"), ("fges", "tabu", "hc")],
+        ids=["hc,tabu,fges", "tabu,hc", "fges,tabu,hc"],
+    )
+    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
+    def test_sem_cohort_designs(self, names, order):
+        for seed in range(4):
+            table, _ = sem_cohort(100, seed=seed)
+            for position in Position:
+                data = table.matrix(position, names)
+                fresh = {method: search(data, names=names) for method, search in self.SEARCHES.items()}
+                scorer = _BicScorer(data)
+                with (
+                    mock.patch.object(structure_search, "dpotrf", wraps=dpotrf) as factor,
+                    mock.patch.object(structure_search, "_greedy_climb", wraps=_greedy_climb) as climb,
+                ):
+                    for i, method in enumerate(order):
+                        climb.reset_mock()
+                        assert self.SEARCHES[method](scorer, names=names) == fresh[method]
+                        if method != "fges" and {"hc", "tabu"} & set(order[:i]):
+                            # the climb comes from the scorer: tabu runs only its tabu phase
+                            expected = [] if method == "hc" else [(SearchConfig().tabu_max_stalls,)]
+                            assert [c.args[3:] for c in climb.call_args_list] == expected
+                # each (node, parents) key is factored on its first use only
+                assert factor.call_count == sum(1 for _, parents in scorer._cache if parents)
 
 
 class TestFges:
