@@ -139,10 +139,8 @@ def bayes_correlation(x, y) -> BayesRegressionFit:
     )
 
 
-def correlation_matrix(
-    table: ParameterTable, position: Position, names=PARAMETER_NAMES, warnings=None
-) -> np.ndarray:
-    """Gated correlation matrix for one position.
+def correlation_matrix(table: ParameterTable, position: Position, warnings=None) -> np.ndarray:
+    """Gated correlation matrix for one position, over ``PARAMETER_NAMES``.
 
     Entry (i, j) holds the correlation between parameters i and j when its
     MPE exceeds 0.9, NaN otherwise; the diagonal is NaN.  Symmetric by
@@ -152,15 +150,15 @@ def correlation_matrix(
     """
     if len(table.subjects(position)) < 4:
         raise AssociationError("need at least 4 subjects for the position")
-    k = len(names)
+    k = len(PARAMETER_NAMES)
     out = np.full((k, k), np.nan)
-    columns = [table.column(name, position) for name in names]
+    columns = [table.column(name, position) for name in PARAMETER_NAMES]
     constant = [np.std(c) == 0 for c in columns]
     if warnings is not None:
         warnings.extend(
             f"correlation matrix for {position.value}: {name} is constant; "
             "its correlations are null"
-            for name, flat in zip(names, constant)
+            for name, flat in zip(PARAMETER_NAMES, constant)
             if flat
         )
     for i, j in combinations(range(k), 2):

@@ -164,8 +164,9 @@ def detect_r_peaks(samples, sample_rate_hz: float) -> BeatSeries:
         # Search-back: a gap beyond 1.66x the running RR average means a beat
         # was missed; re-examine sub-threshold events at half the threshold.
         # the gaps are whole sample counts, so their sum is exact in any
-        # order and this mean is the one np.mean gives
-        if qrs and rr_history and c - qrs[-1] > 1.66 * (sum(rr_history) / len(rr_history)):
+        # order and this mean is the one np.mean gives; rr_history is empty
+        # until two beats are accepted
+        if rr_history and c - qrs[-1] > 1.66 * (sum(rr_history) / len(rr_history)):
             back = [i for i in noise_since_qrs if i - qrs[-1] >= refractory]
             if back:
                 best = max(back, key=lambda i: mwi[i])

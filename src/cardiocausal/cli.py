@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="echoed in report.json; every method is deterministic, so it has no effect",
     )
-    analyze.add_argument("--out", required=True, help="output directory")
+    analyze.add_argument("--out", required=True, help="output directory, made if missing")
     analyze.add_argument(
         "--mask-derived", choices=("exclude", "post-hoc"), default="exclude",
         dest="mask_derived",
@@ -86,7 +86,11 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         if not Path(config.input_path).exists():
             raise ConfigError(f"input path does not exist: {config.input_path}")
-    except ConfigError as exc:
+        out = Path(config.out_dir)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out must name a directory, and {existing} is not one")
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

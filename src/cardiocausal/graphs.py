@@ -62,6 +62,16 @@ def topological_sort(nodes: tuple[str, ...], edges: frozenset[Edge]) -> list[str
     return order
 
 
+def dot_text(name: str, nodes, edges) -> str:
+    """DOT digraph of ``nodes`` and of ``edges``, (a, b, directed) triples
+    written in the order given; an undirected edge is drawn ``[dir=none]``."""
+    lines = [f"digraph {name} {{"] + [f'  "{v}";' for v in nodes]
+    for a, b, directed in edges:
+        lines.append(f'  "{a}" -> "{b}";' if directed else f'  "{a}" -> "{b}" [dir=none];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class EdgeGraph:
     """Directed plus undirected edges; directed cycles are allowed until
@@ -114,15 +124,9 @@ class EdgeGraph:
         return sorted(pairs, key=lambda e: (idx[e[0]], idx[e[1]]))
 
     def to_dot(self, name: str = "edges") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.nodes:
-            lines.append(f'  "{v}";')
-        for a, b in self.sorted_directed():
-            lines.append(f'  "{a}" -> "{b}";')
-        for a, b in self.sorted_undirected():
-            lines.append(f'  "{a}" -> "{b}" [dir=none];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        edges = [(a, b, True) for a, b in self.sorted_directed()]
+        edges += [(a, b, False) for a, b in self.sorted_undirected()]
+        return dot_text(name, self.nodes, edges)
 
     def payload(self) -> dict[str, list[list[str]]]:
         """JSON form: sorted edge lists, each undirected pair in sorted order."""

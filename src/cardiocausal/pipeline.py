@@ -14,7 +14,7 @@ import numpy as np
 
 from .association import AssociationError, correlation_matrix
 from .cardio_signals import SignalError, detect_r_peaks, detrend_ecg, rr_intervals
-from .graphs import EdgeGraph
+from .graphs import EdgeGraph, dot_text
 from .mediation import MediationError, MediationFit, mediation_fit
 from .param_features import FeatureError, PairedTestResult, paired_compare, param_vector
 from .record_io import (
@@ -144,33 +144,24 @@ class ConsensusGraph:
         votes = self.edge_votes.get((a, b))
         return votes.counts() if votes is not None else (0, 0, 0)
 
-    def skeleton_pairs(self, min_methods: int | None = None) -> list[tuple[str, str]]:
-        """Unordered pairs whose total vote count reaches the threshold
-        (default: a strict majority of the methods that ran)."""
-        if min_methods is None:
-            min_methods = self.total_methods // 2 + 1
+    def skeleton_pairs(self) -> list[tuple[str, str]]:
+        """Unordered pairs with votes from a strict majority of the methods
+        that ran."""
         idx = {v: i for i, v in enumerate(self.nodes)}
         pairs = set()
         for (a, b), votes in self.edge_votes.items():
-            if sum(votes.counts()) >= min_methods:
+            if sum(votes.counts()) > self.total_methods // 2:
                 pairs.add(tuple(sorted((a, b), key=idx.__getitem__)))
         return sorted(pairs, key=lambda e: (idx[e[0]], idx[e[1]]))
 
     def to_dot(self, name: str = "consensus") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.nodes:
-            lines.append(f'  "{v}";')
+        """Each majority pair as an arrow in the direction more methods
+        support, undirected on a tie."""
+        edges = []
         for a, b in self.skeleton_pairs():
-            n_ab = self.votes_for(a, b)[0]
-            n_ba = self.votes_for(b, a)[0]
-            if n_ab > n_ba:
-                lines.append(f'  "{a}" -> "{b}";')
-            elif n_ba > n_ab:
-                lines.append(f'  "{b}" -> "{a}";')
-            else:
-                lines.append(f'  "{a}" -> "{b}" [dir=none];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            n_ab, n_ba = self.votes_for(a, b)[0], self.votes_for(b, a)[0]
+            edges.append((b, a, True) if n_ba > n_ab else (a, b, n_ab > n_ba))
+        return dot_text(name, self.nodes, edges)
 
 
 def consensus(graphs: list[tuple[str, EdgeGraph]]) -> ConsensusGraph:
@@ -384,7 +375,8 @@ def run_pipeline(config: RunConfig) -> CausalReport:
 
     Per-subject ingestion failures and constant columns become warnings;
     cohort-level failures (too few subjects, malformed tables, a method that
-    cannot run) raise PipelineError with the warnings gathered so far.
+    cannot run) and a failed write of the outputs raise PipelineError with
+    the warnings gathered so far.
     """
     warnings_list: list[str] = []
     positions = [Position(p) for p in config.positions]
@@ -459,5 +451,8 @@ def run_pipeline(config: RunConfig) -> CausalReport:
         warnings=tuple(warnings_list),
     )
     if config.out_dir is not None:
-        _write_outputs(report, Path(config.out_dir))
+        try:
+            _write_outputs(report, Path(config.out_dir))
+        except OSError as exc:
+            raise PipelineError(f"cannot write outputs: {exc}", warnings_list) from None
     return report

@@ -259,22 +259,17 @@ def _sample_rate_hz(path: Path, t: np.ndarray) -> float:
     return 1.0 / dt_med
 
 
-def load_signal_record(
-    path, subject_id: str | None = None, position: Position | None = None
-) -> SignalRecord:
+def load_signal_record(path) -> SignalRecord:
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"no such file: {path}")
-    if subject_id is None or position is None:
-        stem = path.stem
-        if "_" not in stem:
-            raise FormatError(
-                f"cannot infer subject/position from file name {path.name!r};"
-                " expected <subject_id>_<position>.csv"
-            )
-        sid, _, pos_text = stem.rpartition("_")
-        subject_id = subject_id if subject_id is not None else sid
-        position = position if position is not None else Position.parse(pos_text)
+    if "_" not in path.stem:
+        raise FormatError(
+            f"cannot infer subject/position from file name {path.name!r};"
+            " expected <subject_id>_<position>.csv"
+        )
+    subject_id, _, pos_text = path.stem.rpartition("_")
+    position = Position.parse(pos_text)
 
     with _open_csv(path) as fh:
         _check_signal_header(path, csv.reader(fh))

@@ -193,20 +193,12 @@ def delimit_breaths(ip_clean, sample_rate_hz: float) -> BreathSeries:
     rate = float(sample_rate_hz)
     events = _phase_events(*_flow_and_threshold(x, rate))
 
-    while events and events[0][0] != "insp":
-        events.pop(0)
-
-    # Pair each inspiration onset with the following expiration onset.
-    pairs: list[tuple[int, int]] = []
-    i = 0
-    while i + 1 < len(events):
-        kind, idx = events[i]
-        nkind, nidx = events[i + 1]
-        if kind == "insp" and nkind == "exp":
-            pairs.append((idx, nidx))
-            i += 2
-        else:
-            i += 1
+    # The kinds alternate, so once a leading expiration onset is dropped
+    # each inspiration onset pairs with the expiration onset after it.
+    onsets = [idx for _, idx in events]
+    if events and events[0][0] == "exp":
+        del onsets[0]
+    pairs = zip(onsets[0::2], onsets[1::2])
 
     # Rejection pass: short or small inspirations are artifacts; dropping the
     # pair lets the previous expiration absorb the interval.
@@ -222,29 +214,21 @@ def delimit_breaths(ip_clean, sample_rate_hz: float) -> BreathSeries:
         accepted.append((a, b))
         amplitudes.append(ins_v)
 
-    # Final guard: a breath whose expiratory drop is not positive indicates
-    # mis-segmentation; merge it away and retry.
-    while True:
-        bad = next(
-            (
-                k
-                for k in range(len(accepted) - 1)
-                if x[accepted[k][1]] - x[accepted[k + 1][0]] <= 0
-            ),
-            None,
-        )
-        if bad is None:
-            break
-        del accepted[bad + 1]
+    # Final guard: a breath whose expiratory drop from the last kept breath
+    # is not positive indicates mis-segmentation; merge it away.
+    kept = accepted[:1]
+    for a, b in accepted[1:]:
+        if x[kept[-1][1]] - x[a] > 0:
+            kept.append((a, b))
 
-    if len(accepted) < 3:
+    if len(kept) < 3:
         raise TooFewBreathsError("fewer than 3 complete breaths detected")
 
-    insp_idx = [a for a, _ in accepted]
-    exp_idx = [b for _, b in accepted]
+    insp_idx = [a for a, _ in kept]
+    exp_idx = [b for _, b in kept]
     return BreathSeries(
         insp_onsets_s=tuple(a / rate for a in insp_idx),
         exp_onsets_s=tuple(b / rate for b in exp_idx),
-        ins_v=tuple(float(x[b] - x[a]) for a, b in accepted),
+        ins_v=tuple(float(x[b] - x[a]) for a, b in kept),
         exp_v=tuple(float(x[b] - x[a]) for b, a in zip(exp_idx, insp_idx[1:])),
     )

@@ -261,17 +261,6 @@ def _edges_of(children) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) for u, cs in children.items() for v in cs)
 
 
-def _start_edges(start: EdgeGraph | None, names: tuple[str, ...]) -> frozenset[tuple[int, int]]:
-    if start is None:
-        return frozenset()
-    start.require_dag()
-    index = {name: i for i, name in enumerate(names)}
-    try:
-        return frozenset((index[a], index[b]) for a, b in start.directed)
-    except KeyError as exc:
-        raise SearchError(f"start graph node {exc.args[0]!r} not in data") from None
-
-
 def _greedy_climb(
     scorer: _BicScorer, config: SearchConfig, edges0, max_stalls: int = 0
 ) -> tuple[frozenset, float]:
@@ -363,9 +352,7 @@ def _dag(names: tuple[str, ...], edges) -> EdgeGraph:
     return EdgeGraph(names, frozenset((names[u], names[v]) for u, v in edges)).require_dag()
 
 
-def hill_climb(
-    data, config: SearchConfig | None = None, *, names=None, start: EdgeGraph | None = None
-) -> EdgeGraph:
+def hill_climb(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     """Greedy best-improvement search over {add, delete, reverse}, across plateaus.
 
     Strict ascent can stop on a plateau, where every remaining gain first
@@ -375,33 +362,31 @@ def hill_climb(
     and the strict ascent is re-run from each; the first one that climbs
     becomes the incumbent and the walk repeats from its result.  The search
     ends when no DAG in the reachable class has a strictly improving move.
-    Every accepted move is a strict improvement and no randomness is used.
-    ``start`` must be a DAG over ``names``.  ``data`` is a matrix or the
+    The search starts from the empty graph, every accepted move is a strict
+    improvement and no randomness is used.  ``data`` is a matrix or the
     ``_BicScorer`` of one; hc, tabu and fges handed one scorer share its
     local scores, and hc and tabu its climb.
     """
     config = config or SearchConfig()
     scorer = _scorer(data)
     names = _node_names(names, scorer.p)
-    best_edges, _ = _climb(scorer, config, _start_edges(start, names))
+    best_edges, _ = _climb(scorer, config, frozenset())
     return _dag(names, best_edges)
 
 
-def tabu_search(
-    data, config: SearchConfig | None = None, *, names=None, start: EdgeGraph | None = None
-) -> EdgeGraph:
+def tabu_search(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     """Hill climbing that escapes local optima via a tabu list.
 
     The ascent is ``hill_climb``'s, taken from the scorer when hill_climb
     already ran on it.  From its result hill-climb's move loop continues
     with a tabu list and up to ``tabu_max_stalls`` stalls without a new
     global best.  The best structure encountered is returned, so the result
-    never scores below hill_climb on the same data, configuration and start.
+    never scores below hill_climb on the same data and configuration.
     """
     config = config or SearchConfig()
     scorer = _scorer(data)
     names = _node_names(names, scorer.p)
-    edges, _ = _climb(scorer, config, _start_edges(start, names))
+    edges, _ = _climb(scorer, config, frozenset())
     best_edges, _ = _greedy_climb(scorer, config, edges, config.tabu_max_stalls)
     return _dag(names, best_edges)
 
@@ -464,7 +449,7 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                 if x == y or x in adj[y]:
                     continue
                 na = {v for v in nb_y if v in adj[x]}
-                t0 = sorted(nb_y - adj[x] - {x})
+                t0 = sorted(nb_y - adj[x])
                 for size in range(len(t0) + 1):
                     for t in itertools.combinations(t0, size):
                         block = na | set(t)

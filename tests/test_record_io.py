@@ -76,12 +76,6 @@ class TestSignalRecordLoad:
         assert record.subject_id == "athlete_17"
         assert record.position is Position.STANDING
 
-    def test_explicit_metadata_overrides_stem(self, tmp_path):
-        path = _write_signal_csv(tmp_path / "whatever_supine.csv", 8000)
-        record = load_signal_record(path, subject_id="s9", position=Position.STANDING)
-        assert record.subject_id == "s9"
-        assert record.position is Position.STANDING
-
     def test_values_preserved_exactly(self, tmp_path):
         values = [0.1, -2.5e-3, 3.141592653589793, 1e-12]
         lines = ["t,ecg,ip"] + [

@@ -1,13 +1,17 @@
 """Impedance-channel contracts: cardiac-artifact removal, breath delimitation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular
 from scipy.signal import periodogram
 
 from cardiocausal._util import centered_moving_average
-from cardiocausal.cardio_signals import SignalError, detrend_ecg
+from cardiocausal.cardio_signals import SignalError, _check_input, detrend_ecg
 from cardiocausal.resp_signals import (
     _LMS_BLOCK,
     BreathSeries,
@@ -84,6 +88,82 @@ def _reference_events(flow, threshold):
                 events.append(("exp", last_nonneg))
             state = -1
     return events
+
+
+def _former_delimit_breaths(ip_clean, sample_rate_hz):
+    """``delimit_breaths`` as it was before its pairing became one slice and
+    its guard one pass: a pairing loop with a skip branch, and a guard that
+    rescans from the first breath after each merge.  Returns the series and
+    the number of guard merges."""
+    x = _check_input(ip_clean, sample_rate_hz, 30.0)
+    rate = float(sample_rate_hz)
+    events = _phase_events(*_flow_and_threshold(x, rate))
+    while events and events[0][0] != "insp":
+        events.pop(0)
+    pairs = []
+    i = 0
+    while i + 1 < len(events):
+        kind, idx = events[i]
+        nkind, nidx = events[i + 1]
+        if kind == "insp" and nkind == "exp":
+            pairs.append((idx, nidx))
+            i += 2
+        else:
+            i += 1
+    accepted, amplitudes = [], []
+    for a, b in pairs:
+        ins_t = (b - a) / rate
+        ins_v = x[b] - x[a]
+        if ins_t < 0.5 or ins_v <= 0:
+            continue
+        if amplitudes and ins_v < 0.1 * float(np.median(amplitudes[-15:])):
+            continue
+        accepted.append((a, b))
+        amplitudes.append(ins_v)
+    merges = 0
+    while True:
+        bad = next(
+            (
+                k
+                for k in range(len(accepted) - 1)
+                if x[accepted[k][1]] - x[accepted[k + 1][0]] <= 0
+            ),
+            None,
+        )
+        if bad is None:
+            break
+        del accepted[bad + 1]
+        merges += 1
+    if len(accepted) < 3:
+        raise TooFewBreathsError("fewer than 3 complete breaths detected")
+    insp_idx = [a for a, _ in accepted]
+    exp_idx = [b for _, b in accepted]
+    series = BreathSeries(
+        insp_onsets_s=tuple(a / rate for a in insp_idx),
+        exp_onsets_s=tuple(b / rate for b in exp_idx),
+        ins_v=tuple(float(x[b] - x[a]) for a, b in accepted),
+        exp_v=tuple(float(x[b] - x[a]) for b, a in zip(exp_idx, insp_idx[1:])),
+    )
+    return series, merges
+
+
+def _noisy_breathing(seed, rate):
+    """30-90 s of a breathing sine at a random rate and phase, with a slow
+    amplitude envelope, a random-walk baseline and white noise."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(rng.uniform(30.0, 90.0) * rate)) / rate
+    breath = np.sin(2.0 * math.pi * rng.uniform(0.15, 0.5) * t + rng.uniform(0.0, 2.0 * math.pi))
+    envelope = 1.0 + rng.uniform(0.0, 0.8) * np.sin(
+        2.0 * math.pi * rng.uniform(0.01, 0.1) * t + rng.uniform(0.0, 6.0)
+    )
+    baseline = np.cumsum(rng.normal(0.0, rng.uniform(0.0, 0.1), t.size))
+    return envelope * breath + baseline + rng.normal(0.0, rng.uniform(0.0, 0.1), t.size)
+
+
+_PHASE_VALUES = st.one_of(
+    st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]),
+    st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+)
 
 
 def _contaminated():
@@ -284,6 +364,46 @@ class TestDelimitBreaths:
         flow = rng.integers(-3, 4, size=500).astype(float)
         threshold = rng.choice([0.0, 1.0, 2.0], size=500, p=[0.3, 0.4, 0.3])
         assert _phase_events(flow, threshold) == _reference_events(flow, threshold)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.lists(_PHASE_VALUES, min_size=n, max_size=n),
+                st.lists(_PHASE_VALUES, min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_event_kinds_alternate(self, arrays):
+        # zeros, ties with the threshold and stretches where it is zero or
+        # negative included: an onset is emitted only where the confirmed
+        # phase flips, so no two consecutive events share a kind
+        flow, threshold = (np.array(a) for a in arrays)
+        kinds = [kind for kind, _ in _phase_events(flow, threshold)]
+        assert all(a != b for a, b in zip(kinds, kinds[1:]))
+
+    def test_matches_former_pairing_and_guard(self):
+        rate = 25.0
+        compared = merged = leading_exp = 0
+        for seed in range(210):
+            ip = _noisy_breathing(seed, rate)
+            events = _phase_events(*_flow_and_threshold(ip, rate))
+            leading_exp += bool(events) and events[0][0] == "exp"
+            try:
+                expected, merges = _former_delimit_breaths(ip, rate)
+            except TooFewBreathsError:
+                with pytest.raises(TooFewBreathsError):
+                    delimit_breaths(ip, rate)
+                continue
+            assert delimit_breaths(ip, rate) == expected, seed
+            compared += 1
+            merged += merges > 0
+        # both rewritten branches ran: the guard merged breaths, and records
+        # started with an expiration onset
+        assert compared >= 200
+        assert merged >= 5
+        assert leading_exp >= 50
 
 
 class TestBreathSeries:
