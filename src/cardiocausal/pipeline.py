@@ -6,7 +6,12 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing.connection
+import os
+import threading
 from collections import defaultdict
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -304,15 +309,67 @@ def _row_from_signal_file(path: Path):
     return param_vector(rr, breaths).to_row(record.subject_id, record.position)
 
 
+def _extract(path: Path):
+    """``(row, None)`` for one signal file, or ``(None, warning)`` if the
+    record is unusable; any other error propagates."""
+    try:
+        return _row_from_signal_file(path), None
+    except (FormatError, SignalError, FeatureError) as exc:
+        return None, f"{path.name}: {exc}"
+
+
+def _exit_with_parent() -> None:
+    """Worker initializer: end the worker when its parent process dies.
+
+    A run that is killed would otherwise leave its workers waiting for work
+    forever.  The parent's sentinel reads as closed once the parent and the
+    workers forked after this one are gone.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _table_from_signals(input_path: Path, warnings_list: list[str]) -> ParameterTable:
+    """One row per usable record and one warning per unusable one, in file
+    name order.
+
+    Records are processed in forked worker processes, one per available CPU
+    and at most one per file.  Fork is named because spawn and forkserver
+    (the default from Python 3.14) re-import the package in every worker,
+    about 0.5 s each.  A worker that dies breaks the executor's pool, where
+    ``multiprocessing.Pool.map`` would hang.
+    """
     if not input_path.is_dir():
         raise PipelineError(f"signal input must be a directory: {input_path}")
+    paths = sorted(input_path.glob("*.csv"))
     rows = []
-    for path in sorted(input_path.glob("*.csv")):
-        try:
-            rows.append(_row_from_signal_file(path))
-        except (FormatError, SignalError, FeatureError) as exc:
-            warnings_list.append(f"{path.name}: {exc}")
+    if paths:  # a pool of no workers is a ValueError
+        with ProcessPoolExecutor(
+            min(len(paths), _available_cpus()),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent,
+        ) as pool:
+            try:
+                for row, warning in pool.map(_extract, paths):
+                    if warning is None:
+                        rows.append(row)
+                    else:
+                        warnings_list.append(warning)
+            except BrokenProcessPool as exc:
+                raise PipelineError(
+                    f"signal extraction worker stopped: {exc}", warnings_list
+                ) from None
     try:
         return ParameterTable(tuple(rows))
     except FormatError as exc:

@@ -3,7 +3,7 @@
 Signal files are CSV with header ``t,ecg,ip`` and one row per sample; the
 sample rate is inferred from the median of successive ``t`` differences and
 must be uniform within 1%.  Subject id and body position come from the file
-name stem, ``<subject_id>_<position>.csv``, unless passed explicitly.
+name stem, ``<subject_id>_<position>.csv``; the subject id may not be blank.
 
 Parameter files are CSV with columns ``subject_id``, ``position`` and the ten
 parameter names (any column order, no extras).
@@ -263,12 +263,13 @@ def load_signal_record(path) -> SignalRecord:
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"no such file: {path}")
-    if "_" not in path.stem:
+    subject_id, _, pos_text = path.stem.rpartition("_")
+    # no underscore, or nothing before it: a params.csv row needs a subject id
+    if not subject_id.strip():
         raise FormatError(
             f"cannot infer subject/position from file name {path.name!r};"
             " expected <subject_id>_<position>.csv"
         )
-    subject_id, _, pos_text = path.stem.rpartition("_")
     position = Position.parse(pos_text)
 
     with _open_csv(path) as fh:

@@ -3,10 +3,13 @@
 import errno
 import json
 import math
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 import cardiocausal
 from cardiocausal import cli, pipeline, structure_search
+from cardiocausal.cardio_signals import SignalError
 from cardiocausal.cli import main
 from cardiocausal.graphs import EdgeGraph, GraphError
 from cardiocausal.pipeline import (
@@ -33,7 +37,14 @@ from cardiocausal.pipeline import (
     consensus,
     run_pipeline,
 )
-from cardiocausal.record_io import PARAMETER_NAMES, ParameterTable, Position, save_parameter_table
+from cardiocausal.param_features import FeatureError
+from cardiocausal.record_io import (
+    PARAMETER_NAMES,
+    FormatError,
+    ParameterTable,
+    Position,
+    save_parameter_table,
+)
 from cardiocausal.synthetic import sem_cohort, synthetic_ecg
 
 
@@ -523,6 +534,160 @@ class TestRunPipelineOnSignals:
         assert float(np.std(report.table.column("ciRR", Position.SUPINE))) > 0.0
 
 
+@pytest.fixture(scope="module")
+def mixed_signals_dir(signals_dir, tmp_path_factory):
+    """The good records and bad header of ``signals_dir``, plus non-UTF-8
+    bytes, a record under 30 s, an unknown position and a blank subject id."""
+    root = tmp_path_factory.mktemp("mixed") / "records"
+    shutil.copytree(signals_dir, root)
+    good = (signals_dir / "s00_supine.csv").read_bytes()
+    (root / "sYY_supine.csv").write_bytes(b"t,ecg,ip\n0.0,\xff,0.0\n")
+    (root / "sZZ_supine.csv").write_bytes(b"\n".join(good.split(b"\n")[: 20 * 250 + 1]) + b"\n")
+    (root / "s03_sitting.csv").write_bytes(good)
+    (root / "_supine.csv").write_bytes(good)
+    return root
+
+
+def _serial_table(directory: Path):
+    """The one-record-after-another extraction loop, as a reference."""
+    rows, warnings = [], []
+    for path in sorted(directory.glob("*.csv")):
+        try:
+            rows.append(pipeline._row_from_signal_file(path))
+        except (FormatError, SignalError, FeatureError) as exc:
+            warnings.append(f"{path.name}: {exc}")
+    return ParameterTable(tuple(rows)), warnings
+
+
+class _PoolSizes:
+    """Records the worker count of each pool the pipeline opens."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        real = pipeline.ProcessPoolExecutor
+
+        def executor(max_workers, **kwargs):
+            self.sizes.append(max_workers)
+            return real(max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", executor)
+
+
+class TestParallelExtraction:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+    def test_matches_the_serial_loop(self, mixed_signals_dir, monkeypatch, cpus):
+        expected_table, expected_warnings = _serial_table(mixed_signals_dir)
+        assert len(expected_table.rows) == 10 and len(expected_warnings) == 5
+        pools = _PoolSizes(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        warnings = []
+        table = pipeline._table_from_signals(mixed_signals_dir, warnings)
+        assert pools.sizes == [len(cpus)]
+        assert table == expected_table
+        assert warnings == expected_warnings
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_one_worker_per_file(self, signals_dir, tmp_path, monkeypatch):
+        for name in ("s00_supine.csv", "s01_supine.csv"):
+            shutil.copy(signals_dir / name, tmp_path)
+        pools = _PoolSizes(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        table = pipeline._table_from_signals(tmp_path, [])
+        assert pools.sizes == [2]
+        assert table.subjects(Position.SUPINE) == ["s00", "s01"]
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pipeline._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pipeline._available_cpus() == 1
+
+    def test_empty_directory_opens_no_pool(self, tmp_path, monkeypatch):
+        pools = _PoolSizes(monkeypatch)
+        config = RunConfig(input_path=str(tmp_path), input_kind="signals")
+        with pytest.raises(PipelineError, match="fewer than 4 subjects"):
+            run_pipeline(config)
+        assert pools.sizes == []
+
+    def test_unexpected_worker_error_keeps_its_type(self, signals_dir, monkeypatch):
+        real = pipeline._row_from_signal_file
+
+        def failing(path):
+            if path.name == "s04_supine.csv":
+                raise RuntimeError("unexpected")
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "_row_from_signal_file", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(RuntimeError, match="^unexpected$"):
+            pipeline._table_from_signals(signals_dir, [])
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_2_with_one_line(self, signals_dir, tmp_path, monkeypatch, capsys):
+        real = pipeline._row_from_signal_file
+
+        def dying(path):
+            if path.name == "s04_supine.csv":
+                os._exit(1)
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "_row_from_signal_file", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = RunConfig(input_path=str(signals_dir), input_kind="signals")
+        with pytest.raises(PipelineError, match="^signal extraction worker stopped: "):
+            run_pipeline(config)
+        code = main([
+            "analyze", "--input", str(signals_dir), "--input-kind", "signals",
+            "--positions", "supine", "--methods", "hc", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("analysis failed: signal extraction worker stopped: ")
+        assert multiprocessing.active_children() == []
+
+    def test_workers_end_with_a_killed_run(self, tmp_path):
+        for name in ("a_supine.csv", "b_supine.csv"):
+            (tmp_path / name).write_text("t,ecg,ip\n", "utf-8")
+        probe = (
+            "import os, sys, time\n"
+            "from pathlib import Path\n"
+            "from cardiocausal import pipeline\n"
+            "def stuck(path):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(60)\n"
+            "pipeline._row_from_signal_file = stuck\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"  # one worker, the one that prints
+            "pipeline._table_from_signals(Path(sys.argv[1]), [])\n"
+        )
+        src = os.path.dirname(os.path.dirname(cardiocausal.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, "-c", probe, str(tmp_path)], env=env, stdout=subprocess.PIPE,
+            text=True,
+        ) as run:
+            worker = int(run.stdout.readline())
+            run.kill()
+        try:
+            deadline = time.monotonic() + 30.0
+            while _alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(worker)
+        finally:
+            if _alive(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 class TestPairedSkipWarning:
     def test_few_common_subjects_skips_paired_tests(self, tmp_path):
         table, _ = sem_cohort(25, seed=3)
@@ -615,6 +780,27 @@ class TestCli:
         assert err[1].endswith("not UTF-8 text")
         report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
         assert len(report["warnings"]) == 2
+
+    def test_signals_output_reloads_as_params_input(self, mixed_signals_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--positions", "supine", "--methods", "hc", "--out"]
+        code = main([
+            "analyze", "--input", str(mixed_signals_dir), "--input-kind", "signals", *argv,
+            str(out),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning: _supine.csv:")] == [
+            "warning: _supine.csv: cannot infer subject/position from file name"
+            " '_supine.csv'; expected <subject_id>_<position>.csv"
+        ]
+        code = main([
+            "analyze", "--input", str(out / "params.csv"), "--input-kind", "params", *argv,
+            str(tmp_path / "again"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "again" / "params.csv").read_bytes() == (out / "params.csv").read_bytes()
 
     def test_gc_skipped_pairs_reach_the_report(self, tmp_path, capsys):
         # 12 subjects are too few for the generalized correlation of any pair

@@ -112,6 +112,16 @@ class TestSignalRecordLoad:
         with pytest.raises(FormatError, match="header"):
             load_signal_record(path)
 
+    @pytest.mark.parametrize("name", ["supine.csv", "_supine.csv", " _supine.csv"])
+    def test_file_name_without_subject_id_rejected(self, tmp_path, name):
+        path = _write_signal_csv(tmp_path / name, 8000)
+        with pytest.raises(FormatError) as info:
+            load_signal_record(path)
+        assert str(info.value) == (
+            f"cannot infer subject/position from file name {name!r};"
+            " expected <subject_id>_<position>.csv"
+        )
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
             load_signal_record(tmp_path / "absent_supine.csv")
