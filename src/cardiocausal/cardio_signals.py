@@ -127,6 +127,9 @@ def detect_r_peaks(samples, sample_rate_hz: float) -> BeatSeries:
     der = _derivative(bp, rate)
     mwi = centered_moving_average(der * der, max(round(0.15 * rate), 1))
 
+    # candidates lie at least the refractory period apart, and every beat and
+    # search-back event below is an earlier candidate, so none of them falls
+    # in the refractory shadow of the last beat
     refractory = round(0.2 * rate)
     candidates = _local_maxima(mwi)
     candidates = _suppress_lesser_maxima(mwi, candidates, refractory)
@@ -167,14 +170,11 @@ def detect_r_peaks(samples, sample_rate_hz: float) -> BeatSeries:
         # order and this mean is the one np.mean gives; rr_history is empty
         # until two beats are accepted
         if rr_history and c - qrs[-1] > 1.66 * (sum(rr_history) / len(rr_history)):
-            back = [i for i in noise_since_qrs if i - qrs[-1] >= refractory]
-            if back:
-                best = max(back, key=lambda i: mwi[i])
+            if noise_since_qrs:
+                best = max(noise_since_qrs, key=lambda i: mwi[i])
                 if mwi[best] > 0.5 * threshold1:
                     accept(best, searchback=True)
                     threshold1 = npki + 0.25 * (spki - npki)
-        if qrs and c - qrs[-1] < refractory:
-            continue
         is_qrs = mwi[c] > threshold1
         if is_qrs and qrs and c - qrs[-1] < t_wave_window:
             if slope_at(c) < 0.5 * slope_at(qrs[-1]):

@@ -12,7 +12,8 @@ import threading
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -179,26 +180,18 @@ def consensus(graphs: list[tuple[str, EdgeGraph]]) -> ConsensusGraph:
     if not graphs:
         raise PipelineError("consensus requires at least one graph")
     nodes = tuple(graphs[0][1].nodes)
-    support: dict[tuple[str, str], set[str]] = defaultdict(set)
-    undirected: dict[tuple[str, str], set[str]] = defaultdict(set)
+    # supporting, opposing and undirected voters of each ordered pair
+    votes: dict[tuple[str, str], tuple[set, set, set]] = defaultdict(lambda: (set(), set(), set()))
     for method, graph in graphs:
         if tuple(graph.nodes) != nodes:
             raise PipelineError("consensus inputs must share one node set")
         for a, b in graph.directed:
-            support[(a, b)].add(method)
+            votes[a, b][0].add(method)
+            votes[b, a][1].add(method)
         for a, b in map(tuple, graph.undirected):
-            undirected[(a, b)].add(method)
-            undirected[(b, a)].add(method)
-
-    keys = set(support) | set(undirected)
-    keys |= {(b, a) for a, b in keys}
-    edge_votes = {}
-    for a, b in sorted(keys):
-        edge_votes[(a, b)] = EdgeVotes(
-            supporting=frozenset(support.get((a, b), ())),
-            opposing=frozenset(support.get((b, a), ())),
-            undirected=frozenset(undirected.get((a, b), ())),
-        )
+            votes[a, b][2].add(method)
+            votes[b, a][2].add(method)
+    edge_votes = {key: EdgeVotes(*map(frozenset, sets)) for key, sets in sorted(votes.items())}
     return ConsensusGraph(
         nodes=nodes,
         edge_votes=edge_votes,
@@ -212,9 +205,26 @@ def _mask_ignored(graph: EdgeGraph) -> EdgeGraph:
     return graph.without_pairs(IGNORED_PAIRS)
 
 
-def _finite_or_null(value: float) -> float | None:
-    """JSON has no infinities or NaN; report.json writes them as null."""
-    return value if math.isfinite(value) else None
+def _plain(value):
+    """JSON form of a report value: dataclasses and dicts as objects, tuples,
+    lists and arrays as lists, sets as sorted lists, enums as their values,
+    and infinities and NaN, which JSON lacks, as null.  The commonest types
+    are tested first; any other type is a TypeError."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(_plain(item) for item in value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return _plain(value.tolist())
+    return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
 
 
 @dataclass(frozen=True)
@@ -229,32 +239,15 @@ class CausalReport:
     warnings: tuple[str, ...]
 
     def to_json(self) -> str:
+        """report.json: each section holds the fields of its result type."""
+        config = _plain(self.config)
+        del config["out_dir"]
         payload = {
-            "config": {
-                "input_path": self.config.input_path,
-                "input_kind": self.config.input_kind,
-                "positions": list(self.config.positions),
-                "methods": list(self.config.methods),
-                "seed": self.config.seed,
-                "mask_derived": self.config.mask_derived,
-                "mediation_paths": [list(p) for p in self.config.mediation_paths],
-            },
-            "warnings": list(self.warnings),
-            "paired_tests": [
-                {
-                    "parameter": t.parameter,
-                    "test_used": t.test_used.value,
-                    "statistic": _finite_or_null(t.statistic),
-                    "p_value": _finite_or_null(t.p_value),
-                    "normality_p": _finite_or_null(t.normality_p),
-                }
-                for t in self.paired_tests
-            ],
+            "config": config,
+            "warnings": self.warnings,
+            "paired_tests": self.paired_tests,
             "correlations": {
-                pos: {
-                    "names": list(PARAMETER_NAMES),
-                    "matrix": [[_finite_or_null(v) for v in row] for row in matrix.tolist()],
-                }
+                pos: {"names": PARAMETER_NAMES, "matrix": matrix}
                 for pos, matrix in self.correlations.items()
             },
             "methods": {
@@ -263,39 +256,19 @@ class CausalReport:
             },
             "consensus": {
                 pos: {
-                    "nodes": list(cg.nodes),
+                    "nodes": cg.nodes,
                     "total_methods": cg.total_methods,
-                    "methods": list(cg.methods),
+                    "methods": cg.methods,
                     "votes": [
-                        {
-                            "from": a,
-                            "to": b,
-                            "supporting": sorted(v.supporting),
-                            "opposing": sorted(v.opposing),
-                            "undirected": sorted(v.undirected),
-                        }
-                        for (a, b), v in sorted(cg.edge_votes.items())
+                        {"from": a, "to": b, **vars(votes)}
+                        for (a, b), votes in sorted(cg.edge_votes.items())
                     ],
                 }
                 for pos, cg in self.consensus_graphs.items()
             },
-            "mediation": [
-                {
-                    "position": pos,
-                    "path": list(fit.path),
-                    "a_hat": _finite_or_null(fit.a_hat),
-                    "se_a": _finite_or_null(fit.se_a),
-                    "b_hat": _finite_or_null(fit.b_hat),
-                    "se_b": _finite_or_null(fit.se_b),
-                    "direct_effect": _finite_or_null(fit.direct_effect),
-                    "indirect_effect": _finite_or_null(fit.indirect_effect),
-                    "sobel_z": _finite_or_null(fit.sobel_z),
-                    "sobel_p": _finite_or_null(fit.sobel_p),
-                }
-                for pos, fit in self.mediation_results
-            ],
+            "mediation": [{"position": pos, **vars(fit)} for pos, fit in self.mediation_results],
         }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _row_from_signal_file(path: Path):

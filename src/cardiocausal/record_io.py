@@ -206,13 +206,19 @@ class ParameterTable:
 def _open_csv(path: Path):
     """Open a CSV file as UTF-8 text, dropping a leading byte-order mark.
 
-    Bytes that are not UTF-8 raise FormatError, wherever they are read.
+    Bytes that are not UTF-8, a cell the csv module rejects (one over its
+    field size limit, say) and a file that cannot be opened or read raise
+    FormatError, wherever they are met.
     """
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV: {exc}") from None
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 def _check_signal_header(path: Path, reader) -> None:

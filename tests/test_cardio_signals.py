@@ -279,6 +279,21 @@ class TestSuppressLesserMaxima:
             assert np.array_equal(out, expected)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kept_maxima_are_sorted_and_radius_apart(self, data):
+        heights = st.integers(0, 5).map(float) | st.floats(0.0, 1e3)
+        x = np.array(data.draw(st.lists(heights, min_size=1, max_size=300)))
+        positions = data.draw(st.sets(st.integers(0, x.size - 1)))
+        radius = data.draw(st.integers(1, 40))
+        kept = _suppress_lesser_maxima(x, np.array(sorted(positions), dtype=np.intp), radius)
+        assert np.all(np.diff(kept) >= radius)  # increasing, and radius apart
+        assert set(kept.tolist()) <= positions
+        # a dropped maximum has a kept one at least as large within radius
+        for c in positions - set(kept.tolist()):
+            assert np.any((np.abs(kept - c) < radius) & (x[kept] >= x[c]))
+
+
 class TestBeatSeries:
     def test_strictly_increasing_enforced(self):
         with pytest.raises(SignalError, match="increasing"):

@@ -10,7 +10,8 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from collections import defaultdict
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -27,17 +28,20 @@ from cardiocausal.cli import main
 from cardiocausal.graphs import EdgeGraph, GraphError
 from cardiocausal.pipeline import (
     IGNORED_PAIRS,
+    METHOD_NAMES,
     STRUCTURE_NAMES,
     ConfigError,
     ConsensusGraph,
     DirectedEdgeSet,
+    EdgeVotes,
     PipelineError,
     RunConfig,
     _mask_ignored,
     consensus,
     run_pipeline,
 )
-from cardiocausal.param_features import FeatureError
+from cardiocausal.mediation import MediationFit
+from cardiocausal.param_features import FeatureError, PairedTestResult
 from cardiocausal.record_io import (
     PARAMETER_NAMES,
     FormatError,
@@ -273,13 +277,9 @@ def _reference_mask(directed, undirected):
     )
 
 
-@st.composite
-def _edge_graphs(draw):
-    """(nodes, directed, undirected): parameter names in a drawn order, and for
-    each pair no edge, either direction, both directions (a gc cycle) or an
-    undirected edge."""
-    names = draw(st.permutations(PARAMETER_NAMES))
-    nodes = tuple(names[: draw(st.integers(2, len(names)))])
+def _draw_edges(draw, nodes):
+    """For each pair of ``nodes`` no edge, either direction, both directions
+    (a gc cycle) or an undirected edge."""
     directed, undirected = set(), set()
     for a, b in combinations(nodes, 2):
         kind = draw(st.sampled_from(("none", "ab", "ba", "both", "undirected")))
@@ -289,7 +289,16 @@ def _edge_graphs(draw):
             directed.add((b, a))
         if kind == "undirected":
             undirected.add(frozenset((a, b)))
-    return nodes, frozenset(directed), frozenset(undirected)
+    return frozenset(directed), frozenset(undirected)
+
+
+@st.composite
+def _edge_graphs(draw):
+    """(nodes, directed, undirected): parameter names in a drawn order, and
+    edges drawn by ``_draw_edges``."""
+    names = draw(st.permutations(PARAMETER_NAMES))
+    nodes = tuple(names[: draw(st.integers(2, len(names)))])
+    return nodes, *_draw_edges(draw, nodes)
 
 
 class TestEdgeGraphAgainstReferences:
@@ -715,6 +724,246 @@ def _constant_rr_csv(tmp_path):
     return path
 
 
+def _shifted_hr_csv(tmp_path):
+    """``sem_cohort(30, seed=0)`` with standing HR = supine HR + 5 exactly:
+    the differences are constant, so the paired t statistic is infinite."""
+    table, _ = sem_cohort(30, seed=0)
+    hr = {row.subject_id: float(round(row.params["HR"])) for row in table.rows}
+    shift = {Position.SUPINE: 0.0, Position.STANDING: 5.0}
+    rows = [
+        replace(row, params={**row.params, "HR": hr[row.subject_id] + shift[row.position]})
+        for row in table.rows
+    ]
+    path = tmp_path / "shifted.csv"
+    save_parameter_table(ParameterTable(tuple(rows)), path)
+    return path
+
+
+def _reference_consensus(graphs):
+    """The former consensus: supporting and undirected vote maps, then every
+    key and its reverse."""
+    nodes = tuple(graphs[0][1].nodes)
+    support, undirected = defaultdict(set), defaultdict(set)
+    for method, graph in graphs:
+        for a, b in graph.directed:
+            support[(a, b)].add(method)
+        for a, b in map(tuple, graph.undirected):
+            undirected[(a, b)].add(method)
+            undirected[(b, a)].add(method)
+    keys = set(support) | set(undirected)
+    keys |= {(b, a) for a, b in keys}
+    edge_votes = {
+        (a, b): EdgeVotes(
+            supporting=frozenset(support.get((a, b), ())),
+            opposing=frozenset(support.get((b, a), ())),
+            undirected=frozenset(undirected.get((a, b), ())),
+        )
+        for a, b in sorted(keys)
+    }
+    return ConsensusGraph(nodes, edge_votes, len(graphs), tuple(m for m, _ in graphs))
+
+
+def _reference_to_json(report):
+    """The former ``CausalReport.to_json``, field by field."""
+
+    def finite_or_null(value):
+        return value if math.isfinite(value) else None
+
+    config = report.config
+    payload = {
+        "config": {
+            "input_path": config.input_path,
+            "input_kind": config.input_kind,
+            "positions": list(config.positions),
+            "methods": list(config.methods),
+            "seed": config.seed,
+            "mask_derived": config.mask_derived,
+            "mediation_paths": [list(p) for p in config.mediation_paths],
+        },
+        "warnings": list(report.warnings),
+        "paired_tests": [
+            {
+                "parameter": t.parameter,
+                "test_used": t.test_used.value,
+                "statistic": finite_or_null(t.statistic),
+                "p_value": finite_or_null(t.p_value),
+                "normality_p": finite_or_null(t.normality_p),
+            }
+            for t in report.paired_tests
+        ],
+        "correlations": {
+            pos: {
+                "names": list(PARAMETER_NAMES),
+                "matrix": [[finite_or_null(v) for v in row] for row in matrix.tolist()],
+            }
+            for pos, matrix in report.correlations.items()
+        },
+        "methods": {
+            pos: {name: g.payload() for name, g in graphs.items()}
+            for pos, graphs in report.method_graphs.items()
+        },
+        "consensus": {
+            pos: {
+                "nodes": list(cg.nodes),
+                "total_methods": cg.total_methods,
+                "methods": list(cg.methods),
+                "votes": [
+                    {
+                        "from": a,
+                        "to": b,
+                        "supporting": sorted(v.supporting),
+                        "opposing": sorted(v.opposing),
+                        "undirected": sorted(v.undirected),
+                    }
+                    for (a, b), v in sorted(cg.edge_votes.items())
+                ],
+            }
+            for pos, cg in report.consensus_graphs.items()
+        },
+        "mediation": [
+            {
+                "position": pos,
+                "path": list(fit.path),
+                **{
+                    name: finite_or_null(getattr(fit, name))
+                    for name in (
+                        "a_hat", "se_a", "b_hat", "se_b", "direct_effect",
+                        "indirect_effect", "sobel_z", "sobel_p",
+                    )
+                },
+            }
+            for pos, fit in report.mediation_results
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_matches_references(report):
+    assert report.to_json() == _reference_to_json(report)
+    for pos, graphs in report.method_graphs.items():
+        expected = _reference_consensus(list(graphs.items()))
+        assert consensus(list(graphs.items())) == expected
+        assert report.consensus_graphs[pos] == expected
+
+
+@st.composite
+def _method_graph_lists(draw):
+    """One to six (method, EdgeGraph) pairs over one drawn node set."""
+    nodes = tuple(draw(st.permutations(PARAMETER_NAMES))[: draw(st.integers(2, 6))])
+    methods = draw(st.lists(st.sampled_from(METHOD_NAMES + ("x",)), min_size=1, max_size=6))
+    return [(method, EdgeGraph(nodes, *_draw_edges(draw, nodes))) for method in methods]
+
+
+class TestReportAgainstReferences:
+    """``to_json`` and ``consensus`` give what their former, field-by-field
+    forms gave."""
+
+    @pytest.mark.parametrize("mask", ["exclude", "post-hoc"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cohorts(self, tmp_path, seed, mask):
+        table, _ = sem_cohort(100, seed=seed)
+        path = tmp_path / "params.csv"
+        save_parameter_table(table, path)
+        report = run_pipeline(RunConfig(
+            input_path=str(path), input_kind="params", seed=seed, mask_derived=mask,
+            mediation_paths=(("cInsV", "ciRR", "HR"), ("HR", "RR", "cInsT")),
+        ))
+        assert len(report.mediation_results) == 4
+        _assert_matches_references(report)
+
+    def test_non_finite_statistic(self, tmp_path):
+        report = run_pipeline(RunConfig(
+            input_path=str(_shifted_hr_csv(tmp_path)), input_kind="params",
+            methods=("gc", "hc"), mediation_paths=(("cInsV", "ciRR", "HR"),),
+        ))
+        assert any(not math.isfinite(t.statistic) for t in report.paired_tests)
+        _assert_matches_references(report)
+
+    def test_constant_column_and_a_mediation_path_that_warns(self, tmp_path):
+        report = run_pipeline(RunConfig(
+            input_path=str(_constant_rr_csv(tmp_path)), input_kind="params",
+            methods=("gc", "hc", "tabu", "fges"),
+            mediation_paths=(("HR", "RR", "cInsT"), ("cInsV", "ciRR", "HR")),
+        ))
+        assert any(w.startswith("mediation HR->RR->cInsT") for w in report.warnings)
+        assert np.isnan(report.correlations["supine"]).sum() > len(PARAMETER_NAMES)
+        _assert_matches_references(report)
+
+    def test_single_position_library_run(self, cohort_csv):
+        config = RunConfig(
+            input_path=str(cohort_csv), input_kind="params", positions=("standing",),
+            methods=("fges", "gc"), mediation_paths=(("cInsV", "ciRR", "HR"),),
+        )
+        assert config.out_dir is None
+        report = run_pipeline(config)
+        assert report.paired_tests == ()
+        _assert_matches_references(report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_method_graph_lists())
+    def test_consensus_of_drawn_graphs(self, graphs):
+        assert consensus(graphs) == _reference_consensus(graphs)
+
+
+@dataclass(frozen=True)
+class _Inner:
+    kind: Position
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str
+    count: int
+    flag: bool
+    missing: None
+    inner: tuple[_Inner, ...]
+    groups: frozenset[frozenset[str]]
+
+
+class TestPlain:
+    def test_nested_dataclasses(self):
+        outer = _Outer(
+            name="x", count=3, flag=True, missing=None,
+            inner=(_Inner(Position.SUPINE, np.array([[1.0, np.nan], [np.inf, -np.inf]])),),
+            groups=frozenset({frozenset({"b", "a"}), frozenset({"a"})}),
+        )
+        assert pipeline._plain(outer) == {
+            "name": "x", "count": 3, "flag": True, "missing": None,
+            "inner": [{"kind": "supine", "values": [[1.0, None], [None, None]]}],
+            "groups": [["a"], ["a", "b"]],
+        }
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (None, None), (True, True), (False, False), (0, 0), (-7, -7), (2.5, 2.5),
+            (float("nan"), None), (float("inf"), None), (np.float64(-np.inf), None),
+            ("NaN", "NaN"), (Position.STANDING, "standing"),
+            ({"b", "c", "a"}, ["a", "b", "c"]), (("a", ("b", 1.0)), ["a", ["b", 1.0]]),
+            ({"k": [float("nan"), 1]}, {"k": [None, 1]}),
+            (np.array([1, 2]), [1, 2]), (np.array([]), []),
+        ],
+    )
+    def test_values(self, value, expected):
+        got = pipeline._plain(value)
+        assert got == expected
+        assert type(got) is type(expected)
+
+    @pytest.mark.parametrize("value", [Path("p"), np.int64(1), object()])
+    def test_other_types_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            pipeline._plain(value)
+
+    def test_config_omits_nothing_but_out_dir(self, full_report):
+        payload = json.loads(full_report.to_json())
+        assert set(payload["config"]) == {f.name for f in fields(RunConfig)} - {"out_dir"}
+        assert set(payload["paired_tests"][0]) == {f.name for f in fields(PairedTestResult)}
+        assert set(payload["mediation"][0]) == {f.name for f in fields(MediationFit)} | {
+            "position"
+        }
+
+
 class TestCli:
     def test_import_loads_no_scipy_stats_interpolate_or_sparse(self):
         # a fresh interpreter: this one has imported scipy.stats for the oracles
@@ -780,6 +1029,49 @@ class TestCli:
         assert err[1].endswith("not UTF-8 text")
         report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
         assert len(report["warnings"]) == 2
+
+    def test_unreadable_and_oversized_signal_files_become_warnings(
+        self, signals_dir, tmp_path, monkeypatch, capsys
+    ):
+        records = tmp_path / "records"
+        shutil.copytree(signals_dir, records)
+        (records / "sYY_supine.csv").write_bytes(b"t,ecg,ip\n" + b"x" * 131073 + b",0,0\n")
+        real_open = Path.open
+
+        def open_unless_s03(self, *args, **kwargs):
+            if self.name == "s03_supine.csv":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return real_open(self, *args, **kwargs)
+
+        # the forked workers inherit the patch
+        monkeypatch.setattr(Path, "open", open_unless_s03)
+        code = main([
+            "analyze", "--input", str(records), "--input-kind", "signals",
+            "--positions", "supine", "--methods", "hc", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert err[0] == (
+            f"warning: s03_supine.csv: {records / 's03_supine.csv'}: cannot read: Permission denied"
+        )
+        assert err[1].startswith("warning: sXX_supine.csv: ")
+        assert err[2] == (
+            f"warning: sYY_supine.csv: {records / 'sYY_supine.csv'}: malformed CSV:"
+            " field larger than field limit (131072)"
+        )
+
+    def test_oversized_params_cell_exits_2_with_one_line(self, cohort_csv, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_bytes(cohort_csv.read_bytes() + b"x" * 131073 + b"\n")
+        code = main([
+            "analyze", "--input", str(path), "--input-kind", "params",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"analysis failed: {path}: malformed CSV: field larger than field limit (131072)"
+        ]
 
     def test_signals_output_reloads_as_params_input(self, mixed_signals_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -851,17 +1143,7 @@ class TestCli:
         assert err == ["analysis failed: cam search for supine: collinear columns"]
 
     def test_non_finite_statistic_is_null_in_report(self, tmp_path):
-        # standing HR = supine HR + 5 exactly: the differences are constant,
-        # so the paired t statistic is infinite
-        table, _ = sem_cohort(30, seed=0)
-        hr = {row.subject_id: float(round(row.params["HR"])) for row in table.rows}
-        shift = {Position.SUPINE: 0.0, Position.STANDING: 5.0}
-        rows = [
-            replace(row, params={**row.params, "HR": hr[row.subject_id] + shift[row.position]})
-            for row in table.rows
-        ]
-        path = tmp_path / "shifted.csv"
-        save_parameter_table(ParameterTable(tuple(rows)), path)
+        path = _shifted_hr_csv(tmp_path)
         out = tmp_path / "out"
         code = main([
             "analyze", "--input", str(path), "--input-kind", "params",

@@ -1,11 +1,14 @@
 """File-format contracts: signal CSV and parameter-table CSV."""
 
+import errno
 import math
+import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardiocausal.record_io import (
@@ -587,12 +590,20 @@ _ARBITRARY_BYTES = st.one_of(
 )
 
 
+# one cell over the csv module's field size limit, 131072 characters
+_OVERSIZED_CELL = b"x" * 131073
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     _ARBITRARY_BYTES,
     st.sampled_from(["signal", "params"]),
     st.sampled_from([b"", b"t,ecg,ip\n", _PARAMS_HEADER]),
 )
+@example(_OVERSIZED_CELL, "signal", b"")
+@example(_OVERSIZED_CELL + b",1,2\n", "signal", b"t,ecg,ip\n")
+@example(b"0," + _OVERSIZED_CELL + b"\n", "params", b"")
+@example(b"s1,supine," + _OVERSIZED_CELL + b",1,1,1,1,1,1,1,1,1\n", "params", _PARAMS_HEADER)
 def test_arbitrary_bytes_raise_only_format_error(tmp_path_factory, data, kind, header):
     path = tmp_path_factory.mktemp("bytes") / "s1_supine.csv"
     path.write_bytes(header + data)
@@ -601,3 +612,43 @@ def test_arbitrary_bytes_raise_only_format_error(tmp_path_factory, data, kind, h
         loader(path)
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_signal_record, "t,ecg,ip\n0.0,0.0,0.0\n"),
+        (load_parameter_table, _PARAMS_HEADER.decode()),
+    ],
+    ids=["signal", "params"],
+)
+class TestUnreadableFiles:
+    def test_oversized_cell_is_one_format_error(self, tmp_path, loader, text):
+        path = tmp_path / "s1_supine.csv"
+        path.write_bytes(text.encode() + _OVERSIZED_CELL + b",1,2\n")
+        with pytest.raises(FormatError) as caught:
+            loader(path)
+        assert str(caught.value) == (
+            f"{path}: malformed CSV: field larger than field limit (131072)"
+        )
+
+    def test_permission_error_is_one_format_error(self, tmp_path, loader, text, monkeypatch):
+        path = tmp_path / "s1_supine.csv"
+        path.write_text(text, "utf-8")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "open", refuse)
+        with pytest.raises(FormatError) as caught:
+            loader(path)
+        assert str(caught.value) == f"{path}: cannot read: Permission denied"
+
+    def test_read_error_is_one_format_error(self, tmp_path, loader, text):
+        path = tmp_path / "s1_supine.csv"
+        path.write_text(text, "utf-8")
+        # both loaders read the open file through csv.reader first
+        with mock.patch("csv.reader", side_effect=OSError(errno.EIO, os.strerror(errno.EIO))):
+            with pytest.raises(FormatError) as caught:
+                loader(path)
+        assert str(caught.value) == f"{path}: cannot read: Input/output error"
