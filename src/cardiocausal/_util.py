@@ -6,6 +6,17 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 
+def is_constant(x: np.ndarray, axis=None):
+    """Whether all values of ``x`` (along ``axis``) are equal.
+
+    Exact where a zero standard deviation is not: 0.2 in every row has a
+    standard deviation near 1e-17, because its mean rounds.  Values so close
+    that their squared deviations underflow count as constant too, since
+    nothing can be divided by their variance.
+    """
+    return (np.max(x, axis=axis) == np.min(x, axis=axis)) | (np.std(x, axis=axis) == 0)
+
+
 def centered_moving_average(x: np.ndarray, width: int) -> np.ndarray:
     """Centered moving mean; edges are reflect-padded so length is preserved."""
     if width < 1:

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import stdtr
 
+from ._util import is_constant
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 MPE_GATE = 0.9
@@ -79,7 +80,7 @@ def _as_pair(x, y, min_n: int):
         raise AssociationError(f"need at least {min_n} observations")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise AssociationError("non-finite input")
-    if np.std(x) == 0 or np.std(y) == 0:
+    if is_constant(x) or is_constant(y):
         raise AssociationError("zero variance input")
     return x, y
 
@@ -153,7 +154,7 @@ def correlation_matrix(table: ParameterTable, position: Position, warnings=None)
     k = len(PARAMETER_NAMES)
     out = np.full((k, k), np.nan)
     columns = [table.column(name, position) for name in PARAMETER_NAMES]
-    constant = [np.std(c) == 0 for c in columns]
+    constant = [is_constant(c) for c in columns]
     if warnings is not None:
         warnings.extend(
             f"correlation matrix for {position.value}: {name} is constant; "
@@ -175,14 +176,20 @@ def _loo_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out Gaussian kernel weights of x, and their row sums.
 
     Silverman bandwidth 1.06 * sd(x) * n^(-1/5); the diagonal is zero, so a
-    point's own response is excluded to avoid zero-residual overfit.
+    point's own response is excluded to avoid zero-residual overfit.  The
+    weights are built in place in one n x n array: -0.5 * (z * z) equals
+    (-0.5 * z) * z bit for bit, since halving is exact above the subnormal
+    range and exp gives 1.0 within it either way.
     """
     n = x.size
     h = 1.06 * float(np.std(x, ddof=1)) * n ** (-0.2)
     if h <= 0:
         raise AssociationError("degenerate variance: zero bandwidth")
-    z = (x[:, None] - x[None, :]) / h
-    weights = np.exp(-0.5 * z * z)
+    weights = np.subtract.outer(x, x)
+    weights /= h
+    weights *= weights
+    weights *= -0.5
+    np.exp(weights, out=weights)
     np.fill_diagonal(weights, 0.0)
     return weights, weights.sum(axis=1)
 

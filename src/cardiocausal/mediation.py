@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from ._util import is_constant
+
 
 class MediationError(ValueError):
     """Degenerate or mismatched mediation inputs."""
@@ -85,7 +87,7 @@ def mediation_fit(x, m, y, path: tuple[str, str, str] = ("x", "m", "y")) -> Medi
     kx, km, ky = (_extreme_exponent(v) for v in (x, m, y))
     x, m, y = np.ldexp(x, -kx), np.ldexp(m, -km), np.ldexp(y, -ky)
     for label, v in (("x", x), ("m", m), ("y", y)):
-        if np.std(v) == 0:
+        if is_constant(v):
             raise MediationError(f"degenerate variance in {label}")
     # the rank of the standardized columns does not depend on their scale
     standardized = np.column_stack([(v - v.mean()) / np.std(v) for v in (x, m)])

@@ -284,11 +284,16 @@ def _row_from_signal_file(path: Path):
 
 def _extract(path: Path):
     """``(row, None)`` for one signal file, or ``(None, warning)`` if the
-    record is unusable; any other error propagates."""
+    record is unusable; any other error propagates.  The warning names the
+    file once, by its name: ``record_io`` messages that start with the full
+    path keep what follows it, a line number included."""
     try:
         return _row_from_signal_file(path), None
     except (FormatError, SignalError, FeatureError) as exc:
-        return None, f"{path.name}: {exc}"
+        message = str(exc)
+        if message.startswith(str(path)):
+            return None, path.name + message[len(str(path)):]
+        return None, f"{path.name}: {message}"
 
 
 def _exit_with_parent() -> None:

@@ -342,10 +342,8 @@ def load_parameter_table(path) -> ParameterTable:
                 )
             if any(cell.strip() == "" for cell in row):
                 raise FormatError(f"{path}:{lineno}: missing value; row rejected")
-            params = {
-                name: _parse_decimal(row[col[name]], f"{path}:{lineno}")
-                for name in PARAMETER_NAMES
-            }
+            ctx = f"{path}:{lineno}"
+            params = {name: _parse_decimal(row[col[name]], ctx) for name in PARAMETER_NAMES}
             rows.append(
                 ParameterRow(
                     subject_id=row[col["subject_id"]].strip(),

@@ -20,6 +20,7 @@ from scipy import linalg as sla
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import fdtrc
 
+from ._util import is_constant
 from .association import AssociationError, Direction, GeneralizedCorrPairs
 from .graphs import EdgeGraph, _complete_pattern, adjacency, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
@@ -721,10 +722,9 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
         raise SearchError("at most 20 columns supported")
     if not np.all(np.isfinite(x)):
         raise SearchError("non-finite data")
-    sd = x.std(axis=0, ddof=1)
-    if np.any(sd == 0):
+    if np.any(is_constant(x, axis=0)):
         raise SearchError("degenerate column for smoother")
-    z = (x - x.mean(axis=0)) / sd
+    z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
     if np.linalg.matrix_rank(np.column_stack([np.ones(n), z])) < p + 1:
         raise SearchError("collinear columns")
     names = _node_names(names, p)

@@ -1,10 +1,13 @@
 """Tests for correlation screening and generalized-correlation direction."""
 
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cardiocausal.association import (
@@ -13,6 +16,7 @@ from cardiocausal.association import (
     Direction,
     GeneralizedCorrPair,
     GeneralizedCorrPairs,
+    _loo_kernel,
     bayes_correlation,
     correlation_matrix,
     generalized_corr_pair,
@@ -181,6 +185,29 @@ class TestCorrelationMatrix:
         again = correlation_matrix(make_table(cols), Position.SUPINE)
         assert np.array_equal(again, out, equal_nan=True)
 
+    def test_constant_column_with_a_rounding_mean_is_constant(self):
+        rng = np.random.default_rng(10)
+        cols = random_columns(rng, 100)
+        # np.std of these is 2.8e-17, 5.6e-17, 0 and (underflow) 0
+        cols["ciRR"] = np.full(100, 0.1)
+        cols["cInsT"] = np.full(100, 0.2)
+        cols["cExpT"] = np.full(100, 0.3)
+        cols["lnRMSSD"] = np.tile([0.0, 1e-300], 50)
+        warnings = []
+        out = correlation_matrix(make_table(cols), Position.SUPINE, warnings=warnings)
+        flat = ["lnRMSSD", "ciRR", "cInsT", "cExpT"]
+        assert warnings == [
+            f"correlation matrix for supine: {name} is constant; its correlations are null"
+            for name in flat
+        ]
+        rows = [PARAMETER_NAMES.index(name) for name in flat]
+        assert np.all(np.isnan(out[rows, :])) and np.all(np.isnan(out[:, rows]))
+        for name in flat:
+            with pytest.raises(AssociationError, match="zero variance input"):
+                generalized_corr_pair(cols[name], cols["HR"])
+            with pytest.raises(AssociationError, match="zero variance input"):
+                bayes_correlation(cols["HR"], cols[name])
+
     def test_positions_are_independent(self):
         rng = np.random.default_rng(9)
         supine = make_table(random_columns(rng, 20), Position.SUPINE)
@@ -289,9 +316,9 @@ class TestGeneralizedCorrPair:
             )
 
 
-def _loo_kernel_prediction(x, y):
-    """Reference: leave-one-out Nadaraya-Watson estimate of E(y | x), one
-    kernel per call.  GeneralizedCorrPairs must reproduce it bit for bit."""
+def _former_loo_kernel(x):
+    """Reference: the leave-one-out kernel and its row sums as five n x n
+    temporaries.  ``_loo_kernel`` must reproduce it bit for bit."""
     n = x.size
     h = 1.06 * float(np.std(x, ddof=1)) * n ** (-0.2)
     if h <= 0:
@@ -299,12 +326,72 @@ def _loo_kernel_prediction(x, y):
     z = (x[:, None] - x[None, :]) / h
     weights = np.exp(-0.5 * z * z)
     np.fill_diagonal(weights, 0.0)
-    denom = weights.sum(axis=1)
+    return weights, weights.sum(axis=1)
+
+
+def _loo_kernel_prediction(x, y):
+    """Reference: leave-one-out Nadaraya-Watson estimate of E(y | x), one
+    kernel per call.  GeneralizedCorrPairs must reproduce it bit for bit."""
+    n = x.size
+    weights, denom = _former_loo_kernel(x)
     numer = weights @ y
     fallback = (y.sum() - y) / (n - 1)
     with np.errstate(invalid="ignore", divide="ignore"):
         pred = np.where(denom > 1e-300, numer / np.maximum(denom, 1e-300), fallback)
     return pred
+
+
+# from this size up, a point 1e4 standard draws from the rest has a kernel row
+# that sums under 1e-300, so _loo_predict gives it the mean of the others
+_ISOLATING_N = 250
+
+
+@st.composite
+def _kernel_columns(draw):
+    """(column, whether its first point is isolated): 20-400 normal draws at
+    a scale from 1e-3 to 1e3 and an offset up to 1e4 in size, sometimes
+    rounded to a few tied values, sometimes with one far outlier."""
+    shape = draw(st.sampled_from(["normal", "tied", "outlier"]))
+    n = draw(st.integers(_ISOLATING_N if shape == "outlier" else 20, 400))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = draw(st.floats(-1e4, 1e4))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, 1.0, n)
+    if shape == "tied":
+        x = np.round(x)
+    elif shape == "outlier":
+        x[0] = 1e4
+    return offset + scale * x, shape == "outlier"
+
+
+class TestLooKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_kernel_columns())
+    def test_matches_the_former_kernel(self, case):
+        x, isolated = case
+        weights, denom = _loo_kernel(x)
+        want_weights, want_denom = _former_loo_kernel(x)
+        assert np.array_equal(weights, want_weights)
+        assert np.array_equal(denom, want_denom)
+        if isolated:
+            assert denom[0] <= 1e-300
+
+    def test_zero_bandwidth_rejected(self):
+        with pytest.raises(AssociationError, match="zero bandwidth"):
+            _loo_kernel(np.full(30, 2.0))
+
+    def test_peak_memory_is_one_matrix(self):
+        x = np.random.default_rng(16).normal(0.0, 1.0, 500)
+        bound = 1.5 * 8 * x.size**2
+        peaks = []
+        for kernel in (_loo_kernel, _former_loo_kernel):
+            tracemalloc.start()
+            try:
+                kernel(x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the former kernel shows that numpy's arrays are traced at all
+        assert peaks[0] < bound < peaks[1]
 
 
 class TestGeneralizedCorrPairs:

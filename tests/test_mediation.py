@@ -169,6 +169,16 @@ class TestValidation:
         with pytest.raises(MediationError):
             mediation_fit(x, np.full(20, 3.0), y)
 
+    # at 100 rows the means of 0.1 and 0.2 round, so their np.std is not 0
+    @pytest.mark.parametrize("value", [0.1, 0.2, 0.3])
+    def test_constant_column_with_a_rounding_mean_rejected(self, value):
+        rng = np.random.default_rng(13)
+        columns = dict(zip("xmy", mediated_sample(rng, n=100)))
+        for label in "xmy":
+            args = {**columns, label: np.full(100, value)}
+            with pytest.raises(MediationError, match=f"degenerate variance in {label}"):
+                mediation_fit(args["x"], args["m"], args["y"])
+
     @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 7.5e4, 3e8])
     def test_collinear_mediator_rejected(self, scale):
         rng = np.random.default_rng(14)

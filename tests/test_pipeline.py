@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import cardiocausal
 from cardiocausal import cli, pipeline, structure_search
-from cardiocausal.cardio_signals import SignalError
 from cardiocausal.cli import main
 from cardiocausal.graphs import EdgeGraph, GraphError
 from cardiocausal.pipeline import (
@@ -41,10 +40,9 @@ from cardiocausal.pipeline import (
     run_pipeline,
 )
 from cardiocausal.mediation import MediationFit
-from cardiocausal.param_features import FeatureError, PairedTestResult
+from cardiocausal.param_features import PairedTestResult
 from cardiocausal.record_io import (
     PARAMETER_NAMES,
-    FormatError,
     ParameterTable,
     Position,
     save_parameter_table,
@@ -524,8 +522,9 @@ class TestRunPipelineOnSignals:
             positions=("supine",), methods=("hc", "fges"),
         )
         report = run_pipeline(config)
-        assert len(report.warnings) == 1
-        assert "sXX_supine.csv" in report.warnings[0]
+        assert report.warnings == (
+            "sXX_supine.csv: malformed header ['time', 'volts']; expected t,ecg,ip",
+        )
         assert report.table.subjects(Position.SUPINE) == [f"s{i:02d}" for i in range(10)]
         assert set(report.method_graphs["supine"]) == {"hc", "fges"}
         assert report.paired_tests == ()
@@ -561,10 +560,11 @@ def _serial_table(directory: Path):
     """The one-record-after-another extraction loop, as a reference."""
     rows, warnings = [], []
     for path in sorted(directory.glob("*.csv")):
-        try:
-            rows.append(pipeline._row_from_signal_file(path))
-        except (FormatError, SignalError, FeatureError) as exc:
-            warnings.append(f"{path.name}: {exc}")
+        row, warning = pipeline._extract(path)
+        if warning is None:
+            rows.append(row)
+        else:
+            warnings.append(warning)
     return ParameterTable(tuple(rows)), warnings
 
 
@@ -715,11 +715,11 @@ class TestPairedSkipWarning:
         assert any("paired tests skipped" in w for w in report.warnings)
 
 
-def _constant_rr_csv(tmp_path):
-    """``sem_cohort(100, seed=0)`` with RR = 14.0 in every row."""
+def _constant_rr_csv(tmp_path, value=14.0):
+    """``sem_cohort(100, seed=0)`` with RR = ``value`` in every row."""
     table, _ = sem_cohort(100, seed=0)
-    rows = [replace(row, params={**row.params, "RR": 14.0}) for row in table.rows]
-    path = tmp_path / "constant.csv"
+    rows = [replace(row, params={**row.params, "RR": value}) for row in table.rows]
+    path = tmp_path / f"constant_{value}.csv"
     save_parameter_table(ParameterTable(rows=tuple(rows)), path)
     return path
 
@@ -1036,6 +1036,7 @@ class TestCli:
         records = tmp_path / "records"
         shutil.copytree(signals_dir, records)
         (records / "sYY_supine.csv").write_bytes(b"t,ecg,ip\n" + b"x" * 131073 + b",0,0\n")
+        (records / "sZZ_supine.csv").write_bytes(b"t,ecg,ip\n0.0,0.0,0.0\n0.004,abc,0.0\n")
         real_open = Path.open
 
         def open_unless_s03(self, *args, **kwargs):
@@ -1051,15 +1052,13 @@ class TestCli:
         ])
         assert code == 0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 3
-        assert err[0] == (
-            f"warning: s03_supine.csv: {records / 's03_supine.csv'}: cannot read: Permission denied"
-        )
-        assert err[1].startswith("warning: sXX_supine.csv: ")
-        assert err[2] == (
-            f"warning: sYY_supine.csv: {records / 'sYY_supine.csv'}: malformed CSV:"
-            " field larger than field limit (131072)"
-        )
+        # each record is named once, without the input directory
+        assert err == [
+            "warning: s03_supine.csv: cannot read: Permission denied",
+            "warning: sXX_supine.csv: malformed header ['time', 'volts']; expected t,ecg,ip",
+            "warning: sYY_supine.csv: malformed CSV: field larger than field limit (131072)",
+            "warning: sZZ_supine.csv:3: not a number: 'abc'",
+        ]
 
     def test_oversized_params_cell_exits_2_with_one_line(self, cohort_csv, tmp_path, capsys):
         path = tmp_path / "big.csv"
@@ -1208,6 +1207,30 @@ class TestCli:
         assert all(line.startswith("warning: ") for line in err[:-1])
         assert "warning: correlation matrix for supine: RR is constant; its correlations are null" in err
 
+    def test_constant_column_with_a_rounding_mean_is_constant(self, tmp_path, capsys):
+        # np.std of RR = 0.2 in every row is about 5.6e-17, not 0
+        reports = []
+        for value in (14.0, 0.2):
+            out = tmp_path / f"out_{value}"
+            code = main([
+                "analyze", "--input", str(_constant_rr_csv(tmp_path, value)),
+                "--input-kind", "params", "--methods", "gc,hc", "--out", str(out),
+            ])
+            assert code == 0
+            reports.append(json.loads((out / "report.json").read_text("utf-8")))
+        assert len(reports[0]["warnings"]) == 17
+        assert reports[1]["warnings"] == reports[0]["warnings"]
+        assert reports[1]["correlations"] == reports[0]["correlations"]
+        capsys.readouterr()
+        code = main([
+            "analyze", "--input", str(_constant_rr_csv(tmp_path, 0.2)), "--input-kind", "params",
+            "--methods", "cam", "--out", str(tmp_path / "cam"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "analysis failed: cam search for supine: degenerate column for smoother"
+        )
+
     @pytest.mark.parametrize(
         "methods, failing",
         [("gc,hc", "hc"), ("gc,tabu,hc", "tabu"), ("gc,fges,tabu", "fges")],
@@ -1298,30 +1321,38 @@ class TestCli:
 _DERIVED_FREE = ("HR", "RMSSD", "RR", "ciRR", "cInsT", "cExpT", "cInsV", "cExpV")
 
 
+def _cohort_text(n, seed, target=None, value_of=None):
+    """``sem_cohort(n, seed)`` as parameter CSV text, with the ``target``
+    column of each row set to ``value_of`` of the row's parameters."""
+    table, _ = sem_cohort(n, seed=seed)
+    lines = ["subject_id,position," + ",".join(PARAMETER_NAMES)]
+    for row in table.rows:
+        params = dict(row.params)
+        if target is not None:
+            params[target] = value_of(params)
+        values = ",".join(repr(float(params[name])) for name in PARAMETER_NAMES)
+        lines.append(f"{row.subject_id},{row.position.value},{values}")
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def _small_tables(draw):
     """A sem_cohort table of 4-70 subjects as CSV text, sometimes with one
     column made constant, a copy of another, or rounded."""
-    table, _ = sem_cohort(draw(st.integers(min_value=4, max_value=70)), seed=draw(st.integers(0, 99)))
-    rows = [dict(row.params) for row in table.rows]
+    n, seed = draw(st.integers(min_value=4, max_value=70)), draw(st.integers(0, 99))
     edit = draw(st.sampled_from(["none", "constant", "duplicate", "rounded"]))
     target = draw(st.sampled_from(PARAMETER_NAMES))
     if edit == "constant":
-        for params in rows:
-            params[target] = 14.0
-    elif edit == "duplicate":
+        # the mean of 0.1, 0.2 or 0.3 in every row can round, so np.std is not 0
+        value = draw(st.sampled_from([14.0, 0.1, 0.2, 0.3]))
+        return _cohort_text(n, seed, target, lambda params: value)
+    if edit == "duplicate":
         source = draw(st.sampled_from(_DERIVED_FREE))
-        for params in rows:
-            params[target] = params[source]
-    elif edit == "rounded":
+        return _cohort_text(n, seed, target, lambda params: params[source])
+    if edit == "rounded":
         digits = draw(st.integers(min_value=0, max_value=2))
-        for params in rows:
-            params[target] = round(params[target], digits)
-    lines = ["subject_id,position," + ",".join(PARAMETER_NAMES)]
-    for row, params in zip(table.rows, rows):
-        values = ",".join(repr(float(params[n])) for n in PARAMETER_NAMES)
-        lines.append(f"{row.subject_id},{row.position.value},{values}")
-    return "\n".join(lines) + "\n"
+        return _cohort_text(n, seed, target, lambda params: round(params[target], digits))
+    return _cohort_text(n, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1330,6 +1361,9 @@ def _small_tables(draw):
     st.sampled_from(["exclude", "post-hoc"]),
     st.sampled_from(["gc,hc", "hc,tabu,fges", "cam", "gc,hc,tabu,fges,cam"]),
 )
+@example(_cohort_text(70, 0, "ciRR", lambda params: 0.1), "exclude", "gc,hc,tabu,fges,cam")
+@example(_cohort_text(70, 1, "cInsT", lambda params: 0.2), "post-hoc", "gc,hc,tabu,fges,cam")
+@example(_cohort_text(70, 2, "cExpV", lambda params: 0.3), "exclude", "gc,hc")
 def test_cli_on_small_tables_exits_cleanly(tmp_path_factory, text, mask, methods):
     root = tmp_path_factory.mktemp("small")
     path = root / "params.csv"
