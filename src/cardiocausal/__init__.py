@@ -5,158 +5,7 @@ The package extracts ten cardiorespiratory parameters per recording,
 screens pairwise associations, runs an ensemble of structure-learning
 methods per body position, aggregates a consensus graph, and tests
 mediation hypotheses.
+
+The modules are the API: import each public name from the one module that
+defines it, as in ``from cardiocausal.pipeline import run_pipeline``.
 """
-
-from .association import (
-    DIRECTION_ALPHA,
-    MPE_GATE,
-    AssociationError,
-    BayesRegressionFit,
-    Direction,
-    GeneralizedCorrPair,
-    bayes_correlation,
-    correlation_matrix,
-    generalized_corr_pair,
-)
-from .cardio_signals import (
-    BeatSeries,
-    NoBeatsError,
-    SignalError,
-    detect_r_peaks,
-    detrend_ecg,
-    rr_intervals,
-)
-from .graphs import EdgeGraph, GraphError, cpdag_of, topological_sort
-from .mediation import MediationError, MediationFit, mediation_fit
-from .param_features import (
-    FeatureError,
-    PairedTestResult,
-    ParamVector,
-    TestKind,
-    breathing_regularity,
-    cardiac_params,
-    paired_compare,
-    param_vector,
-    respiratory_params,
-    wilcoxon_signed_rank,
-)
-from .pipeline import (
-    IGNORED_PAIRS,
-    METHOD_NAMES,
-    CausalReport,
-    ConfigError,
-    ConsensusGraph,
-    EdgeVotes,
-    PipelineError,
-    RunConfig,
-    consensus,
-    run_pipeline,
-)
-from .record_io import (
-    DERIVED_SOURCES,
-    PARAMETER_NAMES,
-    FormatError,
-    ParameterRow,
-    ParameterTable,
-    Position,
-    SignalRecord,
-    load_parameter_table,
-    load_signal_record,
-    save_parameter_table,
-    save_signal_record,
-)
-from .resp_signals import (
-    BreathSeries,
-    TooFewBreathsError,
-    delimit_breaths,
-    remove_cardiac_component,
-)
-from .structure_search import (
-    EnumerationResult,
-    SearchConfig,
-    SearchError,
-    bic_score,
-    cam_learn,
-    enumerate_best_dag,
-    fges,
-    gc_graph,
-    hill_climb,
-    tabu_search,
-)
-from .synthetic import SEM_EDGES, sem_cohort, synthetic_ecg, synthetic_ip
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AssociationError",
-    "BayesRegressionFit",
-    "BeatSeries",
-    "BreathSeries",
-    "CausalReport",
-    "ConfigError",
-    "ConsensusGraph",
-    "DERIVED_SOURCES",
-    "DIRECTION_ALPHA",
-    "Direction",
-    "EdgeGraph",
-    "EdgeVotes",
-    "EnumerationResult",
-    "FeatureError",
-    "FormatError",
-    "GeneralizedCorrPair",
-    "GraphError",
-    "IGNORED_PAIRS",
-    "METHOD_NAMES",
-    "MPE_GATE",
-    "MediationError",
-    "MediationFit",
-    "NoBeatsError",
-    "PARAMETER_NAMES",
-    "PairedTestResult",
-    "ParamVector",
-    "ParameterRow",
-    "ParameterTable",
-    "PipelineError",
-    "Position",
-    "RunConfig",
-    "SEM_EDGES",
-    "SearchConfig",
-    "SearchError",
-    "SignalError",
-    "SignalRecord",
-    "TestKind",
-    "TooFewBreathsError",
-    "bayes_correlation",
-    "bic_score",
-    "breathing_regularity",
-    "cam_learn",
-    "cardiac_params",
-    "consensus",
-    "correlation_matrix",
-    "cpdag_of",
-    "delimit_breaths",
-    "detect_r_peaks",
-    "detrend_ecg",
-    "enumerate_best_dag",
-    "fges",
-    "gc_graph",
-    "generalized_corr_pair",
-    "hill_climb",
-    "load_parameter_table",
-    "load_signal_record",
-    "mediation_fit",
-    "paired_compare",
-    "param_vector",
-    "remove_cardiac_component",
-    "respiratory_params",
-    "rr_intervals",
-    "run_pipeline",
-    "save_parameter_table",
-    "save_signal_record",
-    "sem_cohort",
-    "synthetic_ecg",
-    "synthetic_ip",
-    "tabu_search",
-    "topological_sort",
-    "wilcoxon_signed_rank",
-]

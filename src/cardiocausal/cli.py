@@ -17,7 +17,6 @@ from .pipeline import (
     RunConfig,
     run_pipeline,
 )
-from .record_io import FormatError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,8 +95,8 @@ def main(argv=None) -> int:
 
     try:
         report = run_pipeline(config)
-    except (PipelineError, FormatError) as exc:
-        _print_warnings(getattr(exc, "warnings", ()))  # a FormatError has none
+    except PipelineError as exc:
+        _print_warnings(exc.warnings)
         print(f"analysis failed: {exc}", file=sys.stderr)
         return 2
 

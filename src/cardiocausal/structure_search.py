@@ -25,20 +25,6 @@ from .association import AssociationError, Direction, GeneralizedCorrPairs
 from .graphs import EdgeGraph, _complete_pattern, adjacency, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
-__all__ = [
-    "SearchConfig",
-    "SearchError",
-    "bic_score",
-    "hill_climb",
-    "tabu_search",
-    "fges",
-    "enumerate_best_dag",
-    "EnumerationResult",
-    "cam_learn",
-    "gc_graph",
-    "cpdag_of",
-]
-
 _log = logging.getLogger(__name__)
 
 _EPS_GAIN = 1e-9

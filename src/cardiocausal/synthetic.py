@@ -14,20 +14,9 @@ import numpy as np
 from .param_features import breathing_regularity
 from .record_io import DERIVED_SOURCES, ParameterRow, ParameterTable, Position
 
-# Ground-truth causal graph of the cohort generator, over the eight free
-# parameters (lnRMSSD and BR are deterministic functions and carry no edges).
-SEM_EDGES: frozenset[tuple[str, str]] = frozenset(
-    {
-        ("HR", "RMSSD"),
-        ("HR", "RR"),
-        ("RR", "cInsT"),
-        ("RMSSD", "cInsV"),
-        ("cInsT", "ciRR"),
-        ("cExpT", "ciRR"),
-        ("cInsV", "cExpV"),
-    }
-)
-
+# Edge coefficients of the cohort generator's ground-truth causal graph, over
+# the eight free parameters (lnRMSSD and BR are deterministic functions and
+# carry no edges).
 _SEM_COEFFS = {
     ("HR", "RMSSD"): -0.8,
     ("HR", "RR"): 0.7,
@@ -37,6 +26,7 @@ _SEM_COEFFS = {
     ("cExpT", "ciRR"): 0.6,
     ("cInsV", "cExpV"): 0.85,
 }
+SEM_EDGES: frozenset[tuple[str, str]] = frozenset(_SEM_COEFFS)
 
 _SEM_ORDER = ("HR", "cExpT", "RMSSD", "RR", "cInsT", "cInsV", "ciRR", "cExpV")
 

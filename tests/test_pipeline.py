@@ -964,21 +964,44 @@ class TestPlain:
         }
 
 
+def _fresh_python(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cardiocausal.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
 class TestCli:
     def test_import_loads_no_scipy_stats_interpolate_or_sparse(self):
         # a fresh interpreter: this one has imported scipy.stats for the oracles
-        probe = (
+        done = _fresh_python(
             "import sys, cardiocausal.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate', 'scipy.sparse') "
             "if m in sys.modules))"
         )
-        src = os.path.dirname(os.path.dirname(cardiocausal.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            timeout=120, check=True,
-        )
+        assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_package_import_loads_no_submodule(self):
+        # the modules are the API; the package itself re-exports nothing
+        done = _fresh_python(
+            "import sys, cardiocausal; "
+            "print(sorted(m for m in sys.modules if m.startswith('cardiocausal.')))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_readme_library_example_runs(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        example = section.split("```python\n", 1)[1].split("```", 1)[0]
+        table, _ = sem_cohort(100, seed=0)
+        save_parameter_table(table, tmp_path / "params.csv")
+        done = _fresh_python(example, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
 
     def test_successful_run_writes_all_outputs(self, cohort_csv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -745,7 +745,8 @@ class TestFgesAgainstFormerRebuild:
 class TestEnumerateBestDag:
     def test_known_dag_counts(self):
         rng = np.random.default_rng(12)
-        for p, expected in ((2, 3), (3, 25), (4, 543), (5, 29281)):
+        # labelled DAGs on p nodes, OEIS A003024
+        for p, expected in ((1, 1), (2, 3), (3, 25), (4, 543), (5, 29281)):
             res = enumerate_best_dag(rng.normal(0.0, 1.0, (p + 40, p)))
             assert res.n_dags == expected
 
