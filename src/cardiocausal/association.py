@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import stdtr
 
-from ._util import is_constant
+from ._util import is_constant, without_overflow
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 MPE_GATE = 0.9
@@ -103,27 +103,32 @@ def _pearson_p(r: float, n: int) -> float:
     return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
-def bayes_correlation(x, y) -> BayesRegressionFit:
-    """Correlation via the regression x = alpha + beta * y + noise.
+@dataclass(frozen=True)
+class _Moments:
+    """A column with the moments each of its correlations uses."""
 
-    Under the flat conjugate prior the posterior mean of beta is the
-    least-squares slope and its posterior is Student-t with n - 2 degrees of
-    freedom, so r = beta * sd(y) / sd(x) equals the sample Pearson
-    coefficient and the maximum probability of effect (MPE) has closed form.
-    """
-    x, y = _as_pair(x, y, 4)
-    n = x.size
-    yc = y - y.mean()
-    syy = float(yc @ yc)
-    beta = float(yc @ (x - x.mean())) / syy
-    alpha = float(x.mean() - beta * y.mean())
-    resid = x - alpha - beta * y
+    values: np.ndarray
+    mean: float
+    centered: np.ndarray
+    ss: float  # sum of squared deviations
+    sd: float  # standard deviation, n - 1 denominator
+
+
+def _moments(x: np.ndarray) -> _Moments:
+    mean = x.mean()
+    centered = x - mean
+    return _Moments(x, mean, centered, float(centered @ centered), float(np.std(x, ddof=1)))
+
+
+def _bayes_fit(x: _Moments, y: _Moments) -> BayesRegressionFit:
+    n = x.values.size
+    beta = float(y.centered @ x.centered) / y.ss
+    alpha = float(x.mean - beta * y.mean)
+    resid = x.values - alpha - beta * y.values
     rss = float(resid @ resid)
-    sigma_x = float(np.std(x, ddof=1))
-    sigma_y = float(np.std(y, ddof=1))
-    r = beta * sigma_y / sigma_x
+    r = beta * y.sd / x.sd
 
-    se2 = rss / (n - 2) / syy
+    se2 = rss / (n - 2) / y.ss
     if se2 <= 0:
         mpe = 1.0 if beta != 0 else 0.5
     else:
@@ -133,11 +138,23 @@ def bayes_correlation(x, y) -> BayesRegressionFit:
     return BayesRegressionFit(
         alpha_hat=alpha,
         beta_hat=beta,
-        sigma_x=sigma_x,
-        sigma_y=sigma_y,
+        sigma_x=x.sd,
+        sigma_y=y.sd,
         r=r,
         mpe=mpe,
     )
+
+
+def bayes_correlation(x, y) -> BayesRegressionFit:
+    """Correlation via the regression x = alpha + beta * y + noise.
+
+    Under the flat conjugate prior the posterior mean of beta is the
+    least-squares slope and its posterior is Student-t with n - 2 degrees of
+    freedom, so r = beta * sd(y) / sd(x) equals the sample Pearson
+    coefficient and the maximum probability of effect (MPE) has closed form.
+    """
+    x, y = _as_pair(x, y, 4)
+    return _bayes_fit(_moments(x), _moments(y))
 
 
 def correlation_matrix(table: ParameterTable, position: Position, warnings=None) -> np.ndarray:
@@ -148,12 +165,14 @@ def correlation_matrix(table: ParameterTable, position: Position, warnings=None)
     construction (each unordered pair is evaluated once).  A constant
     column has no correlation: its row and column are NaN, and when a
     ``warnings`` list is given it gets one message for each such column.
+    Each column's moments are computed once, in power-of-two units if its
+    values are extreme, which changes no correlation.
     """
     if len(table.subjects(position)) < 4:
         raise AssociationError("need at least 4 subjects for the position")
     k = len(PARAMETER_NAMES)
     out = np.full((k, k), np.nan)
-    columns = [table.column(name, position) for name in PARAMETER_NAMES]
+    columns = [without_overflow(table.column(name, position)) for name in PARAMETER_NAMES]
     constant = [is_constant(c) for c in columns]
     if warnings is not None:
         warnings.extend(
@@ -162,10 +181,11 @@ def correlation_matrix(table: ParameterTable, position: Position, warnings=None)
             for name, flat in zip(PARAMETER_NAMES, constant)
             if flat
         )
+    moments = [None if flat else _moments(c) for c, flat in zip(columns, constant)]
     for i, j in combinations(range(k), 2):
         if constant[i] or constant[j]:
             continue
-        fit = bayes_correlation(columns[i], columns[j])
+        fit = _bayes_fit(moments[i], moments[j])
         if fit.mpe > MPE_GATE:
             out[i, j] = fit.r
             out[j, i] = fit.r
@@ -225,7 +245,8 @@ class GeneralizedCorrPairs:
     """
 
     def __init__(self, columns):
-        self.columns = [np.asarray(c, dtype=float) for c in columns]
+        # extreme columns in power-of-two units, which changes no correlation
+        self.columns = [without_overflow(np.asarray(c, dtype=float)) for c in columns]
         self._predictions: dict[int, dict[int, np.ndarray]] = {}
 
     def _prediction(self, cause: int, response: int) -> np.ndarray:

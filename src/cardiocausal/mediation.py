@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from ._util import is_constant
+from ._util import extreme_exponent, is_constant
 
 
 class MediationError(ValueError):
@@ -49,19 +49,6 @@ def _ols(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beta, np.sqrt(np.diag(cov))
 
 
-# Columns whose largest magnitude lies outside [2**-500, 2**500] are fitted
-# in units of a power of two.  Inside it the squares and sums of squares of
-# the fit stay finite and normal for up to 2**20 rows.
-_EXTREME_EXPONENT = 500
-
-
-def _extreme_exponent(v: np.ndarray) -> int:
-    """k with v / 2**k of moderate magnitude, or 0 for a column in range."""
-    top = float(np.max(np.abs(v)))
-    k = math.frexp(top)[1]
-    return k if abs(k) > _EXTREME_EXPONENT else 0
-
-
 def mediation_fit(x, m, y, path: tuple[str, str, str] = ("x", "m", "y")) -> MediationFit:
     """Fit m ~ x and y ~ m + x; test the indirect effect a*b with Sobel's z.
 
@@ -84,7 +71,7 @@ def mediation_fit(x, m, y, path: tuple[str, str, str] = ("x", "m", "y")) -> Medi
     for label, v in (("x", x), ("m", m), ("y", y)):
         if not np.all(np.isfinite(v)):
             raise MediationError(f"non-finite values in {label}")
-    kx, km, ky = (_extreme_exponent(v) for v in (x, m, y))
+    kx, km, ky = (int(extreme_exponent(v)) for v in (x, m, y))
     x, m, y = np.ldexp(x, -kx), np.ldexp(m, -km), np.ldexp(y, -ky)
     for label, v in (("x", x), ("m", m), ("y", y)):
         if is_constant(v):

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsygvd
 from scipy.special import fdtrc
 
-from ._util import is_constant
+from ._util import is_constant, without_overflow
 from .association import AssociationError, Direction, GeneralizedCorrPairs
 from .graphs import EdgeGraph, _complete_pattern, adjacency, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
@@ -427,9 +427,15 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
         parents = _state_from_edges(p, directed)[1]
         return adjacency(nodes, directed, undirected), adjacency(nodes, (), undirected), parents
 
+    # Each generator scores an operator from the cached local scores first,
+    # and checks its validity only when its delta beats that of every valid
+    # operator before it (a NaN delta never does): max keeps the first of
+    # equal deltas, so no other operator can win.
+
     def forward_candidates():
         adj, und, parents = neighbours()
         step = adjacency(nodes, directed, undirected, one_way=True)
+        best = _EPS_GAIN
         for y in range(p):
             nb_y = und[y]
             for x in range(p):
@@ -444,16 +450,17 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                         new = base | {x}
                         if len(new) > config.max_parents:
                             continue
-                        if not _is_clique(block, adj):
+                        delta = scorer.local(y, new) - scorer.local(y, base)
+                        if not delta > best or not _is_clique(block, adj):
                             continue
                         if _semi_directed_reaches(y, x, block, step):
                             continue
-                        delta = scorer.local(y, frozenset(new)) - scorer.local(y, base)
-                        if delta > _EPS_GAIN:
-                            yield delta, x, y, t
+                        best = delta
+                        yield delta, x, y, t
 
     def backward_candidates():
         adj, und, parents = neighbours()
+        best = _EPS_GAIN
         for y in range(p):
             nb_y = und[y]
             for x in range(p):
@@ -465,12 +472,12 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                 for size in range(len(na) + 1):
                     for h in itertools.combinations(sorted(na), size):
                         rest = na - set(h)
-                        if not _is_clique(rest, adj):
-                            continue
                         base = frozenset((rest | parents[y]) - {x})
                         delta = scorer.local(y, base) - scorer.local(y, frozenset(base | {x}))
-                        if delta > _EPS_GAIN:
-                            yield delta, x, y, h
+                        if not delta > best or not _is_clique(rest, adj):
+                            continue
+                        best = delta
+                        yield delta, x, y, h
 
     def run_phase(candidate_fn, apply_fn):
         nonlocal directed, undirected
@@ -636,17 +643,28 @@ class _GamFit:
     lam: float
 
 
-def _penalized_fits(xtx, xty, yty, omega, lams) -> tuple[np.ndarray, np.ndarray]:
+def _smoother_eigensystem(xtx, omega) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, V) of the generalized eigenproblem ``xtx V = (xtx + omega) V diag(mu)``,
+    with ``V'(xtx + omega) V = I``.
+
+    It depends on the parent set only, not on the response.  The LAPACK call
+    is the one ``scipy.linalg.eigh(xtx, xtx + omega)`` makes.
+    """
+    mu, v, info = dsygvd(xtx, xtx + omega, itype=1, jobz="V", uplo="L")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK sygvd")
+    if info > 0:
+        raise SearchError("smoother failure: no valid penalty value")
+    return mu, v
+
+
+def _penalized_fits(eigensystem, xty, yty, lams) -> tuple[np.ndarray, np.ndarray]:
     """rss and edf of the penalized least-squares fit at each penalty in ``lams``.
 
-    One generalized eigendecomposition ``xtx V = (xtx + omega) V diag(mu)``,
-    with ``V'(xtx + omega) V = I``, turns ``xtx + lam * omega`` into
+    The smoother's eigensystem turns ``xtx + lam * omega`` into
     ``V^-T diag(mu + lam (1 - mu)) V^-1`` for every ``lam`` at once.
     """
-    try:
-        mu, v = sla.eigh(xtx, xtx + omega)
-    except sla.LinAlgError as exc:
-        raise SearchError("smoother failure: no valid penalty value") from exc
+    mu, v = eigensystem
     c2 = (v.T @ xty) ** 2
     d = mu + np.outer(lams, 1.0 - mu)
     rss = np.maximum(yty - ((2.0 * d - mu) / d**2) @ c2, 0.0)
@@ -654,9 +672,9 @@ def _penalized_fits(xtx, xty, yty, omega, lams) -> tuple[np.ndarray, np.ndarray]
     return rss, edf
 
 
-def _gcv_fit(xtx, xty, yty, omega, n: int) -> _GamFit:
+def _gcv_fit(eigensystem, xty, yty, n: int) -> _GamFit:
     """The fit whose penalty in ``_LAMBDA_GRID`` minimizes GCV; the first on ties."""
-    rss, edf = _penalized_fits(xtx, xty, yty, omega, _LAMBDA_GRID)
+    rss, edf = _penalized_fits(eigensystem, xty, yty, _LAMBDA_GRID)
     valid = np.flatnonzero(edf < n)
     if not valid.size:
         raise SearchError("smoother failure: no valid penalty value")
@@ -667,7 +685,8 @@ def _gcv_fit(xtx, xty, yty, omega, n: int) -> _GamFit:
 def _prune_node(system, v: int, preds: list[int], n: int, alpha: float) -> list[int]:
     """Approximate F-test of each smooth term; keep parents with p < alpha.
 
-    ``system(v, parents)`` gives the smoother inputs of ``v`` on ``parents``.
+    ``system(v, parents)`` gives the smoother eigensystem of ``parents``,
+    ``X'y`` and ``y'y`` of ``v``.
     """
     full = _gcv_fit(*system(v, preds), n)
     kept = []
@@ -693,9 +712,11 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
     additive-regression log-likelihood gain (penalized cubic splines, GCV
     smoothing).  Stage 2 regresses each node on all order-preceding nodes
     and keeps only parents whose smooth term tests significant below
-    ``cam_prune_alpha``.  Columns are standardized internally.  Every fit
+    ``cam_prune_alpha``.  Columns are standardized internally, after any
+    column of extreme magnitude is put in power-of-two units.  Every fit
     slices one Gram matrix and penalty of the intercept and all spline
-    columns.
+    columns, and each parent list's eigensystem is computed once and shared
+    by every child fitted on it.
     """
     config = config or SearchConfig()
     x = np.asarray(data, dtype=float)
@@ -708,6 +729,7 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
         raise SearchError("at most 20 columns supported")
     if not np.all(np.isfinite(x)):
         raise SearchError("non-finite data")
+    x = without_overflow(x, axis=0)
     if np.any(is_constant(x, axis=0)):
         raise SearchError("degenerate column for smoother")
     z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
@@ -719,13 +741,18 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
     gram, xtz = design.T @ design, design.T @ z
     omega = sla.block_diag(np.zeros((1, 1)), *(t.penalty for t in terms))
     width = _N_BASIS - 1
+    # keyed by the ordered parent list: the column order fixes the bits
+    eigensystems: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def system(v: int, parent_list):
         cols = np.concatenate(
             [[0]] + [np.arange(1 + width * u, 1 + width * (u + 1)) for u in parent_list]
         )
-        block = np.ix_(cols, cols)
-        return gram[block], xtz[cols, v], float(z[:, v] @ z[:, v]), omega[block]
+        key = tuple(parent_list)
+        if key not in eigensystems:
+            block = np.ix_(cols, cols)
+            eigensystems[key] = _smoother_eigensystem(gram[block], omega[block])
+        return eigensystems[key], xtz[cols, v], float(z[:, v] @ z[:, v])
 
     rss_cache: dict[tuple[int, frozenset[int]], float] = {}
 

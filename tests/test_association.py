@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import stdtr
 
+from cardiocausal import association
 from cardiocausal.association import (
     AssociationError,
     BayesRegressionFit,
@@ -128,7 +130,70 @@ class TestBayesCorrelation:
             )
 
 
+def _former_bayes_correlation(x, y) -> BayesRegressionFit:
+    """bayes_correlation as it was, with every moment taken per call."""
+    x, y = association._as_pair(x, y, 4)
+    n = x.size
+    yc = y - y.mean()
+    syy = float(yc @ yc)
+    beta = float(yc @ (x - x.mean())) / syy
+    alpha = float(x.mean() - beta * y.mean())
+    resid = x - alpha - beta * y
+    rss = float(resid @ resid)
+    sigma_x = float(np.std(x, ddof=1))
+    sigma_y = float(np.std(y, ddof=1))
+    r = beta * sigma_y / sigma_x
+    se2 = rss / (n - 2) / syy
+    if se2 <= 0:
+        mpe = 1.0 if beta != 0 else 0.5
+    else:
+        cdf = float(stdtr(n - 2, beta / math.sqrt(se2)))
+        mpe = max(cdf, 1.0 - cdf)
+    return BayesRegressionFit(
+        alpha_hat=alpha, beta_hat=beta, sigma_x=sigma_x, sigma_y=sigma_y, r=r, mpe=mpe
+    )
+
+
+def _former_correlation_matrix(table, position):
+    """The gated matrix as one former bayes_correlation call per pair."""
+    k = len(PARAMETER_NAMES)
+    out = np.full((k, k), np.nan)
+    columns = [table.column(name, position) for name in PARAMETER_NAMES]
+    for i, j in combinations(range(k), 2):
+        if np.ptp(columns[i]) == 0 or np.ptp(columns[j]) == 0:
+            continue
+        fit = _former_bayes_correlation(columns[i], columns[j])
+        if fit.mpe > 0.9:
+            out[i, j] = out[j, i] = fit.r
+    return out
+
+
+@st.composite
+def _screen_tables(draw):
+    """4-60 subjects of independent columns, some of them rescaled by up to
+    1e3 either way and up to four of them constant."""
+    n = draw(st.integers(4, 60))
+    cols = random_columns(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    for name in draw(st.lists(st.sampled_from(PARAMETER_NAMES), unique=True, max_size=4)):
+        if name != "BR":
+            cols[name] = cols[name] * 10.0 ** draw(st.floats(-3.0, 3.0))
+    for name in draw(st.lists(st.sampled_from(PARAMETER_NAMES), unique=True, max_size=4)):
+        cols[name] = np.full(n, draw(st.sampled_from([0.1, 0.2, 0.3, 14.0])))
+    return make_table(cols)
+
+
 class TestCorrelationMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(_screen_tables())
+    def test_matches_the_former_pairwise_loop(self, table):
+        # moments taken once per column give the former per-pair bits
+        out = correlation_matrix(table, Position.SUPINE)
+        assert np.array_equal(out, _former_correlation_matrix(table, Position.SUPINE), equal_nan=True)
+        columns = [table.column(name, Position.SUPINE) for name in PARAMETER_NAMES]
+        for x, y in permutations(columns, 2):
+            if np.ptp(x) > 0 and np.ptp(y) > 0:
+                assert bayes_correlation(x, y) == _former_bayes_correlation(x, y)
+
     def test_identical_columns_present_as_one(self):
         rng = np.random.default_rng(5)
         cols = random_columns(rng, 30)

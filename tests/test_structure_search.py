@@ -12,13 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy.interpolate import BSpline
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dsygvd
 
 from cardiocausal import association, structure_search
-from cardiocausal.association import AssociationError, Direction, generalized_corr_pair
+from cardiocausal.association import (
+    AssociationError,
+    Direction,
+    correlation_matrix,
+    generalized_corr_pair,
+)
 from cardiocausal.graphs import EdgeGraph, GraphError, _complete_pattern, adjacency, cpdag_of
 from cardiocausal.pipeline import STRUCTURE_NAMES
-from cardiocausal.record_io import PARAMETER_NAMES, Position
+from cardiocausal.graphs import topological_sort
+from cardiocausal.record_io import PARAMETER_NAMES, ParameterRow, ParameterTable, Position
 from cardiocausal.structure_search import (
     SearchConfig,
     SearchError,
@@ -33,12 +39,14 @@ from cardiocausal.structure_search import (
 from cardiocausal.structure_search import (
     _EPS_GAIN,
     _LAMBDA_GRID,
+    _N_BASIS,
     _apply_move,
     _beats,
     _bspline_basis,
     _BicScorer,
     _climb,
     _dag,
+    _descendants,
     _edges_of,
     _gcv_fit,
     _greedy_climb,
@@ -47,8 +55,10 @@ from cardiocausal.structure_search import (
     _legal_moves,
     _move_delta,
     _node_names,
+    _penalized_fits,
     _prune_node,
     _semi_directed_reaches,
+    _smoother_eigensystem,
     _SplineTerm,
     _state_from_edges,
 )
@@ -941,6 +951,12 @@ class TestSplineBasis:
         np.testing.assert_allclose(_bspline_basis(_SplineTerm(x).knots, x).sum(axis=1), 1.0)
 
 
+def _eigen_inputs(inputs):
+    """Former smoother inputs (xtx, xty, yty, omega) as (eigensystem, xty, yty)."""
+    xtx, xty, yty, omega = inputs
+    return _smoother_eigensystem(xtx, omega), xty, yty
+
+
 class TestGcvSmoother:
     @pytest.mark.parametrize("k", [1, 2, 4, 7])
     def test_matches_dense_solves_at_every_penalty(self, k):
@@ -953,7 +969,7 @@ class TestGcvSmoother:
             rss, edf = dense_fit(lam)
             dense.append((n * rss / (n - edf) ** 2, rss, edf, lam))
         _, rss, edf, lam = min(dense)
-        fit = _gcv_fit(*inputs, n)
+        fit = _gcv_fit(*_eigen_inputs(inputs), n)
         assert fit.lam == lam
         assert fit.rss == pytest.approx(rss, rel=1e-8)
         # the centering constraint is absorbed, so the penalized system has no
@@ -968,31 +984,169 @@ class TestGcvSmoother:
         v = STRUCTURE_NAMES.index("cInsV")
         preds = [u for u in range(z.shape[1]) if u != v]
         inputs, dense_fit = _dense_smoother(z, v, preds)
-        lam = _gcv_fit(*inputs, n).lam
+        lam = _gcv_fit(*_eigen_inputs(inputs), n).lam
         full_rss, full_edf = dense_fit(lam)
         expected = []
         for u in preds:
             rss, edf = _dense_smoother(z, v, [w for w in preds if w != u])[1](lam)
             df1, df2 = full_edf - edf, n - full_edf
             expected.append((df1, df2, (rss - full_rss) / df1 / (full_rss / df2)))
+
+        def system(v, parents):
+            return _eigen_inputs(_dense_smoother(z, v, parents)[0])
+
         with mock.patch.object(structure_search, "fdtrc", wraps=structure_search.fdtrc) as sf:
-            _prune_node(lambda v, parents: _dense_smoother(z, v, parents)[0], v, preds, n, 0.001)
+            _prune_node(system, v, preds, n, 0.001)
         assert [call.args for call in sf.call_args_list] == [
             pytest.approx(e, rel=1e-6) for e in expected
         ]
 
     def test_one_eigendecomposition_per_sweep(self):
         inputs, _ = _dense_smoother(_standardized(0, Position.SUPINE), 0, [1, 2])
-        with mock.patch.object(
-            structure_search.sla, "eigh", wraps=structure_search.sla.eigh
-        ) as eigh:
-            _gcv_fit(*inputs, 100)
-        assert eigh.call_count == 1
+        with mock.patch.object(structure_search, "dsygvd", wraps=structure_search.dsygvd) as eig:
+            _gcv_fit(*_eigen_inputs(inputs), 100)
+        assert eig.call_count == 1
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 9])
+    def test_eigensystem_is_scipys_eigh(self, k):
+        # the same LAPACK routine and arguments, so the same bits
+        x = sem_cohort(100, seed=2)[0].matrix(Position.SUPINE)
+        z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+        xtx, _, _, omega = _dense_smoother(z, 0, range(1, k + 1))[0]
+        mu, v = _smoother_eigensystem(xtx, omega)
+        want_mu, want_v = sla.eigh(xtx, xtx + omega)
+        assert np.array_equal(mu, want_mu) and np.array_equal(v, want_v)
 
     def test_no_valid_penalty_is_an_error(self):
         # a Gram matrix that is not positive definite at any penalty
         with pytest.raises(SearchError, match="no valid penalty value"):
-            _gcv_fit(-np.eye(3), np.zeros(3), 0.0, np.zeros((3, 3)), 10)
+            _smoother_eigensystem(-np.eye(3), np.zeros((3, 3)))
+        # every penalty leaves as many degrees of freedom as rows
+        eigensystem = _smoother_eigensystem(np.eye(3), np.zeros((3, 3)))
+        with pytest.raises(SearchError, match="no valid penalty value"):
+            _gcv_fit(eigensystem, np.zeros(3), 0.0, 3)
+
+
+def _former_penalized_fits(xtx, xty, yty, omega, lams):
+    """The smoother as it was: one ``sla.eigh`` for every fit."""
+    try:
+        mu, v = sla.eigh(xtx, xtx + omega)
+    except sla.LinAlgError as exc:
+        raise SearchError("smoother failure: no valid penalty value") from exc
+    c2 = (v.T @ xty) ** 2
+    d = mu + np.outer(lams, 1.0 - mu)
+    rss = np.maximum(yty - ((2.0 * d - mu) / d**2) @ c2, 0.0)
+    edf = (mu / d).sum(axis=1)
+    return rss, edf
+
+
+def _former_gcv_fit(xtx, xty, yty, omega, n):
+    """(rss, edf, lam) of the former GCV choice."""
+    rss, edf = _former_penalized_fits(xtx, xty, yty, omega, _LAMBDA_GRID)
+    valid = np.flatnonzero(edf < n)
+    if not valid.size:
+        raise SearchError("smoother failure: no valid penalty value")
+    best = valid[np.argmin(n * rss[valid] / (n - edf[valid]) ** 2)]
+    return float(rss[best]), float(edf[best]), float(_LAMBDA_GRID[best])
+
+
+def _former_cam_learn(x, names, alpha=SearchConfig().cam_prune_alpha):
+    """cam_learn as it was, on a valid design: each fit decomposes its own
+    smoother system, with no eigensystem shared between fits."""
+    n, p = x.shape
+    z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+    terms = [_SplineTerm(z[:, j]) for j in range(p)]
+    design = np.hstack([np.ones((n, 1))] + [t.basis for t in terms])
+    gram, xtz = design.T @ design, design.T @ z
+    omega = sla.block_diag(np.zeros((1, 1)), *(t.penalty for t in terms))
+    width = _N_BASIS - 1
+
+    def system(v, parent_list):
+        cols = np.concatenate(
+            [[0]] + [np.arange(1 + width * u, 1 + width * (u + 1)) for u in parent_list]
+        )
+        block = np.ix_(cols, cols)
+        return gram[block], xtz[cols, v], float(z[:, v] @ z[:, v]), omega[block]
+
+    rss_cache = {}
+
+    def rss_of(v, parent_set):
+        if (v, parent_set) not in rss_cache:
+            rss = _former_gcv_fit(*system(v, sorted(parent_set)), n)[0]
+            rss_cache[v, parent_set] = max(rss, 1e-300)
+        return rss_cache[v, parent_set]
+
+    children, parents = _state_from_edges(p, ())
+    while True:
+        best, best_gain = None, _EPS_GAIN
+        reach = _descendants(children)
+        for v in range(p):
+            base = rss_of(v, frozenset(parents[v]))
+            for u in range(p):
+                if u == v or u in parents[v] or u in reach[v]:
+                    continue
+                gain = 0.5 * n * math.log(base / rss_of(v, frozenset(parents[v] | {u})))
+                if gain > best_gain:
+                    best, best_gain = (u, v), gain
+        if best is None:
+            break
+        children[best[0]].add(best[1])
+        parents[best[1]].add(best[0])
+
+    order = topological_sort(
+        tuple(range(p)), frozenset((u, v) for u, cs in children.items() for v in cs)
+    )
+    edges = []
+    for pos, v in enumerate(order):
+        preds = order[:pos]
+        if not preds:
+            continue
+        full_rss, full_edf, lam = _former_gcv_fit(*system(v, preds), n)
+        for u in preds:
+            (rss,), (edf,) = _former_penalized_fits(
+                *system(v, [w for w in preds if w != u]), [lam]
+            )
+            df1, df2 = full_edf - edf, n - full_edf
+            if df1 <= 1e-9 or df2 <= 1e-9 or full_rss <= 0:
+                continue
+            f_stat = ((rss - full_rss) / df1) / (full_rss / df2)
+            if f_stat > 0 and float(structure_search.fdtrc(df1, df2, f_stat)) < alpha:
+                edges.append((u, v))
+    return _dag(names, edges)
+
+
+class TestCamAgainstFormerSmoother:
+    """One eigensystem per ordered parent list, straight from LAPACK, gives
+    the former per-fit ``sla.eigh`` graphs."""
+
+    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
+    @pytest.mark.parametrize("n, seeds", [(50, 4), (100, 8), (1000, 4)])
+    def test_sem_cohort_designs(self, n, seeds, names):
+        for seed in range(seeds):
+            table, _ = sem_cohort(n, seed=seed)
+            for position in Position:
+                x = table.matrix(position, names)
+                assert cam_learn(x, names=names) == _former_cam_learn(x, names)
+
+    @pytest.mark.parametrize(
+        "names, fits, systems",
+        [(STRUCTURE_NAMES, (157, 160), (77, 83)), (PARAMETER_NAMES, (286, 287), (152, 160))],
+        ids=["8", "10"],
+    )
+    def test_one_decomposition_per_ordered_parent_list(self, names, fits, systems):
+        table, _ = sem_cohort(100, seed=0)
+        for position, want_fits, want_systems in zip(Position, fits, systems):
+            with (
+                mock.patch.object(structure_search, "dsygvd", wraps=dsygvd) as eig,
+                mock.patch.object(
+                    structure_search, "_penalized_fits", wraps=_penalized_fits
+                ) as sweeps,
+            ):
+                cam_learn(table.matrix(position, names))
+            # each Gram block is one ordered parent list; none is decomposed twice
+            blocks = {call.args[0].tobytes() for call in eig.call_args_list}
+            assert eig.call_count == len(blocks) == want_systems
+            assert sweeps.call_count == want_fits
 
 
 class TestGcGraph:
@@ -1071,6 +1225,38 @@ class TestGcGraph:
         ) as kernel:
             gc_graph(table, Position.SUPINE)
         assert kernel.call_count == len(PARAMETER_NAMES)
+
+
+def _scaled(table, name, factor):
+    """``table`` with column ``name`` multiplied by ``factor``."""
+    return ParameterTable(
+        rows=tuple(
+            ParameterRow(row.subject_id, row.position, {**row.params, name: row.params[name] * factor})
+            for row in table.rows
+        )
+    )
+
+
+class TestExtremeMagnitudes:
+    """A column near 1e180 is taken in power-of-two units, which is exact, so
+    its correlations and graphs are those of the plain column; under the
+    suite's filterwarnings = error an overflow warning would fail the test."""
+
+    @pytest.mark.parametrize("position", list(Position))
+    def test_huge_column_gives_the_plain_results(self, position):
+        table, _ = sem_cohort(100, seed=0)
+        huge = _scaled(table, "cInsV", 2.0**600)
+        assert np.max(huge.column("cInsV", position)) > 1e179
+        assert np.array_equal(
+            correlation_matrix(huge, position), correlation_matrix(table, position), equal_nan=True
+        )
+        warnings = []
+        assert gc_graph(huge, position, warnings=warnings) == gc_graph(table, position)
+        assert warnings == []
+        for names in (STRUCTURE_NAMES, PARAMETER_NAMES):
+            assert cam_learn(huge.matrix(position, names), names=names) == cam_learn(
+                table.matrix(position, names), names=names
+            )
 
 
 def _pairwise_gc(table, position, names):
