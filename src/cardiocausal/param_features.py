@@ -9,6 +9,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr, stdtr
 
+from ._util import without_overflow
 from .record_io import DERIVED_SOURCES, ParameterRow, Position
 from .resp_signals import BreathSeries
 
@@ -283,6 +284,9 @@ def paired_compare(supine, standing, parameter: str) -> PairedTestResult:
     n = a.size
     if n < 8:
         raise FeatureError("need at least 8 pairs")
+    # both samples in one power-of-two unit, which changes no statistic and
+    # keeps the squared differences finite
+    a, b = without_overflow(np.stack((a, b)))
     d = b - a
     if np.all(d == 0):
         raise FeatureError("all differences zero: paired test undefined")

@@ -8,7 +8,11 @@ import json
 import math
 import multiprocessing.connection
 import os
+import pickle
+import signal
+import sys
 import threading
+import warnings
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -401,8 +405,118 @@ def _method_graphs(
                 graph = _mask_ignored(graph)
             graphs[method] = graph
     except (SearchError, AssociationError) as exc:
-        raise PipelineError(f"{method} search for {pos.value}: {exc}", warnings_list) from None
+        raise PipelineError(f"{method} search for {pos.value}: {exc}") from None
     return graphs
+
+
+@dataclass(frozen=True)
+class _PositionResult:
+    """One position's correlation matrix and method graphs, or in ``error``
+    the message of the failure that stopped it, with the position's warnings
+    either way."""
+
+    warnings: tuple[str, ...]
+    correlations: np.ndarray | None = None
+    graphs: dict[str, EdgeGraph] | None = None
+    error: str | None = None
+
+
+def _position_result(table: ParameterTable, pos: Position, config: RunConfig) -> _PositionResult:
+    """The correlation matrix and then the method graphs of one position.
+
+    Their expected failures come back as ``error`` rather than raised, so
+    the caller reports them in position order whichever process ran each.
+    """
+    warnings_list: list[str] = []
+    try:
+        matrix = correlation_matrix(table, pos, warnings=warnings_list)
+    except AssociationError as exc:
+        message = f"correlation matrix for {pos.value}: {exc}"
+        return _PositionResult(tuple(warnings_list), error=message)
+    try:
+        graphs = _method_graphs(table, pos, config, warnings_list)
+    except PipelineError as exc:
+        return _PositionResult(tuple(warnings_list), error=str(exc))
+    return _PositionResult(tuple(warnings_list), matrix, graphs)
+
+
+def _stopped(pos: Position, reason: str):
+    """The outcome of a position whose worker process returned no result."""
+    return (), _PositionResult((), error=f"position worker for {pos.value} stopped: {reason}")
+
+
+def _position_child(read_fd: int, write_fd: int, table, pos: Position, config: RunConfig):
+    """Body of the forked child of ``_forked_outcomes``; it never returns.
+
+    It pickles ``(warnings shown, outcome)`` to ``write_fd``: the Python
+    warnings the position raised, recorded instead of printed, and its
+    ``_PositionResult`` or the exception that stopped it.  ``os._exit`` ends
+    it without flushing the stdio buffers or running the atexit handlers it
+    inherited.
+    """
+    try:
+        os.close(read_fd)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = _position_result(table, pos, config)
+            except BaseException as exc:
+                outcome = exc
+        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        try:
+            data = pickle.dumps((shown, outcome))
+        except Exception as exc:
+            data = pickle.dumps(_stopped(pos, f"its result cannot be pickled: {exc}"))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _forked_outcomes(table: ParameterTable, positions, config: RunConfig) -> list:
+    """``(warnings shown, outcome)`` of the two positions: this process
+    analyses the first while one forked child analyses the second.
+
+    The child inherits the table, so nothing is pickled on the way in.  It
+    is killed if this process's own position raises or the run is
+    interrupted, and reaped in every case.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _position_child(read_fd, write_fd, table, positions[1], config)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            first = _position_result(table, positions[0], config)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not data:
+        reason = f"exit code {code}" if code >= 0 else f"killed by signal {-code}"
+        second = _stopped(positions[1], reason)
+    else:
+        try:
+            second = pickle.loads(data)
+        except Exception as exc:
+            second = _stopped(positions[1], f"its result cannot be read: {exc}")
+    return [((), first), second]
+
+
+def _reissue(shown) -> None:
+    """Issue again, in order, warnings that a child process recorded, through
+    this process's filters and the registry of the module that raised each,
+    as if they had been raised here."""
+    if not shown:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in shown:
+        module = modules.get(filename)
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        name = None if module is None else module.__name__
+        warnings.warn_explicit(message, category, filename, lineno, name, registry)
 
 
 def run_pipeline(config: RunConfig) -> CausalReport:
@@ -411,7 +525,9 @@ def run_pipeline(config: RunConfig) -> CausalReport:
     Per-subject ingestion failures and constant columns become warnings;
     cohort-level failures (too few subjects, malformed tables, a method that
     cannot run) and a failed write of the outputs raise PipelineError with
-    the warnings gathered so far.
+    the warnings gathered so far.  With two positions and more than one
+    CPU, the second position is analysed in a forked child; the report, the
+    warnings and their order are those of one position after the other.
     """
     warnings_list: list[str] = []
     positions = [Position(p) for p in config.positions]
@@ -446,17 +562,21 @@ def run_pipeline(config: RunConfig) -> CausalReport:
     method_graphs: dict[str, dict[str, EdgeGraph]] = {}
     consensus_graphs: dict[str, ConsensusGraph] = {}
 
-    for pos in positions:
-        try:
-            correlations[pos.value] = correlation_matrix(table, pos, warnings=warnings_list)
-        except AssociationError as exc:
-            raise PipelineError(
-                f"correlation matrix for {pos.value}: {exc}", warnings_list
-            ) from None
-
-        graphs = _method_graphs(table, pos, config, warnings_list)
-        method_graphs[pos.value] = graphs
-        consensus_graphs[pos.value] = consensus(list(graphs.items()))
+    if len(positions) < 2 or _available_cpus() < 2:
+        outcomes = (((), _position_result(table, pos, config)) for pos in positions)
+    else:
+        outcomes = _forked_outcomes(table, positions, config)
+    # in position order, as one position after the other would give them
+    for pos, (shown, outcome) in zip(positions, outcomes):
+        _reissue(shown)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        warnings_list.extend(outcome.warnings)
+        if outcome.error is not None:
+            raise PipelineError(outcome.error, warnings_list)
+        correlations[pos.value] = outcome.correlations
+        method_graphs[pos.value] = outcome.graphs
+        consensus_graphs[pos.value] = consensus(list(outcome.graphs.items()))
 
     mediation_results: list[tuple[str, MediationFit]] = []
     for pos in positions:

@@ -20,7 +20,7 @@ from scipy import linalg as sla
 from scipy.linalg.lapack import dpotrf, dpotrs, dsygvd
 from scipy.special import fdtrc
 
-from ._util import is_constant, without_overflow
+from ._util import extreme_exponent, is_constant, without_overflow
 from .association import AssociationError, Direction, GeneralizedCorrPairs
 from .graphs import EdgeGraph, _complete_pattern, adjacency, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
@@ -93,6 +93,12 @@ class _BicScorer:
             raise SearchError("need more rows than columns")
         if not np.all(np.isfinite(x)):
             raise SearchError("non-finite data")
+        # Columns above 2**500 are scored in power-of-two units, which is
+        # exact: a move's BIC gain does not depend on a column's units, and
+        # bic_score adds back what they change in a total.
+        units = np.maximum(extreme_exponent(x, axis=0), 0)
+        x = np.ldexp(x, -units)
+        self.units_offset = -n * math.log(2.0) * float(units.sum())
         centered = x - x.mean(axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
             self.scatter = centered.T @ centered
@@ -151,7 +157,7 @@ def bic_score(data, dag: EdgeGraph) -> float:
     if len(dag.nodes) != scorer.p:
         raise SearchError("dag node count must match data columns")
     index = {name: i for i, name in enumerate(dag.nodes)}
-    return sum(
+    return scorer.units_offset + sum(
         scorer.local(index[v], frozenset(index[a] for a in dag.parents(v)))
         for v in dag.nodes
     )

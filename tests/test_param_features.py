@@ -27,7 +27,7 @@ from cardiocausal.param_features import (
 from cardiocausal.cardio_signals import detect_r_peaks, detrend_ecg, rr_intervals
 from cardiocausal.record_io import DERIVED_SOURCES, PARAMETER_NAMES, FormatError, Position
 from cardiocausal.resp_signals import BreathSeries, delimit_breaths, remove_cardiac_component
-from cardiocausal.synthetic import synthetic_ecg
+from cardiocausal.synthetic import sem_cohort, synthetic_ecg
 
 TestKind.__test__ = False  # enum of statistical tests, not a test class
 
@@ -420,6 +420,23 @@ class TestPairedCompare:
         w_ref, p_ref = wilcoxon_signed_rank((supine + d) - supine)
         assert res.statistic == w_ref
         assert res.p_value == p_ref
+
+    def test_huge_samples_give_the_plain_results(self):
+        # both samples are taken in one power-of-two unit, which is exact;
+        # under the suite's filterwarnings = error an overflow warning would
+        # fail the test
+        table, _ = sem_cohort(100, seed=0)
+        kinds = set()
+        for name in PARAMETER_NAMES:
+            supine, standing = table.paired_columns(name)
+            plain = paired_compare(supine, standing, name)
+            huge = paired_compare(supine * 2.0**600, standing * 2.0**600, name)
+            assert (huge.test_used, huge.statistic, huge.p_value) == (
+                plain.test_used, plain.statistic, plain.p_value
+            )
+            assert huge == plain
+            kinds.add(plain.test_used)
+        assert kinds == set(TestKind)
 
     def test_result_consistency_enforced(self):
         with pytest.raises(FeatureError):

@@ -9,7 +9,9 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
@@ -370,7 +372,9 @@ class TestRunPipelineOnParams:
     @pytest.mark.parametrize(
         "methods, positions", [(("hc", "tabu", "fges", "gc"), 2), (("gc",), 0)], ids=["bic", "gc"]
     )
-    def test_one_bic_scorer_per_position(self, cohort_csv, methods, positions):
+    def test_one_bic_scorer_per_position(self, cohort_csv, methods, positions, monkeypatch):
+        # one CPU: the spy counts in this process, and no position is forked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         built = []
 
         def build(design):
@@ -695,6 +699,231 @@ def _alive(pid: int) -> bool:
     except FileNotFoundError:
         return False
     return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def _cohort_csv_with(path, standing_rows=60, supine_rows=60, constant_in=None):
+    """sem_cohort(60, seed=0) as CSV, with each position cut to its first
+    rows and, in position ``constant_in``, RR constant."""
+    table, _ = sem_cohort(60, seed=0)
+    keep = {Position.SUPINE: supine_rows, Position.STANDING: standing_rows}
+    rows = []
+    for row in table.rows:
+        if int(row.subject_id[1:]) > keep[row.position]:
+            continue
+        if row.position.value == constant_in:
+            row = replace(row, params={**row.params, "RR": 14.0})
+        rows.append(row)
+    save_parameter_table(ParameterTable(rows=tuple(rows)), path)
+    return path
+
+
+class _Forks:
+    """Counts the processes the pipeline forks."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        real = os.fork
+
+        def fork():
+            self.count += 1
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+
+
+def _on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _raise_unpicklable():
+    raise RuntimeError(threading.Lock())
+
+
+class _TwoArgumentError(Exception):
+    """Pickles, but cannot be unpickled: its arguments hold only the first."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def _raise_unreadable():
+    raise _TwoArgumentError("first", "second")
+
+
+class TestConcurrentPositions:
+    """Positions analysed one after the other (one CPU) and the second in a
+    forked child (two CPUs) give the same outputs, warnings and exit code."""
+
+    @pytest.fixture(autouse=True)
+    def _no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _cli_run(self, monkeypatch, capsys, tmp_path, cpus, argv):
+        _on_cpus(monkeypatch, cpus)
+        forks = _Forks(monkeypatch)
+        out = tmp_path / f"out-{len(cpus)}"
+        code = main(["analyze", *argv, "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+        return code, capsys.readouterr(), files, forks.count
+
+    @pytest.mark.parametrize(
+        "case", ["default", "standing-fails", "supine-fails", "one-position"]
+    )
+    def test_one_and_two_cpus_agree(self, case, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "params.csv"
+        flags = ["--mediation", "cInsV,ciRR,HR"]
+        if case == "standing-fails":
+            # cam needs 50 rows; standing's constant-column warning comes first
+            _cohort_csv_with(path, standing_rows=40, constant_in="standing")
+        elif case == "supine-fails":
+            # hc needs more rows than the 10 post-hoc columns; standing's
+            # constant-column warning must not be shown
+            _cohort_csv_with(path, supine_rows=10, constant_in="standing")
+            flags = ["--methods", "gc,hc", "--mask-derived", "post-hoc"]
+        else:
+            _cohort_csv_with(path)
+        if case == "one-position":
+            flags += ["--positions", "standing"]
+        argv = ["--input", str(path), "--input-kind", "params", *flags]
+        code, output, files, forks = self._cli_run(monkeypatch, capsys, tmp_path, {0}, argv)
+        code2, output2, files2, forks2 = self._cli_run(
+            monkeypatch, capsys, tmp_path, {0, 1}, argv
+        )
+        assert (code2, output2.err, files2) == (code, output.err, files)
+        assert output2.out.replace("out-2", "out-1") == output.out
+        assert (forks, forks2) == (0, 0 if case == "one-position" else 1)
+        err = output.err.splitlines()
+        if case == "standing-fails":
+            assert code == 2
+            assert "warning: correlation matrix for standing: RR is constant; " in output.err
+            assert err[-1].startswith("analysis failed: cam search for standing: ")
+        elif case == "supine-fails":
+            assert code == 2
+            assert "standing" not in output.err
+            assert err[-1] == "analysis failed: hc search for supine: need more rows than columns"
+        else:
+            assert (code, err) == (0, [])
+            assert "report.json" in files
+
+    @pytest.mark.parametrize(
+        "stop, reason",
+        [
+            (lambda: os._exit(1), "exit code 1"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+            (_raise_unpicklable, "its result cannot be pickled: "),
+            (_raise_unreadable, "its result cannot be read: "),
+        ],
+        ids=["exit", "killed", "unpicklable", "unreadable"],
+    )
+    def test_child_without_a_result_exits_2_with_one_line(
+        self, stop, reason, cohort_csv, tmp_path, monkeypatch, capsys
+    ):
+        real = pipeline._position_result
+
+        def stopping(table, pos, config):
+            if pos is Position.STANDING:
+                stop()
+            return real(table, pos, config)
+
+        monkeypatch.setattr(pipeline, "_position_result", stopping)
+        _on_cpus(monkeypatch, {0, 1})
+        config = RunConfig(input_path=str(cohort_csv), input_kind="params", methods=("hc",))
+        message = f"position worker for standing stopped: {reason}"
+        with pytest.raises(PipelineError, match=f"^{message}"):
+            run_pipeline(config)
+        code = main([
+            "analyze", "--input", str(cohort_csv), "--input-kind", "params",
+            "--methods", "hc", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"analysis failed: {message}")
+
+    def test_child_is_killed_when_this_process_fails(self, cohort_csv, monkeypatch):
+        def stuck(table, pos, config):
+            if pos is Position.SUPINE:
+                raise RuntimeError("supine")
+            time.sleep(60)
+
+        monkeypatch.setattr(pipeline, "_position_result", stuck)
+        _on_cpus(monkeypatch, {0, 1})
+        forks = _Forks(monkeypatch)
+        config = RunConfig(input_path=str(cohort_csv), input_kind="params", methods=("hc",))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^supine$"):
+            run_pipeline(config)
+        assert forks.count == 1
+        assert time.monotonic() - start < 30.0
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_unexpected_error_keeps_its_type(self, cohort_csv, monkeypatch, cpus):
+        real = pipeline._position_result
+
+        def failing(table, pos, config):
+            if pos is Position.STANDING:
+                raise RuntimeError("unexpected")
+            return real(table, pos, config)
+
+        monkeypatch.setattr(pipeline, "_position_result", failing)
+        _on_cpus(monkeypatch, cpus)
+        config = RunConfig(input_path=str(cohort_csv), input_kind="params", methods=("hc",))
+        with pytest.raises(RuntimeError, match="^unexpected$"):
+            run_pipeline(config)
+
+    def test_python_warnings_reach_the_parent(self, cohort_csv, monkeypatch):
+        real = pipeline._position_result
+
+        def warning(table, pos, config):
+            warnings.warn(f"only in {pos.value}", UserWarning)
+            warnings.warn("in each position", UserWarning)
+            return real(table, pos, config)
+
+        monkeypatch.setattr(pipeline, "_position_result", warning)
+        config = RunConfig(input_path=str(cohort_csv), input_kind="params", methods=("hc",))
+        seen = {}
+        for cpus in ({0}, {0, 1}):
+            _on_cpus(monkeypatch, cpus)
+            for action in ("always", "default"):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter(action)
+                    run_pipeline(config)
+                seen[len(cpus), action] = [
+                    (str(w.message), w.category, w.filename, w.lineno) for w in caught
+                ]
+            # under the suite's filter, error, the first one raises
+            with pytest.raises(UserWarning, match="^only in supine$"):
+                run_pipeline(config)
+        assert [message for message, *_ in seen[1, "always"]] == [
+            "only in supine", "in each position", "only in standing", "in each position"
+        ]
+        # shown once per place and text, as in one process
+        assert [message for message, *_ in seen[1, "default"]] == [
+            "only in supine", "in each position", "only in standing"
+        ]
+        assert seen[2, "always"] == seen[1, "always"]
+        assert seen[2, "default"] == seen[1, "default"]
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_warning_raised_only_in_standing(self, cohort_csv, monkeypatch, cpus):
+        real = pipeline._position_result
+
+        def warning(table, pos, config):
+            if pos is Position.STANDING:
+                warnings.warn("standing", UserWarning)
+            return real(table, pos, config)
+
+        monkeypatch.setattr(pipeline, "_position_result", warning)
+        _on_cpus(monkeypatch, cpus)
+        config = RunConfig(input_path=str(cohort_csv), input_kind="params", methods=("hc",))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_pipeline(config)
+        assert [(str(w.message), w.category) for w in caught] == [("standing", UserWarning)]
+        with pytest.raises(UserWarning, match="^standing$"):
+            run_pipeline(config)
 
 
 class TestPairedSkipWarning:
@@ -1163,6 +1392,28 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["analysis failed: cam search for supine: collinear columns"]
+
+    def test_huge_column_runs_the_default_methods(self, tmp_path, capsys):
+        # cInsV x 2**600: every result but mediation's effects, which keep the
+        # column's units, is the plain table's
+        table, _ = sem_cohort(100, seed=0)
+        rows = [
+            replace(row, params={**row.params, "cInsV": row.params["cInsV"] * 2.0**600})
+            for row in table.rows
+        ]
+        reports = []
+        for name, cohort in (("plain", table), ("huge", ParameterTable(rows=tuple(rows)))):
+            save_parameter_table(cohort, tmp_path / f"{name}.csv")
+            code = main([
+                "analyze", "--input", str(tmp_path / f"{name}.csv"), "--input-kind", "params",
+                "--out", str(tmp_path / name), "--mediation", "HR,RR,cInsT",
+            ])
+            assert code == 0
+            assert capsys.readouterr().err == ""
+            reports.append(json.loads((tmp_path / name / "report.json").read_text("utf-8")))
+        plain, huge = reports
+        del plain["config"], huge["config"]  # the input paths differ
+        assert huge == plain
 
     def test_non_finite_statistic_is_null_in_report(self, tmp_path):
         path = _shifted_hr_csv(tmp_path)

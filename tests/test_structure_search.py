@@ -274,8 +274,14 @@ class TestBicScore:
         data = np.random.default_rng(0).normal(0.0, 1.0, (30, 2))
         with pytest.raises(SearchError):
             bic_score(data, EdgeGraph(("a", "b", "c"), frozenset()))
-        with pytest.raises(SearchError):
-            bic_score(data * 1e160, EdgeGraph(("a", "b"), frozenset({("a", "b")})))
+
+    def test_huge_data_scores_in_its_own_units(self):
+        # the scorer takes columns above 2**500 in power-of-two units, and
+        # the total is the data's own: each variance is 2**1200 times larger
+        data = np.random.default_rng(0).normal(0.0, 1.0, (30, 2))
+        dag = EdgeGraph(("a", "b"), frozenset({("a", "b")}))
+        expected = bic_score(data, dag) - 30 * 2 * 600 * math.log(2.0)
+        assert bic_score(data * 2.0**600, dag) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDagPreconditions:
@@ -1257,6 +1263,16 @@ class TestExtremeMagnitudes:
             assert cam_learn(huge.matrix(position, names), names=names) == cam_learn(
                 table.matrix(position, names), names=names
             )
+
+    @pytest.mark.parametrize("position", list(Position))
+    def test_huge_column_gives_the_plain_bic_graphs(self, position):
+        table, _ = sem_cohort(100, seed=0)
+        huge = _scaled(table, "cInsV", 2.0**600)
+        for names in (STRUCTURE_NAMES, PARAMETER_NAMES):
+            for search in (hill_climb, tabu_search, fges):
+                assert search(huge.matrix(position, names), names=names) == search(
+                    table.matrix(position, names), names=names
+                )
 
 
 def _pairwise_gc(table, position, names):
