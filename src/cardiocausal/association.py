@@ -17,6 +17,8 @@ from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 MPE_GATE = 0.9
 DIRECTION_ALPHA = 0.05
+# bytes of gc's kernel held at a time: the rows of one block
+_KERNEL_BLOCK_BYTES = 2**19
 
 
 class AssociationError(ValueError):
@@ -192,37 +194,51 @@ def correlation_matrix(table: ParameterTable, position: Position, warnings=None)
     return out
 
 
-def _loo_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out Gaussian kernel weights of x, and their row sums.
+def _loo_predictions(x: np.ndarray, responses) -> list[np.ndarray]:
+    """Leave-one-out Nadaraya-Watson estimates of E(y | x) at each x_i, one
+    for each response y, from the Gaussian kernel of x.
 
-    Silverman bandwidth 1.06 * sd(x) * n^(-1/5); the diagonal is zero, so a
-    point's own response is excluded to avoid zero-residual overfit.  The
-    weights are built in place in one n x n array: -0.5 * (z * z) equals
-    (-0.5 * z) * z bit for bit, since halving is exact above the subnormal
-    range and exp gives 1.0 within it either way.
+    Silverman bandwidth 1.06 * sd(x) * n^(-1/5); the kernel's diagonal is
+    zero, so a point's own response is excluded to avoid zero-residual
+    overfit, and a point whose weights sum under 1e-300 gets the mean of the
+    other responses.  The kernel is built one block of rows at a time, in
+    place: -0.5 * (z * z) equals (-0.5 * z) * z bit for bit, since halving is
+    exact above the subnormal range and exp gives 1.0 within it either way.
+    Each block is summed and multiplied into every response before the next
+    is built, so memory grows with n, not n^2.  Blocks of a multiple of 16
+    rows, with no one-row block at the end, give the bits of the whole
+    kernel's row sums and matrix-vector products.
     """
     n = x.size
     h = 1.06 * float(np.std(x, ddof=1)) * n ** (-0.2)
     if h <= 0:
         raise AssociationError("degenerate variance: zero bandwidth")
-    weights = np.subtract.outer(x, x)
-    weights /= h
-    weights *= weights
-    weights *= -0.5
-    np.exp(weights, out=weights)
-    np.fill_diagonal(weights, 0.0)
-    return weights, weights.sum(axis=1)
-
-
-def _loo_predict(weights: np.ndarray, denom: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Leave-one-out Nadaraya-Watson estimate of E(y | x) at each x_i, from
-    the kernel of x."""
-    n = y.size
-    numer = weights @ y
-    fallback = (y.sum() - y) / (n - 1)  # isolated point: mean of the others
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pred = np.where(denom > 1e-300, numer / np.maximum(denom, 1e-300), fallback)
-    return pred
+    rows = max(16, _KERNEL_BLOCK_BYTES // (8 * n) // 16 * 16)
+    bounds = list(range(0, n, rows))
+    if n - bounds[-1] == 1 and len(bounds) > 1:
+        bounds.pop()  # a one-row remainder joins the block before it
+    bounds.append(n)
+    denom = np.empty(n)
+    numers = np.empty((len(responses), n))
+    for start, stop in zip(bounds, bounds[1:]):
+        block = np.subtract.outer(x[start:stop], x)
+        block /= h
+        block *= block
+        block *= -0.5
+        np.exp(block, out=block)
+        block.ravel()[start :: n + 1] = 0.0  # the diagonal, (i, start + i)
+        block.sum(axis=1, out=denom[start:stop])
+        for numer, y in zip(numers, responses):
+            np.matmul(block, y, out=numer[start:stop])
+        del block  # freed before the next block is allocated
+    predictions = []
+    for numer, y in zip(numers, responses):
+        fallback = (y.sum() - y) / (n - 1)  # isolated point: mean of the others
+        with np.errstate(invalid="ignore", divide="ignore"):
+            predictions.append(
+                np.where(denom > 1e-300, numer / np.maximum(denom, 1e-300), fallback)
+            )
+    return predictions
 
 
 def _gmc_side(response: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
@@ -240,8 +256,9 @@ class GeneralizedCorrPairs:
     """Generalized correlations among equal-length columns, with one kernel
     per column.
 
-    A column's kernel is built the first time a pair needs it, predicts every
-    other column and is dropped, so one n x n matrix is alive at a time.
+    A column's kernel is streamed the first time a pair needs it: it
+    predicts every other column one block of rows at a time, so no n x n
+    matrix is ever held (about 0.5 MB of kernel rows at any n up to 4096).
     """
 
     def __init__(self, columns):
@@ -251,12 +268,11 @@ class GeneralizedCorrPairs:
 
     def _prediction(self, cause: int, response: int) -> np.ndarray:
         if cause not in self._predictions:
-            weights, denom = _loo_kernel(self.columns[cause])
-            self._predictions[cause] = {
-                j: _loo_predict(weights, denom, y)
-                for j, y in enumerate(self.columns)
-                if j != cause
-            }
+            others = [j for j in range(len(self.columns)) if j != cause]
+            predictions = _loo_predictions(
+                self.columns[cause], [self.columns[j] for j in others]
+            )
+            self._predictions[cause] = dict(zip(others, predictions))
         return self._predictions[cause][response]
 
     def pair(self, i: int, j: int) -> GeneralizedCorrPair:

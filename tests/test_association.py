@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cardiocausal.association import (
     Direction,
     GeneralizedCorrPair,
     GeneralizedCorrPairs,
-    _loo_kernel,
+    _loo_predictions,
     bayes_correlation,
     correlation_matrix,
     generalized_corr_pair,
@@ -382,8 +383,8 @@ class TestGeneralizedCorrPair:
 
 
 def _former_loo_kernel(x):
-    """Reference: the leave-one-out kernel and its row sums as five n x n
-    temporaries.  ``_loo_kernel`` must reproduce it bit for bit."""
+    """Reference: the whole leave-one-out kernel and its row sums, as five
+    n x n temporaries."""
     n = x.size
     h = 1.06 * float(np.std(x, ddof=1)) * n ** (-0.2)
     if h <= 0:
@@ -394,20 +395,24 @@ def _former_loo_kernel(x):
     return weights, weights.sum(axis=1)
 
 
-def _loo_kernel_prediction(x, y):
-    """Reference: leave-one-out Nadaraya-Watson estimate of E(y | x), one
-    kernel per call.  GeneralizedCorrPairs must reproduce it bit for bit."""
+def former_loo_predictions(x, responses):
+    """Reference: ``_loo_predictions`` as it was, one n x n kernel predicting
+    each response.  The streamed kernel must reproduce it bit for bit."""
     n = x.size
     weights, denom = _former_loo_kernel(x)
-    numer = weights @ y
-    fallback = (y.sum() - y) / (n - 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pred = np.where(denom > 1e-300, numer / np.maximum(denom, 1e-300), fallback)
-    return pred
+    predictions = []
+    for y in responses:
+        numer = weights @ y
+        fallback = (y.sum() - y) / (n - 1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            predictions.append(
+                np.where(denom > 1e-300, numer / np.maximum(denom, 1e-300), fallback)
+            )
+    return predictions
 
 
 # from this size up, a point 1e4 standard draws from the rest has a kernel row
-# that sums under 1e-300, so _loo_predict gives it the mean of the others
+# that sums under 1e-300, so _loo_predictions gives it the mean of the others
 _ISOLATING_N = 250
 
 
@@ -415,9 +420,13 @@ _ISOLATING_N = 250
 def _kernel_columns(draw):
     """(column, whether its first point is isolated): 20-400 normal draws at
     a scale from 1e-3 to 1e3 and an offset up to 1e4 in size, sometimes
-    rounded to a few tied values, sometimes with one far outlier."""
+    rounded to a few tied values, sometimes with one far outlier.  Half the
+    sizes are 1 more than a multiple of 16."""
     shape = draw(st.sampled_from(["normal", "tied", "outlier"]))
-    n = draw(st.integers(_ISOLATING_N if shape == "outlier" else 20, 400))
+    low = _ISOLATING_N if shape == "outlier" else 20
+    n = draw(
+        st.one_of(st.integers(low, 400), st.integers(low // 16 + 1, 24).map(lambda k: 16 * k + 1))
+    )
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     offset = draw(st.floats(-1e4, 1e4))
     x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, 1.0, n)
@@ -428,30 +437,58 @@ def _kernel_columns(draw):
     return offset + scale * x, shape == "outlier"
 
 
+def _responses(x, seed):
+    """Responses of assorted shapes for the column x: its square, an
+    independent draw, a tied one and x itself."""
+    rng = np.random.default_rng(seed)
+    return [x * x, rng.normal(0.0, 1.0, x.size), np.round(rng.normal(0.0, 2.0, x.size)), x]
+
+
 class TestLooKernel:
     @settings(max_examples=200, deadline=None)
     @given(_kernel_columns())
     def test_matches_the_former_kernel(self, case):
+        # a zero budget gives blocks of 16 rows, so every column crosses
+        # blocks and a size 1 more than a multiple of 16 ends on 17 rows
         x, isolated = case
-        weights, denom = _loo_kernel(x)
-        want_weights, want_denom = _former_loo_kernel(x)
-        assert np.array_equal(weights, want_weights)
-        assert np.array_equal(denom, want_denom)
+        responses = _responses(x, x.size)
+        with mock.patch.object(association, "_KERNEL_BLOCK_BYTES", 0):
+            got = _loo_predictions(x, responses)
+        want = former_loo_predictions(x, responses)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
         if isolated:
-            assert denom[0] <= 1e-300
+            y = responses[1]
+            assert got[1][0] == (y.sum() - y[0]) / (x.size - 1)
+
+    @pytest.mark.parametrize("n", [257, 961, 997, 1000, 1003, 2001, 2049])
+    def test_matches_the_former_kernel_at_the_shipped_budget(self, n):
+        # 257 rows are blocks of 240 and 17, and 2001 rows end on a block of
+        # 17; at 961 (64-row blocks) and 2049 (16-row blocks) a one-row
+        # remainder joins the last block, where on its own it would change
+        # the last bits
+        x = np.random.default_rng(n).normal(0.0, 1.0, n)
+        responses = _responses(x, n + 1)
+        got = _loo_predictions(x, responses)
+        want = former_loo_predictions(x, responses)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(AssociationError, match="zero bandwidth"):
-            _loo_kernel(np.full(30, 2.0))
+            _loo_predictions(np.full(30, 2.0), [np.arange(30.0)])
 
-    def test_peak_memory_is_one_matrix(self):
-        x = np.random.default_rng(16).normal(0.0, 1.0, 500)
-        bound = 1.5 * 8 * x.size**2
+    def test_peak_memory_grows_with_n(self):
+        # predicting seven columns from one at n = 2000 holds a few rows of
+        # the kernel, not its 32 MB
+        columns = list(np.random.default_rng(16).normal(0.0, 1.0, (8, 2000)))
+        bound = 4 * 2**20
         peaks = []
-        for kernel in (_loo_kernel, _former_loo_kernel):
+        for predict in (
+            lambda: GeneralizedCorrPairs(columns)._prediction(0, 1),
+            lambda: _former_loo_kernel(columns[0]),
+        ):
             tracemalloc.start()
             try:
-                kernel(x)
+                predict()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -469,7 +506,7 @@ class TestGeneralizedCorrPairs:
             columns = [table.column(n, position) for n in PARAMETER_NAMES] + [outlier]
             pairs = GeneralizedCorrPairs(columns)
             for i, j in permutations(range(len(columns)), 2):
-                want = _loo_kernel_prediction(columns[i], columns[j])
+                [want] = former_loo_predictions(columns[i], [columns[j]])
                 assert np.array_equal(pairs._prediction(i, j), want)
             y = columns[0]
             assert pairs._prediction(len(columns) - 1, 0)[0] == (y.sum() - y[0]) / 199

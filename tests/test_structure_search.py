@@ -63,7 +63,7 @@ from cardiocausal.structure_search import (
     _state_from_edges,
 )
 from cardiocausal.synthetic import sem_cohort
-from test_association import make_table, random_columns
+from test_association import former_loo_predictions, make_table, random_columns
 from test_graphs import former_consistent_extension, former_cpdag_of, vstructs_of
 
 
@@ -1227,10 +1227,22 @@ class TestGcGraph:
     def test_builds_one_kernel_per_column(self):
         table, _ = sem_cohort(100, seed=0)
         with mock.patch.object(
-            association, "_loo_kernel", wraps=association._loo_kernel
+            association, "_loo_predictions", wraps=association._loo_predictions
         ) as kernel:
             gc_graph(table, Position.SUPINE)
         assert kernel.call_count == len(PARAMETER_NAMES)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_streamed_kernel_gives_the_former_graphs(self, seed):
+        # at 1000 subjects each kernel is streamed in 16 blocks of rows
+        table, _ = sem_cohort(1000, seed=seed)
+        for position in Position:
+            warnings = []
+            edges = gc_graph(table, position, warnings=warnings)
+            former_warnings = []
+            with mock.patch.object(association, "_loo_predictions", former_loo_predictions):
+                assert gc_graph(table, position, warnings=former_warnings) == edges
+            assert warnings == former_warnings
 
 
 def _scaled(table, name, factor):
