@@ -259,6 +259,8 @@ class GeneralizedCorrPairs:
     A column's kernel is streamed the first time a pair needs it: it
     predicts every other column one block of rows at a time, so no n x n
     matrix is ever held (about 0.5 MB of kernel rows at any n up to 4096).
+    A prediction is dropped when read, as ``gc_graph`` reads each pair once,
+    so the predictions of each cause are freed as they are used.
     """
 
     def __init__(self, columns):
@@ -273,7 +275,7 @@ class GeneralizedCorrPairs:
                 self.columns[cause], [self.columns[j] for j in others]
             )
             self._predictions[cause] = dict(zip(others, predictions))
-        return self._predictions[cause][response]
+        return self._predictions[cause].pop(response)
 
     def pair(self, i: int, j: int) -> GeneralizedCorrPair:
         """``generalized_corr_pair(columns[i], columns[j])``."""

@@ -6,16 +6,14 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing.connection
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
 import warnings
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -300,22 +298,6 @@ def _extract(path: Path):
         return None, f"{path.name}: {message}"
 
 
-def _exit_with_parent() -> None:
-    """Worker initializer: end the worker when its parent process dies.
-
-    A run that is killed would otherwise leave its workers waiting for work
-    forever.  The parent's sentinel reads as closed once the parent and the
-    workers forked after this one are gone.
-    """
-    sentinel = multiprocessing.parent_process().sentinel
-
-    def watch():
-        multiprocessing.connection.wait([sentinel])
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -324,34 +306,20 @@ def _available_cpus() -> int:
 
 def _table_from_signals(input_path: Path, warnings_list: list[str]) -> ParameterTable:
     """One row per usable record and one warning per unusable one, in file
-    name order.
-
-    Records are processed in forked worker processes, one per available CPU
-    and at most one per file.  Fork is named because spawn and forkserver
-    (the default from Python 3.14) re-import the package in every worker,
-    about 0.5 s each.  A worker that dies breaks the executor's pool, where
-    ``multiprocessing.Pool.map`` would hang.
-    """
+    name order, from ``_forked_map`` with this process waiting."""
     if not input_path.is_dir():
         raise PipelineError(f"signal input must be a directory: {input_path}")
-    paths = sorted(input_path.glob("*.csv"))
     rows = []
-    if paths:  # a pool of no workers is a ValueError
-        with ProcessPoolExecutor(
-            min(len(paths), _available_cpus()),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_exit_with_parent,
-        ) as pool:
-            try:
-                for row, warning in pool.map(_extract, paths):
-                    if warning is None:
-                        rows.append(row)
-                    else:
-                        warnings_list.append(warning)
-            except BrokenProcessPool as exc:
-                raise PipelineError(
-                    f"signal extraction worker stopped: {exc}", warnings_list
-                ) from None
+    for outcome in _forked_map(_extract, sorted(input_path.glob("*.csv"))):
+        if isinstance(outcome, _Stopped):
+            raise PipelineError(
+                f"signal extraction worker stopped: {outcome}", warnings_list
+            )
+        row, warning = outcome
+        if warning is None:
+            rows.append(row)
+        else:
+            warnings_list.append(warning)
     try:
         return ParameterTable(tuple(rows))
     except FormatError as exc:
@@ -405,110 +373,39 @@ def _method_graphs(
                 graph = _mask_ignored(graph)
             graphs[method] = graph
     except (SearchError, AssociationError) as exc:
-        raise PipelineError(f"{method} search for {pos.value}: {exc}") from None
+        raise PipelineError(f"{method} search for {pos.value}: {exc}", warnings_list) from None
     return graphs
 
 
-@dataclass(frozen=True)
-class _PositionResult:
-    """One position's correlation matrix and method graphs, or in ``error``
-    the message of the failure that stopped it, with the position's warnings
-    either way."""
-
-    warnings: tuple[str, ...]
-    correlations: np.ndarray | None = None
-    graphs: dict[str, EdgeGraph] | None = None
-    error: str | None = None
-
-
-def _position_result(table: ParameterTable, pos: Position, config: RunConfig) -> _PositionResult:
-    """The correlation matrix and then the method graphs of one position.
-
-    Their expected failures come back as ``error`` rather than raised, so
-    the caller reports them in position order whichever process ran each.
-    """
+def _position_result(table: ParameterTable, pos: Position, config: RunConfig):
+    """``(warnings, correlation matrix, method graphs)`` of one position.  An
+    expected failure raises PipelineError with the position's warnings."""
     warnings_list: list[str] = []
     try:
         matrix = correlation_matrix(table, pos, warnings=warnings_list)
     except AssociationError as exc:
-        message = f"correlation matrix for {pos.value}: {exc}"
-        return _PositionResult(tuple(warnings_list), error=message)
-    try:
-        graphs = _method_graphs(table, pos, config, warnings_list)
-    except PipelineError as exc:
-        return _PositionResult(tuple(warnings_list), error=str(exc))
-    return _PositionResult(tuple(warnings_list), matrix, graphs)
+        raise PipelineError(f"correlation matrix for {pos.value}: {exc}", warnings_list) from None
+    return warnings_list, matrix, _method_graphs(table, pos, config, warnings_list)
 
 
-def _stopped(pos: Position, reason: str):
-    """The outcome of a position whose worker process returned no result."""
-    return (), _PositionResult((), error=f"position worker for {pos.value} stopped: {reason}")
+class _Stopped(str):
+    """Why the child process that ran an item returned no result for it."""
 
 
-def _position_child(read_fd: int, write_fd: int, table, pos: Position, config: RunConfig):
-    """Body of the forked child of ``_forked_outcomes``; it never returns.
-
-    It pickles ``(warnings shown, outcome)`` to ``write_fd``: the Python
-    warnings the position raised, recorded instead of printed, and its
-    ``_PositionResult`` or the exception that stopped it.  ``os._exit`` ends
-    it without flushing the stdio buffers or running the atexit handlers it
-    inherited.
-    """
-    try:
-        os.close(read_fd)
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                outcome = _position_result(table, pos, config)
-            except BaseException as exc:
-                outcome = exc
-        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+def _recorded(function, item):
+    """``(warnings shown, outcome)``: the Python warnings ``function(item)``
+    raised, recorded instead of printed, and its result or exception."""
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            data = pickle.dumps((shown, outcome))
-        except Exception as exc:
-            data = pickle.dumps(_stopped(pos, f"its result cannot be pickled: {exc}"))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-    finally:
-        os._exit(0)
-
-
-def _forked_outcomes(table: ParameterTable, positions, config: RunConfig) -> list:
-    """``(warnings shown, outcome)`` of the two positions: this process
-    analyses the first while one forked child analyses the second.
-
-    The child inherits the table, so nothing is pickled on the way in.  It
-    is killed if this process's own position raises or the run is
-    interrupted, and reaped in every case.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _position_child(read_fd, write_fd, table, positions[1], config)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            first = _position_result(table, positions[0], config)
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code or not data:
-        reason = f"exit code {code}" if code >= 0 else f"killed by signal {-code}"
-        second = _stopped(positions[1], reason)
-    else:
-        try:
-            second = pickle.loads(data)
-        except Exception as exc:
-            second = _stopped(positions[1], f"its result cannot be read: {exc}")
-    return [((), first), second]
+            outcome = function(item)
+        except BaseException as exc:
+            outcome = exc
+    return [(w.message, w.category, w.filename, w.lineno) for w in caught], outcome
 
 
 def _reissue(shown) -> None:
-    """Issue again, in order, warnings that a child process recorded, through
-    this process's filters and the registry of the module that raised each,
-    as if they had been raised here."""
+    """Issue recorded warnings again, in order, through this process's
+    filters and the registry of the module that raised each."""
     if not shown:
         return
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
@@ -517,6 +414,107 @@ def _reissue(shown) -> None:
         registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
         name = None if module is None else module.__name__
         warnings.warn_explicit(message, category, filename, lineno, name, registry)
+
+
+def _child(function, items, tasks: int, lifeline: int, results: int, inherited):
+    """Body of a child of ``_forked_map``: it closes the ``inherited`` pipe
+    ends it does not use, runs the items whose indices it takes from
+    ``tasks``, pickles their ``_recorded`` outcomes to ``results``, and
+    exits; a daemon thread ends it once ``lifeline`` reads as closed, that
+    is, once the parent, which alone can write to it, is gone."""
+    try:
+        for fd in set(inherited) - {tasks, lifeline, results}:
+            os.close(fd)
+        threading.Thread(target=lambda: os.read(lifeline, 1) or os._exit(1), daemon=True).start()
+        done = {}
+        while len(task := os.read(tasks, 4)) == 4:
+            index = int.from_bytes(task, "little")
+            done[index] = _recorded(function, items[index])
+        try:
+            data = pickle.dumps(done)
+        except Exception as exc:
+            data = pickle.dumps(_Stopped(f"its result cannot be pickled: {exc}"))
+        with os.fdopen(results, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _forked_map(function, items, run_first_here: bool = False):
+    """``function`` of each item, in item order, as if called here: at each
+    item's turn its Python warnings are issued again through this process's
+    filters, and an exception it raised is raised.
+
+    With two or more items and CPUs, forked children, one per CPU, take the
+    items one at a time from a pipe of indices, while this process waits in
+    ``poll`` (a signal handler runs at once, where ``SA_RESTART`` would
+    resume a ``read``) or with ``run_first_here`` first runs the first item
+    in place of one child.  Otherwise it runs every item, up to the first
+    that raises.  The items of a child that died, or whose result cannot be
+    pickled or read, give a ``_Stopped``.  Every child is SIGKILLed if this
+    process or its own item raises, and reaped in every case.
+    """
+    items = list(items)
+    workers = min(len(items), _available_cpus())
+    here = int(run_first_here) if workers > 1 else len(items)  # items run here
+    lifeline_read, lifeline = os.pipe()
+    tasks, task_write = os.pipe()
+    fds = [lifeline_read, lifeline, tasks, task_write]
+    children, received, outcomes, finished = {}, {}, {}, False
+    try:
+        for _ in range(workers - here):
+            results_read, results = os.pipe()
+            fds.append(results_read)
+            pid = os.fork()
+            if pid == 0:
+                _child(function, items, tasks, lifeline_read, results, fds)
+            os.close(results)
+            children[pid], received[results_read] = results_read, []
+        order = b"".join(i.to_bytes(4, "little") for i in range(here, len(items)))
+        for start in range(0, len(order), select.PIPE_BUF):
+            os.write(task_write, order[start : start + select.PIPE_BUF])
+        os.close(fds.pop(3))  # task_write: the children see the end of the tasks
+        for index in range(here):
+            outcomes[index] = _recorded(function, items[index])
+            if isinstance(outcomes[index][1], BaseException):
+                break
+        else:
+            poller = select.poll()
+            for fd in received:
+                poller.register(fd, select.POLLIN)
+            running = len(received)
+            while running:
+                for fd, _ in poller.poll():
+                    received[fd].append(chunk := os.read(fd, 1 << 16))
+                    if not chunk:
+                        poller.unregister(fd)
+                        running -= 1
+            finished = True
+    finally:
+        if not finished:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children}
+        for fd in fds:
+            os.close(fd)
+    reason = None
+    for pid, fd in children.items():
+        code, payload = codes[pid], b"".join(received[fd])
+        try:
+            done = pickle.loads(payload) if payload and not code else None
+        except Exception as exc:
+            done = _Stopped(f"its result cannot be read: {exc}")
+        if isinstance(done, dict):
+            outcomes.update(done)
+        else:
+            stopped = f"exit code {code}" if code >= 0 else f"killed by signal {-code}"
+            reason = reason or done or _Stopped(stopped)
+    for index in range(len(items)):
+        shown, outcome = outcomes.get(index, ((), reason))
+        _reissue(shown)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        yield outcome
 
 
 def run_pipeline(config: RunConfig) -> CausalReport:
@@ -562,21 +560,19 @@ def run_pipeline(config: RunConfig) -> CausalReport:
     method_graphs: dict[str, dict[str, EdgeGraph]] = {}
     consensus_graphs: dict[str, ConsensusGraph] = {}
 
-    if len(positions) < 2 or _available_cpus() < 2:
-        outcomes = (((), _position_result(table, pos, config)) for pos in positions)
-    else:
-        outcomes = _forked_outcomes(table, positions, config)
-    # in position order, as one position after the other would give them
-    for pos, (shown, outcome) in zip(positions, outcomes):
-        _reissue(shown)
-        if isinstance(outcome, BaseException):
-            raise outcome
-        warnings_list.extend(outcome.warnings)
-        if outcome.error is not None:
-            raise PipelineError(outcome.error, warnings_list)
-        correlations[pos.value] = outcome.correlations
-        method_graphs[pos.value] = outcome.graphs
-        consensus_graphs[pos.value] = consensus(list(outcome.graphs.items()))
+    outcomes = _forked_map(
+        lambda pos: _position_result(table, pos, config), positions, run_first_here=True
+    )
+    try:  # in position order, as one position after the other would give them
+        for pos, outcome in zip(positions, outcomes):
+            if isinstance(outcome, _Stopped):
+                raise PipelineError(f"position worker for {pos.value} stopped: {outcome}")
+            position_warnings, correlations[pos.value], graphs = outcome
+            warnings_list.extend(position_warnings)
+            method_graphs[pos.value] = graphs
+            consensus_graphs[pos.value] = consensus(list(graphs.items()))
+    except PipelineError as exc:
+        raise PipelineError(str(exc), warnings_list + list(exc.warnings)) from None
 
     mediation_results: list[tuple[str, MediationFit]] = []
     for pos in positions:

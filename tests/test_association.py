@@ -505,15 +505,29 @@ class TestGeneralizedCorrPairs:
         for position in Position:
             columns = [table.column(n, position) for n in PARAMETER_NAMES] + [outlier]
             pairs = GeneralizedCorrPairs(columns)
+            got = {}
             for i, j in permutations(range(len(columns)), 2):
                 [want] = former_loo_predictions(columns[i], [columns[j]])
-                assert np.array_equal(pairs._prediction(i, j), want)
+                got[i, j] = pairs._prediction(i, j)
+                assert np.array_equal(got[i, j], want)
             y = columns[0]
-            assert pairs._prediction(len(columns) - 1, 0)[0] == (y.sum() - y[0]) / 199
+            assert got[len(columns) - 1, 0][0] == (y.sum() - y[0]) / 199
+
+    def test_predictions_are_freed_once_every_pair_is_read(self):
+        table, _ = sem_cohort(100, seed=0)
+        columns = [table.column(n, Position.SUPINE) for n in PARAMETER_NAMES]
+        pairs = GeneralizedCorrPairs(columns)
+        for i, j in combinations(range(len(columns)), 2):
+            pairs.pair(i, j)
+            assert j not in pairs._predictions[i] and i not in pairs._predictions[j]
+        assert len(pairs._predictions) == len(columns)
+        assert all(not held for held in pairs._predictions.values())
 
     def test_pair_matches_generalized_corr_pair(self):
         table, _ = sem_cohort(200, seed=1)
         columns = [table.column(n, Position.STANDING) for n in PARAMETER_NAMES]
-        pairs = GeneralizedCorrPairs(columns)
-        for i, j in permutations(range(len(columns)), 2):
-            assert pairs.pair(i, j) == generalized_corr_pair(columns[i], columns[j])
+        # each object is asked for a pair once, as gc_graph asks
+        forward, backward = GeneralizedCorrPairs(columns), GeneralizedCorrPairs(columns)
+        for i, j in combinations(range(len(columns)), 2):
+            assert forward.pair(i, j) == generalized_corr_pair(columns[i], columns[j])
+            assert backward.pair(j, i) == generalized_corr_pair(columns[j], columns[i])

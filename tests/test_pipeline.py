@@ -3,7 +3,6 @@
 import errno
 import json
 import math
-import multiprocessing
 import os
 import shutil
 import signal
@@ -572,151 +571,6 @@ def _serial_table(directory: Path):
     return ParameterTable(tuple(rows)), warnings
 
 
-class _PoolSizes:
-    """Records the worker count of each pool the pipeline opens."""
-
-    def __init__(self, monkeypatch):
-        self.sizes = []
-        real = pipeline.ProcessPoolExecutor
-
-        def executor(max_workers, **kwargs):
-            self.sizes.append(max_workers)
-            return real(max_workers, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", executor)
-
-
-class TestParallelExtraction:
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
-    def test_matches_the_serial_loop(self, mixed_signals_dir, monkeypatch, cpus):
-        expected_table, expected_warnings = _serial_table(mixed_signals_dir)
-        assert len(expected_table.rows) == 10 and len(expected_warnings) == 5
-        pools = _PoolSizes(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        warnings = []
-        table = pipeline._table_from_signals(mixed_signals_dir, warnings)
-        assert pools.sizes == [len(cpus)]
-        assert table == expected_table
-        assert warnings == expected_warnings
-        assert multiprocessing.active_children() == []
-
-    def test_at_most_one_worker_per_file(self, signals_dir, tmp_path, monkeypatch):
-        for name in ("s00_supine.csv", "s01_supine.csv"):
-            shutil.copy(signals_dir / name, tmp_path)
-        pools = _PoolSizes(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        table = pipeline._table_from_signals(tmp_path, [])
-        assert pools.sizes == [2]
-        assert table.subjects(Position.SUPINE) == ["s00", "s01"]
-
-    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert pipeline._available_cpus() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert pipeline._available_cpus() == 1
-
-    def test_empty_directory_opens_no_pool(self, tmp_path, monkeypatch):
-        pools = _PoolSizes(monkeypatch)
-        config = RunConfig(input_path=str(tmp_path), input_kind="signals")
-        with pytest.raises(PipelineError, match="fewer than 4 subjects"):
-            run_pipeline(config)
-        assert pools.sizes == []
-
-    def test_unexpected_worker_error_keeps_its_type(self, signals_dir, monkeypatch):
-        real = pipeline._row_from_signal_file
-
-        def failing(path):
-            if path.name == "s04_supine.csv":
-                raise RuntimeError("unexpected")
-            return real(path)
-
-        monkeypatch.setattr(pipeline, "_row_from_signal_file", failing)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        with pytest.raises(RuntimeError, match="^unexpected$"):
-            pipeline._table_from_signals(signals_dir, [])
-        assert multiprocessing.active_children() == []
-
-    def test_dead_worker_exits_2_with_one_line(self, signals_dir, tmp_path, monkeypatch, capsys):
-        real = pipeline._row_from_signal_file
-
-        def dying(path):
-            if path.name == "s04_supine.csv":
-                os._exit(1)
-            return real(path)
-
-        monkeypatch.setattr(pipeline, "_row_from_signal_file", dying)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        config = RunConfig(input_path=str(signals_dir), input_kind="signals")
-        with pytest.raises(PipelineError, match="^signal extraction worker stopped: "):
-            run_pipeline(config)
-        code = main([
-            "analyze", "--input", str(signals_dir), "--input-kind", "signals",
-            "--positions", "supine", "--methods", "hc", "--out", str(tmp_path / "out"),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("analysis failed: signal extraction worker stopped: ")
-        assert multiprocessing.active_children() == []
-
-    def test_workers_end_with_a_killed_run(self, tmp_path):
-        for name in ("a_supine.csv", "b_supine.csv"):
-            (tmp_path / name).write_text("t,ecg,ip\n", "utf-8")
-        probe = (
-            "import os, sys, time\n"
-            "from pathlib import Path\n"
-            "from cardiocausal import pipeline\n"
-            "def stuck(path):\n"
-            "    print(os.getpid(), flush=True)\n"
-            "    time.sleep(60)\n"
-            "pipeline._row_from_signal_file = stuck\n"
-            "os.sched_getaffinity = lambda pid: {0}\n"  # one worker, the one that prints
-            "pipeline._table_from_signals(Path(sys.argv[1]), [])\n"
-        )
-        src = os.path.dirname(os.path.dirname(cardiocausal.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        with subprocess.Popen(
-            [sys.executable, "-c", probe, str(tmp_path)], env=env, stdout=subprocess.PIPE,
-            text=True,
-        ) as run:
-            worker = int(run.stdout.readline())
-            run.kill()
-        try:
-            deadline = time.monotonic() + 30.0
-            while _alive(worker) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not _alive(worker)
-        finally:
-            if _alive(worker):
-                os.kill(worker, signal.SIGKILL)
-
-
-def _alive(pid: int) -> bool:
-    """Whether process ``pid`` exists and is not a zombie."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rpartition(")")[2].split()[0] != "Z"
-
-
-def _cohort_csv_with(path, standing_rows=60, supine_rows=60, constant_in=None):
-    """sem_cohort(60, seed=0) as CSV, with each position cut to its first
-    rows and, in position ``constant_in``, RR constant."""
-    table, _ = sem_cohort(60, seed=0)
-    keep = {Position.SUPINE: supine_rows, Position.STANDING: standing_rows}
-    rows = []
-    for row in table.rows:
-        if int(row.subject_id[1:]) > keep[row.position]:
-            continue
-        if row.position.value == constant_in:
-            row = replace(row, params={**row.params, "RR": 14.0})
-        rows.append(row)
-    save_parameter_table(ParameterTable(rows=tuple(rows)), path)
-    return path
-
-
 class _Forks:
     """Counts the processes the pipeline forks."""
 
@@ -735,6 +589,209 @@ def _on_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
 
+@pytest.fixture
+def _no_child_left():
+    """Every process a test forked is reaped by the time it ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _alive(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.usefixtures("_no_child_left")
+class TestParallelExtraction:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+    def test_matches_the_serial_loop(self, mixed_signals_dir, monkeypatch, cpus):
+        expected_table, expected_warnings = _serial_table(mixed_signals_dir)
+        assert len(expected_table.rows) == 10 and len(expected_warnings) == 5
+        _on_cpus(monkeypatch, cpus)
+        forks = _Forks(monkeypatch)
+        warnings = []
+        table = pipeline._table_from_signals(mixed_signals_dir, warnings)
+        # one CPU forks nothing
+        assert forks.count == (0 if len(cpus) == 1 else len(cpus))
+        assert table == expected_table
+        assert warnings == expected_warnings
+
+    def test_at_most_one_worker_per_file(self, signals_dir, tmp_path, monkeypatch):
+        for name in ("s00_supine.csv", "s01_supine.csv"):
+            shutil.copy(signals_dir / name, tmp_path)
+        _on_cpus(monkeypatch, {0, 1, 2})
+        forks = _Forks(monkeypatch)
+        table = pipeline._table_from_signals(tmp_path, [])
+        assert forks.count == 2
+        assert table.subjects(Position.SUPINE) == ["s00", "s01"]
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pipeline._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pipeline._available_cpus() == 1
+
+    def test_empty_directory_opens_no_pool(self, tmp_path, monkeypatch):
+        _on_cpus(monkeypatch, {0, 1})
+        forks = _Forks(monkeypatch)
+        config = RunConfig(input_path=str(tmp_path), input_kind="signals")
+        with pytest.raises(PipelineError, match="fewer than 4 subjects"):
+            run_pipeline(config)
+        assert forks.count == 0
+
+    def test_unexpected_worker_error_keeps_its_type(self, signals_dir, monkeypatch):
+        real = pipeline._row_from_signal_file
+
+        def failing(path):
+            if path.name == "s04_supine.csv":
+                raise RuntimeError("unexpected")
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "_row_from_signal_file", failing)
+        _on_cpus(monkeypatch, {0, 1})
+        with pytest.raises(RuntimeError, match="^unexpected$"):
+            pipeline._table_from_signals(signals_dir, [])
+
+    def test_dead_worker_exits_2_with_one_line(self, signals_dir, tmp_path, monkeypatch, capsys):
+        real = pipeline._row_from_signal_file
+
+        def dying(path):
+            if path.name == "s04_supine.csv":
+                os._exit(1)
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "_row_from_signal_file", dying)
+        _on_cpus(monkeypatch, {0, 1})
+        config = RunConfig(input_path=str(signals_dir), input_kind="signals")
+        with pytest.raises(PipelineError, match="^signal extraction worker stopped: exit code 1$"):
+            run_pipeline(config)
+        code = main([
+            "analyze", "--input", str(signals_dir), "--input-kind", "signals",
+            "--positions", "supine", "--methods", "hc", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("analysis failed: signal extraction worker stopped: ")
+
+    def test_python_warnings_reach_the_caller(self, signals_dir, tmp_path, monkeypatch):
+        names = ["s00_supine.csv", "s01_supine.csv", "s02_supine.csv", "sXX_supine.csv"]
+        for name in names:
+            shutil.copy(signals_dir / name, tmp_path)
+        real = pipeline._row_from_signal_file
+
+        def warning(path):
+            warnings.warn(f"in {path.name}", UserWarning)
+            warnings.warn("in each record", UserWarning)
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "_row_from_signal_file", warning)
+        seen = {}
+        for cpus in ({0}, {0, 1, 2}):
+            _on_cpus(monkeypatch, cpus)
+            for action in ("always", "default"):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter(action)
+                    pipeline._table_from_signals(tmp_path, [])
+                seen[len(cpus), action] = [
+                    (str(w.message), w.category, w.filename, w.lineno) for w in caught
+                ]
+            # under the suite's filter, error, the first one raises
+            with pytest.raises(UserWarning, match="^in s00_supine.csv$"):
+                pipeline._table_from_signals(tmp_path, [])
+        assert [message for message, *_ in seen[1, "always"]] == [
+            message for name in names for message in (f"in {name}", "in each record")
+        ]
+        # shown once per place and text, as in one process
+        assert [message for message, *_ in seen[1, "default"]] == [
+            f"in {names[0]}", "in each record", *(f"in {name}" for name in names[1:])
+        ]
+        assert seen[3, "always"] == seen[1, "always"]
+        assert seen[3, "default"] == seen[1, "default"]
+
+    def test_one_and_three_cpus_agree_through_the_cli(
+        self, mixed_signals_dir, tmp_path, monkeypatch, capsys
+    ):
+        runs = []
+        for cpus in ({0}, {0, 1, 2}):
+            _on_cpus(monkeypatch, cpus)
+            forks = _Forks(monkeypatch)
+            out = tmp_path / f"out-{len(cpus)}"
+            code = main([
+                "analyze", "--input", str(mixed_signals_dir), "--input-kind", "signals",
+                "--positions", "supine", "--methods", "hc,tabu,fges",
+                "--mediation", "HR,RR,cInsT", "--out", str(out),
+            ])
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            runs.append((code, capsys.readouterr().err, files, forks.count))
+        (code, err, files, forks), (code3, err3, files3, forks3) = runs
+        assert (code3, err3, files3) == (code, err, files)
+        assert (code, len(err.splitlines()), forks, forks3) == (0, 5, 0, 3)
+        assert "report.json" in files
+
+    @pytest.mark.parametrize("items", ["records", "positions"])
+    def test_workers_end_with_a_killed_run(self, items, cohort_csv, tmp_path):
+        for name in ("a_supine.csv", "b_supine.csv"):
+            (tmp_path / name).write_text("t,ecg,ip\n", "utf-8")
+        # each child prints its pid and waits; this process waits too
+        probe = (
+            "import os, sys, time\n"
+            "from pathlib import Path\n"
+            "from cardiocausal import pipeline\n"
+            "parent = os.getpid()\n"
+            "def stuck(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        print(os.getpid(), flush=True)\n"
+            "    time.sleep(60)\n"
+            "pipeline._row_from_signal_file = stuck\n"
+            "pipeline._position_result = stuck\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "if sys.argv[1] == 'records':\n"
+            "    pipeline._table_from_signals(Path(sys.argv[2]), [])\n"
+            "else:\n"
+            "    pipeline.run_pipeline(pipeline.RunConfig(sys.argv[2], 'params'))\n"
+        )
+        source, children = (tmp_path, 2) if items == "records" else (cohort_csv, 1)
+        src = os.path.dirname(os.path.dirname(cardiocausal.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, "-c", probe, items, str(source)], env=env, stdout=subprocess.PIPE,
+            text=True,
+        ) as run:
+            workers = [int(run.stdout.readline()) for _ in range(children)]
+            run.kill()
+        try:
+            deadline = time.monotonic() + 30.0
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, workers))
+        finally:
+            for worker in filter(_alive, workers):
+                os.kill(worker, signal.SIGKILL)
+
+
+def _cohort_csv_with(path, standing_rows=60, supine_rows=60, constant_in=None):
+    """sem_cohort(60, seed=0) as CSV, with each position cut to its first
+    rows and, in position ``constant_in``, RR constant."""
+    table, _ = sem_cohort(60, seed=0)
+    keep = {Position.SUPINE: supine_rows, Position.STANDING: standing_rows}
+    rows = []
+    for row in table.rows:
+        if int(row.subject_id[1:]) > keep[row.position]:
+            continue
+        if row.position.value == constant_in:
+            row = replace(row, params={**row.params, "RR": 14.0})
+        rows.append(row)
+    save_parameter_table(ParameterTable(rows=tuple(rows)), path)
+    return path
+
+
 def _raise_unpicklable():
     raise RuntimeError(threading.Lock())
 
@@ -750,15 +807,10 @@ def _raise_unreadable():
     raise _TwoArgumentError("first", "second")
 
 
+@pytest.mark.usefixtures("_no_child_left")
 class TestConcurrentPositions:
     """Positions analysed one after the other (one CPU) and the second in a
     forked child (two CPUs) give the same outputs, warnings and exit code."""
-
-    @pytest.fixture(autouse=True)
-    def _no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def _cli_run(self, monkeypatch, capsys, tmp_path, cpus, argv):
         _on_cpus(monkeypatch, cpus)
