@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -104,8 +105,35 @@ class SignalRecord:
         return self.ecg.size / self.sample_rate_hz
 
 
+_COLUMN_INDEX = {name: j for j, name in enumerate(PARAMETER_NAMES)}
+_POSITIVE = ("HR", "RMSSD", "RR")
+_POSITIVE_COLUMNS = [_COLUMN_INDEX[name] for name in _POSITIVE]
+_BR_SOURCE_COLUMNS = [_COLUMN_INDEX[name] for name in DERIVED_SOURCES["BR"]]
+
+
+def _check_parameters(subject_id: str, position: Position, params: dict) -> None:
+    """Raise FormatError on the first invalid value of one row, checked in
+    this order: finite, HR/RMSSD/RR positive, BR's sources nonnegative,
+    BR in [0, 100]."""
+    ctx = f"row ({subject_id!r}, {position.value})"
+    for name, value in params.items():
+        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise FormatError(f"{ctx}: {name} is not finite")
+    for name in _POSITIVE:
+        if params[name] <= 0:
+            raise FormatError(f"{ctx}: {name} must be positive")
+    for name in DERIVED_SOURCES["BR"]:
+        if params[name] < 0:
+            raise FormatError(f"{ctx}: {name} must be nonnegative")
+    if not 0.0 <= params["BR"] <= 100.0:
+        raise FormatError(f"{ctx}: BR out of [0, 100]")
+
+
 @dataclass(frozen=True)
 class ParameterRow:
+    """One subject and position: the element type of ``ParameterTable(rows)``
+    and of ``ParameterTable.rows``."""
+
     subject_id: str
     position: Position
     params: dict[str, float]
@@ -118,67 +146,84 @@ class ParameterRow:
                 f"row for {self.subject_id!r}: wrong parameter set"
                 f" (missing {sorted(missing)}, extra {sorted(extra)})"
             )
-        ctx = f"row ({self.subject_id!r}, {self.position.value})"
-        for name, value in self.params.items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise FormatError(f"{ctx}: {name} is not finite")
-        for name in ("HR", "RMSSD", "RR"):
-            if self.params[name] <= 0:
-                raise FormatError(f"{ctx}: {name} must be positive")
-        for name in DERIVED_SOURCES["BR"]:
-            if self.params[name] < 0:
-                raise FormatError(f"{ctx}: {name} must be nonnegative")
-        if not 0.0 <= self.params["BR"] <= 100.0:
-            raise FormatError(f"{ctx}: BR out of [0, 100]")
+        _check_parameters(self.subject_id, self.position, self.params)
 
 
-_COLUMN_INDEX = {name: j for j, name in enumerate(PARAMETER_NAMES)}
-
-
-@dataclass(frozen=True)
 class ParameterTable:
-    """Parameter rows, indexed by position when the table is built.
+    """Subject ids, positions and one float64 rows x PARAMETER_NAMES matrix,
+    in input row order, indexed by position when the table is built.
 
-    Each position keeps the row number of each subject, in sorted subject
-    order, and a float64 subjects x PARAMETER_NAMES matrix, so lookups are
-    dict lookups and array slices.  Tables compare equal when their rows do.
+    Each position keeps its subjects in sorted order and their rows of the
+    matrix in that order, so lookups are array slices.  Tables are
+    immutable and compare equal when their rows do, in order.
+    ``ParameterTable(rows)`` takes ParameterRow objects; ``from_columns``
+    takes the three columns.
     """
 
-    rows: tuple[ParameterRow, ...]
+    def __init__(self, rows):
+        rows = tuple(rows)
+        self._build(
+            [row.subject_id for row in rows],
+            [row.position for row in rows],
+            [[row.params[name] for name in PARAMETER_NAMES] for row in rows],
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        by_key: dict[tuple[str, Position], ParameterRow] = {}
-        for row in self.rows:
-            key = (row.subject_id, row.position)
-            if key in by_key:
+    @classmethod
+    def from_columns(cls, subject_ids, positions, values) -> "ParameterTable":
+        """Table of ``values[i]`` for ``(subject_ids[i], positions[i])``.  The
+        first bad row, then the first duplicate key, raises FormatError."""
+        table = cls.__new__(cls)
+        table._build(subject_ids, positions, values)
+        return table
+
+    def _build(self, subject_ids, positions, values) -> None:
+        ids, positions, values = tuple(subject_ids), tuple(positions), _as_matrix(values)
+        _check_columns(ids, positions, values)
+        seen = set()
+        for key in zip(ids, positions):
+            if key in seen:
                 raise FormatError(
-                    f"duplicate (subject, position) key ({row.subject_id!r},"
-                    f" {row.position.value})"
+                    f"duplicate (subject, position) key ({key[0]!r}, {key[1].value})"
                 )
-            by_key[key] = row
-        slots, values = {}, {}
+            seen.add(key)
+        slots, subjects, blocks = {}, {}, {}
         for position in Position:
-            subjects = sorted(s for s, p in by_key if p is position)
-            slots[position] = {s: i for i, s in enumerate(subjects)}
-            values[position] = np.array(
-                [[by_key[s, position].params[n] for n in PARAMETER_NAMES] for s in subjects],
-                dtype=float,
-            ).reshape(len(subjects), len(PARAMETER_NAMES))
-        object.__setattr__(self, "_by_key", by_key)
-        object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_values", values)
+            rows = [i for i, p in enumerate(positions) if p is position]
+            slots[position] = dict(zip((ids[i] for i in rows), rows))
+            subjects[position] = sorted(slots[position])
+            blocks[position] = values[[slots[position][s] for s in subjects[position]]]
+        standing = slots[Position.STANDING]
+        common = [s for s in subjects[Position.SUPINE] if s in standing]
+        self._ids, self._positions, self._matrix = ids, positions, values
+        self._subjects, self._values, self._common = subjects, blocks, common
+        # matrix rows of the common subjects, computed once for paired_columns
+        self._common_rows = {
+            p: np.array([slots[p][s] for s in common], dtype=np.intp) for p in Position
+        }
+
+    def __eq__(self, other):
+        if not isinstance(other, ParameterTable):
+            return NotImplemented
+        return (
+            self._ids == other._ids
+            and self._positions == other._positions
+            and np.array_equal(self._matrix, other._matrix)
+        )
+
+    @property
+    def rows(self) -> tuple[ParameterRow, ...]:
+        """One ParameterRow per row, in input order, built on each call."""
+        return tuple(
+            ParameterRow(s, p, dict(zip(PARAMETER_NAMES, v)))
+            for s, p, v in zip(self._ids, self._positions, self._matrix.tolist())
+        )
 
     def subjects(self, position: Position) -> list[str]:
-        return list(self._slots[position])
+        return list(self._subjects[position])
 
     def common_subjects(self) -> list[str]:
         """Subjects present in both positions, sorted."""
-        standing = self._slots[Position.STANDING]
-        return [s for s in self._slots[Position.SUPINE] if s in standing]
-
-    def row(self, subject_id: str, position: Position) -> ParameterRow:
-        return self._by_key[subject_id, position]
+        return list(self._common)
 
     def column(self, name: str, position: Position) -> np.ndarray:
         """Values of one parameter for one position, in sorted subject order."""
@@ -194,12 +239,28 @@ class ParameterTable:
     def paired_columns(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Supine and standing values for subjects present in both positions."""
         j = _COLUMN_INDEX[name]
-        common = self.common_subjects()
         supine, standing = (
-            self._values[p][[self._slots[p][s] for s in common], j]
-            for p in (Position.SUPINE, Position.STANDING)
+            self._matrix[self._common_rows[p], j] for p in (Position.SUPINE, Position.STANDING)
         )
         return supine, standing
+
+
+def _as_matrix(values) -> np.ndarray:
+    """A float64 copy of ``values`` with one row per table row."""
+    return np.array(values, dtype=float).reshape(-1, len(PARAMETER_NAMES))
+
+
+def _check_columns(ids, positions, values: np.ndarray) -> None:
+    """The row checks of ``_check_parameters`` on whole columns; the first
+    bad row is re-checked on its own to raise its message."""
+    bad = ~np.isfinite(values).all(axis=1)
+    bad |= (values[:, _POSITIVE_COLUMNS] <= 0).any(axis=1)
+    bad |= (values[:, _BR_SOURCE_COLUMNS] < 0).any(axis=1)
+    br = values[:, _COLUMN_INDEX["BR"]]
+    bad |= ~((0.0 <= br) & (br <= 100.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_parameters(ids[i], positions[i], dict(zip(PARAMETER_NAMES, values[i].tolist())))
 
 
 @contextmanager
@@ -311,56 +372,97 @@ def save_signal_record(record: SignalRecord, path) -> None:
             fh.write(f"{t!r},{float(record.ecg[i])!r},{float(record.ip[i])!r}\n")
 
 
+_POSITION_TEXT = {position.value: position for position in Position}
+
+
+def _parse_parameter_line(row: list[str], col: dict[str, int], ctx: str):
+    """``(subject_id, position, values)`` of one data line, or FormatError
+    for its first fault: field count, empty cell, the first bad decimal in
+    PARAMETER_NAMES order, unknown position."""
+    if len(row) != len(col):
+        raise FormatError(f"{ctx}: expected {len(col)} fields, got {len(row)}")
+    if any(cell.strip() == "" for cell in row):
+        raise FormatError(f"{ctx}: missing value; row rejected")
+    values = [_parse_decimal(row[col[name]], ctx) for name in PARAMETER_NAMES]
+    return row[col["subject_id"]].strip(), Position.parse(row[col["position"]]), values
+
+
 def load_parameter_table(path) -> ParameterTable:
+    """Parse a parameter file straight into the table's columns.
+
+    The first line with a fault raises.  A line that plain ``float`` and
+    the exact position names accept is taken as it is; any other is re-read
+    by ``_parse_parameter_line``, which accepts it or raises its fault.
+    Before that fault, or an unreadable byte or cell, propagates, the
+    values of the lines read so far are checked, as their faults come
+    first.  A duplicate key is reported once every line has passed.
+    """
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"no such file: {path}")
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        required = {"subject_id", "position", *PARAMETER_NAMES}
-        if len(header) != len(set(header)):
-            raise FormatError(f"{path}: duplicate column in header")
-        extra = set(header) - required
-        if extra:
-            raise FormatError(f"{path}: unknown column(s) {sorted(extra)}")
-        missing = required - set(header)
-        if missing:
-            raise FormatError(f"{path}: missing column(s) {sorted(missing)}")
-        col = {name: header.index(name) for name in header}
+    ids, positions, values = [], [], []
+    try:
+        with _open_csv(path) as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise FormatError(f"{path}: empty file") from None
+            required = {"subject_id", "position", *PARAMETER_NAMES}
+            if len(header) != len(set(header)):
+                raise FormatError(f"{path}: duplicate column in header")
+            extra = set(header) - required
+            if extra:
+                raise FormatError(f"{path}: unknown column(s) {sorted(extra)}")
+            missing = required - set(header)
+            if missing:
+                raise FormatError(f"{path}: missing column(s) {sorted(missing)}")
+            col = {name: header.index(name) for name in header}
+            cells = operator.itemgetter(*(col[name] for name in PARAMETER_NAMES))
+            id_col, position_col = col["subject_id"], col["position"]
 
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            if any(cell.strip() == "" for cell in row):
-                raise FormatError(f"{path}:{lineno}: missing value; row rejected")
-            ctx = f"{path}:{lineno}"
-            params = {name: _parse_decimal(row[col[name]], ctx) for name in PARAMETER_NAMES}
-            rows.append(
-                ParameterRow(
-                    subject_id=row[col["subject_id"]].strip(),
-                    position=Position.parse(row[col["position"]]),
-                    params=params,
-                )
-            )
-    return ParameterTable(tuple(rows))
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    if len(row) != len(col):
+                        raise ValueError
+                    line = list(map(float, cells(row)))
+                    subject_id = row[id_col].strip()
+                    position = _POSITION_TEXT[row[position_col]]
+                    # a non-finite cell makes the sum non-finite
+                    if not (subject_id and math.isfinite(sum(line))):
+                        raise ValueError
+                except (ValueError, KeyError):
+                    subject_id, position, line = _parse_parameter_line(
+                        row, col, f"{path}:{lineno}"
+                    )
+                ids.append(subject_id)
+                positions.append(position)
+                values.append(line)
+    except FormatError:
+        _check_columns(ids, positions, _as_matrix(values))
+        raise
+    return ParameterTable.from_columns(ids, positions, values)
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell, quoted where csv.writer's QUOTE_MINIMAL
+    quotes it and also where it holds a carriage return, which the reader
+    would otherwise take for a line end."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def save_parameter_table(table: ParameterTable, path) -> None:
+    """One line per row, in the table's input order; cells are the subject
+    id, the position and ``repr`` of each value."""
     path = Path(path)
+    lines = [",".join(["subject_id", "position", *PARAMETER_NAMES])]
+    for subject_id, position, values in zip(
+        table._ids, table._positions, table._matrix.tolist()
+    ):
+        lines.append(f"{_csv_cell(subject_id)},{position.value}," + ",".join(map(repr, values)))
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "position", *PARAMETER_NAMES])
-        for row in table.rows:
-            writer.writerow(
-                [row.subject_id, row.position.value]
-                + [repr(float(row.params[name])) for name in PARAMETER_NAMES]
-            )
+        fh.write("\n".join(lines) + "\n")

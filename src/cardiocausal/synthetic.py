@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .param_features import breathing_regularity
-from .record_io import DERIVED_SOURCES, ParameterRow, ParameterTable, Position
+from .record_io import DERIVED_SOURCES, PARAMETER_NAMES, ParameterTable, Position
 
 # Edge coefficients of the cohort generator's ground-truth causal graph, over
 # the eight free parameters (lnRMSSD and BR are deterministic functions and
@@ -139,7 +139,7 @@ def sem_cohort(n_subjects: int = 100, seed: int = 0) -> tuple[ParameterTable, fr
     Returns (table, ground-truth directed edges).
     """
     rng = np.random.default_rng(seed)
-    rows = []
+    ids, positions, values = [], [], []
     width = max(3, len(str(n_subjects)))
     for position in (Position.SUPINE, Position.STANDING):
         z = _sem_sample(rng, n_subjects)
@@ -151,9 +151,7 @@ def sem_cohort(n_subjects: int = 100, seed: int = 0) -> tuple[ParameterTable, fr
                 params[name] = max(value, 1e-6)
             params["lnRMSSD"] = math.log(params["RMSSD"])
             params["BR"] = breathing_regularity([params[n] for n in DERIVED_SOURCES["BR"]])
-            rows.append(
-                ParameterRow(
-                    subject_id=f"s{i + 1:0{width}d}", position=position, params=params
-                )
-            )
-    return ParameterTable(tuple(rows)), SEM_EDGES
+            ids.append(f"s{i + 1:0{width}d}")
+            positions.append(position)
+            values.append([params[name] for name in PARAMETER_NAMES])
+    return ParameterTable.from_columns(ids, positions, values), SEM_EDGES
