@@ -331,8 +331,10 @@ def load_signal_record(path) -> SignalRecord:
     if not path.is_file():
         raise FormatError(f"no such file: {path}")
     subject_id, _, pos_text = path.stem.rpartition("_")
+    # stripped as load_parameter_table strips it, so params.csv loads back
+    subject_id = subject_id.strip()
     # no underscore, or nothing before it: a params.csv row needs a subject id
-    if not subject_id.strip():
+    if not subject_id:
         raise FormatError(
             f"cannot infer subject/position from file name {path.name!r};"
             " expected <subject_id>_<position>.csv"

@@ -46,6 +46,7 @@ from cardiocausal.record_io import (
     PARAMETER_NAMES,
     ParameterTable,
     Position,
+    load_parameter_table,
     save_parameter_table,
 )
 from cardiocausal.synthetic import sem_cohort, synthetic_ecg
@@ -1396,6 +1397,30 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().err == ""
         assert (tmp_path / "again" / "params.csv").read_bytes() == (out / "params.csv").read_bytes()
+
+    def test_spaced_record_names_give_a_table_that_reloads(self, signals_dir, tmp_path):
+        records = tmp_path / "records"
+        shutil.copytree(signals_dir, records)
+        (records / "s01_supine.csv").rename(records / " s01_supine.csv")
+        (records / "s02_supine.csv").rename(records / "s02 _supine.csv")
+        table = pipeline._table_from_signals(records, [])
+        assert {"s01", "s02"} <= set(table.subjects(Position.SUPINE))
+        save_parameter_table(table, tmp_path / "params.csv")
+        assert load_parameter_table(tmp_path / "params.csv") == table
+
+    def test_ids_differing_only_by_spaces_exit_2_with_one_line(self, signals_dir, tmp_path, capsys):
+        records = tmp_path / "records"
+        shutil.copytree(signals_dir, records)
+        (records / "sXX_supine.csv").unlink()
+        shutil.copy(records / "s01_supine.csv", records / " s01_supine.csv")
+        code = main([
+            "analyze", "--input", str(records), "--input-kind", "signals",
+            "--positions", "supine", "--methods", "hc", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "analysis failed: duplicate (subject, position) key ('s01', supine)"
+        ]
 
     def test_gc_skipped_pairs_reach_the_report(self, tmp_path, capsys):
         # 12 subjects are too few for the generalized correlation of any pair

@@ -84,6 +84,11 @@ class TestSignalRecordLoad:
         assert record.subject_id == "athlete_17"
         assert record.position is Position.STANDING
 
+    def test_spaces_around_the_subject_id_are_stripped(self, tmp_path):
+        # as load_parameter_table strips the ids of a params.csv
+        path = _write_signal_csv(tmp_path / " s01_supine.csv", 8000)
+        assert load_signal_record(path).subject_id == "s01"
+
     def test_values_preserved_exactly(self, tmp_path):
         values = [0.1, -2.5e-3, 3.141592653589793, 1e-12]
         lines = ["t,ecg,ip"] + [

@@ -46,10 +46,11 @@ from cardiocausal.structure_search import (
     _BicScorer,
     _climb,
     _dag,
-    _descendants,
+    _descendant_masks,
     _edges_of,
     _gcv_fit,
     _greedy_climb,
+    _insert_row,
     _inverse_move,
     _is_clique,
     _legal_moves,
@@ -57,10 +58,12 @@ from cardiocausal.structure_search import (
     _node_names,
     _penalized_fits,
     _prune_node,
+    _scored_moves,
     _semi_directed_reaches,
     _smoother_eigensystem,
     _SplineTerm,
     _state_from_edges,
+    _stored_insert_row,
 )
 from cardiocausal.synthetic import sem_cohort
 from test_association import former_loo_predictions, make_table, random_columns
@@ -302,6 +305,41 @@ class TestDagPreconditions:
             cpdag_of(graph)
 
 
+def _descendants(children):
+    """Nodes reachable from each node of a DAG by one or more edges, as sets:
+    the former reachability routine, kept as the reference for the bitmasks."""
+    reach = {}
+
+    def visit(v):
+        if v not in reach:
+            reach[v] = set()
+            for c in children[v]:
+                reach[v] |= {c} | visit(c)
+        return reach[v]
+
+    for v in children:
+        visit(v)
+    return reach
+
+
+def _former_legal_moves(children, parents, p, max_parents):
+    """``_legal_moves`` as it was, with each node's descendants as a set."""
+    reach = _descendants(children)
+    adds, dels, revs = [], [], []
+    for u in range(p):
+        for v in range(p):
+            if u == v:
+                continue
+            if v in children[u]:
+                dels.append(("delete", u, v))
+                if len(parents[u]) < max_parents and not any(v in reach[c] for c in children[u]):
+                    revs.append(("reverse", u, v))
+            elif u not in children[v]:
+                if len(parents[v]) < max_parents and u not in reach[v]:
+                    adds.append(("add", u, v))
+    return adds + dels + revs
+
+
 class TestHillClimb:
     def test_collider_recovered_exactly(self):
         dag = hill_climb(collider_data(), names=("X", "Y", "Z"))
@@ -371,6 +409,25 @@ class TestHillClimb:
                         expected.append((op, u, v))
             children, parents = _state_from_edges(p, edges)
             assert _legal_moves(children, parents, p, max_parents) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.integers(2, 10),
+        max_parents=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_legal_moves_match_the_descendant_set_version(self, p, max_parents, data):
+        order = data.draw(st.permutations(range(p)))
+        pairs = [(order[i], order[j]) for i, j in combinations(range(p), 2)]
+        kept = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        children, parents = _state_from_edges(p, [e for e, k in zip(pairs, kept) if k])
+        assert _legal_moves(children, parents, p, max_parents) == _former_legal_moves(
+            children, parents, p, max_parents
+        )
+        masks = _descendant_masks(children, parents, p)
+        assert [{c for c in range(p) if masks[v] >> c & 1} for v in range(p)] == [
+            _descendants(children)[v] for v in range(p)
+        ]
 
     def test_max_parents_respected(self):
         rng = np.random.default_rng(9)
@@ -538,6 +595,60 @@ class TestMoveLoopAgainstReferences:
                 assert tabu_search(data, config).directed == {
                     (f"x{u}", f"x{v}") for u, v in tabu
                 }
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _former_beats(delta, incumbent):
+    if math.isclose(delta, incumbent, rel_tol=1e-9, abs_tol=1e-9):
+        return False
+    return delta > incumbent
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    delta=st.floats(allow_nan=True, allow_infinity=True),
+    incumbent=st.floats(allow_nan=True, allow_infinity=True),
+    nudge=st.integers(-3, 3),
+)
+def test_beats_tests_the_order_first_with_the_same_result(delta, incumbent, nudge):
+    """``_beats`` compares before its tie test; near ties still lose."""
+    for d in (delta, incumbent + nudge * 1e-10 * max(1.0, abs(incumbent))):
+        assert _beats(d, incumbent) == _former_beats(d, incumbent)
+
+
+# the move loop's configurations, and fges's max_parents 2 and 4
+_TABLE_CONFIGS = [SearchConfig(), SearchConfig(max_parents=2), _MOVE_LOOP_CONFIGS[1]]
+_TABLE_CONFIG_IDS = ["default", "max-parents-2", "short-tabu"]
+
+
+class TestMoveDeltaTable:
+    """Every delta the move loop takes from its table is the delta of that
+    move in the current state."""
+
+    @pytest.mark.parametrize("config", _TABLE_CONFIGS, ids=_TABLE_CONFIG_IDS)
+    def test_served_deltas_are_fresh(self, config):
+        served = 0
+
+        def checked(scorer, deltas, children, parents, max_parents):
+            nonlocal served
+            stored = dict(deltas)
+            scored = _scored_moves(scorer, deltas, children, parents, max_parents)
+            for move, delta in scored:
+                if move in stored:
+                    served += 1
+                    assert _same_float(delta, _move_delta(scorer, parents, move)), move
+            return scored
+
+        with mock.patch.object(structure_search, "_scored_moves", checked):
+            for seed in range(200):
+                data, _ = sem_data(seed, n=300, p=3 + seed % 6)
+                scorer = _BicScorer(data)
+                hill_climb(scorer, config)
+                tabu_search(scorer, config)
+        assert served > 10_000
 
 
 class TestSharedScorer:
@@ -756,6 +867,155 @@ class TestFgesAgainstFormerRebuild:
             table, _ = sem_cohort(n, seed=seed)
             for position in Position:
                 self.check(table.matrix(position, names), config)
+
+
+def _rescoring_fges(data, config=None, *, names=None):
+    """fges as it was before its Insert-operator table: every Insert operator
+    is scored again at each step."""
+    config = config or SearchConfig()
+    scorer = structure_search._scorer(data)
+    p = scorer.p
+    names = _node_names(names, p)
+    nodes = tuple(range(p))
+    directed: set[tuple[int, int]] = set()
+    undirected: set[frozenset] = set()
+
+    def neighbours():
+        parents = _state_from_edges(p, directed)[1]
+        return adjacency(nodes, directed, undirected), adjacency(nodes, (), undirected), parents
+
+    def forward_candidates():
+        adj, und, parents = neighbours()
+        step = adjacency(nodes, directed, undirected, one_way=True)
+        best = _EPS_GAIN
+        for y in range(p):
+            nb_y = und[y]
+            for x in range(p):
+                if x == y or x in adj[y]:
+                    continue
+                na = {v for v in nb_y if v in adj[x]}
+                t0 = sorted(nb_y - adj[x])
+                for size in range(len(t0) + 1):
+                    for t in combinations(t0, size):
+                        block = na | set(t)
+                        base = frozenset(block | parents[y])
+                        new = base | {x}
+                        if len(new) > config.max_parents:
+                            continue
+                        delta = scorer.local(y, new) - scorer.local(y, base)
+                        if not delta > best or not _is_clique(block, adj):
+                            continue
+                        if _semi_directed_reaches(y, x, block, step):
+                            continue
+                        best = delta
+                        yield delta, x, y, t
+
+    def backward_candidates():
+        adj, und, parents = neighbours()
+        best = _EPS_GAIN
+        for y in range(p):
+            nb_y = und[y]
+            for x in range(p):
+                if x == y:
+                    continue
+                if (x, y) not in directed and frozenset((x, y)) not in undirected:
+                    continue
+                na = {v for v in nb_y if v in adj[x]}
+                for size in range(len(na) + 1):
+                    for h in combinations(sorted(na), size):
+                        rest = na - set(h)
+                        base = frozenset((rest | parents[y]) - {x})
+                        delta = scorer.local(y, base) - scorer.local(y, frozenset(base | {x}))
+                        if not delta > best or not _is_clique(rest, adj):
+                            continue
+                        best = delta
+                        yield delta, x, y, h
+
+    def run_phase(candidate_fn, apply_fn):
+        nonlocal directed, undirected
+        while (best := max(candidate_fn(), key=lambda c: c[0], default=None)) is not None:
+            apply_fn(*best[1:])
+            directed, undirected = _complete_pattern(nodes, directed, undirected)
+
+    def apply_insert(x, y, t):
+        directed.add((x, y))
+        for v in t:
+            undirected.discard(frozenset((v, y)))
+            directed.add((v, y))
+
+    def apply_delete(x, y, h):
+        directed.discard((x, y))
+        undirected.discard(frozenset((x, y)))
+        for v in h:
+            if frozenset((y, v)) in undirected:
+                undirected.discard(frozenset((y, v)))
+                directed.add((y, v))
+            if frozenset((x, v)) in undirected:
+                undirected.discard(frozenset((x, v)))
+                directed.add((x, v))
+
+    run_phase(forward_candidates, apply_insert)
+    run_phase(backward_candidates, apply_delete)
+    return EdgeGraph(
+        names,
+        frozenset((names[a], names[b]) for a, b in directed),
+        frozenset(frozenset(names[v] for v in pair) for pair in undirected),
+    )
+
+
+class TestFgesAgainstRescoring:
+    """The Insert-operator table gives the graphs of rescoring every operator
+    at each step, on TestFgesAgainstFormerRebuild's inputs."""
+
+    @staticmethod
+    def check(data, config):
+        assert fges(data, config) == _rescoring_fges(data, config)
+
+    @pytest.mark.parametrize("config", _FGES_CONFIGS, ids=["default", "max-parents-2"])
+    def test_random_linear_sems(self, config):
+        for seed in range(600):
+            data, _ = sem_data(seed, n=300, p=3 + seed % 6)
+            self.check(data, config)
+
+    def test_exact_ties_go_to_the_first_candidate(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            base = rng.integers(-3, 4, 24)
+            cols = [rng.permutation(base) if rng.random() < 0.5 else base for _ in range(3 + seed % 3)]
+            self.check(np.column_stack(cols).astype(float), SearchConfig())
+
+    @pytest.mark.parametrize("config", _FGES_CONFIGS, ids=["default", "max-parents-2"])
+    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
+    @pytest.mark.parametrize("n", [30, 60, 100, 1000])
+    def test_sem_cohort_designs(self, n, names, config):
+        for seed in range(10):
+            table, _ = sem_cohort(n, seed=seed)
+            for position in Position:
+                self.check(table.matrix(position, names), config)
+
+
+class TestInsertTable:
+    """Every row of the Insert table that fges reads equals a fresh build of
+    that row in the current pattern."""
+
+    @pytest.mark.parametrize("config", _TABLE_CONFIGS, ids=_TABLE_CONFIG_IDS)
+    def test_rows_read_are_fresh(self, config):
+        served = 0
+
+        def checked(rows, scorer, max_parents, y, adj, und, parents):
+            nonlocal served
+            before = rows.get(y)
+            row = _stored_insert_row(rows, scorer, max_parents, y, adj, und, parents)
+            if before is not None and row is before[1]:
+                served += 1
+            assert row == _insert_row(scorer, max_parents, y, adj, und, parents), y
+            return row
+
+        with mock.patch.object(structure_search, "_stored_insert_row", checked):
+            for seed in range(200):
+                data, _ = sem_data(seed, n=300, p=3 + seed % 6)
+                fges(data, config)
+        assert served > 1_000
 
 
 class TestEnumerateBestDag:
