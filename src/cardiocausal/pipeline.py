@@ -37,7 +37,6 @@ from .record_io import (
 )
 from .resp_signals import delimit_breaths, remove_cardiac_component
 from .structure_search import (
-    SearchConfig,
     SearchError,
     _BicScorer,
     cam_learn,
@@ -47,17 +46,17 @@ from .structure_search import (
     tabu_search,
 )
 
-# Each structure method as (table, position, design, names, config,
-# warnings) -> EdgeGraph; ``design`` is the table matrix over ``names``, or
-# for the methods in _BIC_METHODS the position's shared BIC scorer of it.
+# Each structure method as (table, position, design, names, warnings) ->
+# EdgeGraph; ``design`` is the table matrix over ``names``, or for the
+# methods in _BIC_METHODS the position's shared BIC scorer of it.
 _METHODS = {
-    "gc": lambda table, pos, design, names, cfg, warnings: EdgeGraph(
+    "gc": lambda table, pos, design, names, warnings: EdgeGraph(
         names, gc_graph(table, pos, names, warnings)
     ),
-    "hc": lambda table, pos, design, names, cfg, warnings: hill_climb(design, cfg, names=names),
-    "tabu": lambda table, pos, design, names, cfg, warnings: tabu_search(design, cfg, names=names),
-    "fges": lambda table, pos, design, names, cfg, warnings: fges(design, cfg, names=names),
-    "cam": lambda table, pos, design, names, cfg, warnings: cam_learn(design, cfg, names=names),
+    "hc": lambda table, pos, design, names, warnings: hill_climb(design, names=names),
+    "tabu": lambda table, pos, design, names, warnings: tabu_search(design, names=names),
+    "fges": lambda table, pos, design, names, warnings: fges(design, names=names),
+    "cam": lambda table, pos, design, names, warnings: cam_learn(design, names=names),
 }
 
 METHOD_NAMES = tuple(_METHODS)
@@ -357,7 +356,6 @@ def _method_graphs(
     dropped with the position.
     """
     names = STRUCTURE_NAMES if config.mask_derived == "exclude" else PARAMETER_NAMES
-    search_config = SearchConfig(seed=config.seed)
     design = table.matrix(pos, names)
     scorer: _BicScorer | None = None
     graphs: dict[str, EdgeGraph] = {}
@@ -368,7 +366,7 @@ def _method_graphs(
                 if scorer is None:
                     scorer = _BicScorer(design)
                 data = scorer
-            graph = _METHODS[method](table, pos, data, names, search_config, warnings_list)
+            graph = _METHODS[method](table, pos, data, names, warnings_list)
             if config.mask_derived == "post-hoc":
                 graph = _mask_ignored(graph)
             graphs[method] = graph

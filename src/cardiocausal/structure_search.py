@@ -29,6 +29,13 @@ _log = logging.getLogger(__name__)
 
 _EPS_GAIN = 1e-9
 
+# Search settings.  The paper runs each method once per position with fixed
+# settings, so these are constants, not options.
+MAX_PARENTS = 4
+TABU_LENGTH = 10
+TABU_MAX_STALLS = 15
+CAM_PRUNE_ALPHA = 0.001
+
 
 def _beats(delta: float, incumbent: float) -> bool:
     """Strictly better, treating near-equal deltas as ties.
@@ -47,22 +54,11 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search settings.  ``seed`` has no effect on any result: every search
-    is deterministic.  It is kept so that a run can echo the seed it was
-    given."""
+    """Has no effect on any search: every search is deterministic, and its
+    settings are the module constants above.  The searches still accept
+    one, because the benchmark replica passes it."""
 
-    max_parents: int = 4
-    tabu_length: int = 10
-    tabu_max_stalls: int = 15
-    cam_prune_alpha: float = 0.001
     seed: int = 0
-
-    def __post_init__(self):
-        for field in ("max_parents", "tabu_length", "tabu_max_stalls"):
-            if getattr(self, field) < 1:
-                raise SearchError(f"{field} must be positive")
-        if not 0.0 < self.cam_prune_alpha < 1.0:
-            raise SearchError("cam_prune_alpha must lie strictly between 0 and 1")
 
 
 def _node_names(names, p: int) -> tuple[str, ...]:
@@ -78,9 +74,9 @@ class _BicScorer:
     """Decomposable Gaussian BIC from the centered scatter matrix.
 
     Caches each local score by (node, parent set), so at most p times the
-    number of parent sets of size up to ``max_parents``, and each strict
-    climb's result by (config, start edges).  Searches handed one scorer
-    share both caches.
+    number of parent sets of size up to ``MAX_PARENTS``, and each strict
+    climb's result by its start edges.  Searches handed one scorer share
+    both caches.
     """
 
     def __init__(self, data):
@@ -106,7 +102,7 @@ class _BicScorer:
         self.n = n
         self.p = p
         self._cache: dict[tuple[int, frozenset[int]], float] = {}
-        self.climbs: dict[tuple[SearchConfig, frozenset], tuple[frozenset, float]] = {}
+        self.climbs: dict[frozenset, tuple[frozenset, float]] = {}
 
     def local(self, v: int, parents: frozenset[int]) -> float:
         key = (v, parents)
@@ -273,14 +269,12 @@ def _scored_moves(scorer: _BicScorer, deltas: dict, children, parents, max_paren
     return scored
 
 
-def _greedy_climb(
-    scorer: _BicScorer, config: SearchConfig, edges0, max_stalls: int = 0
-) -> tuple[frozenset, float]:
+def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[frozenset, float]:
     """Best-move search over {add, delete, reverse}; the best DAG seen and its score.
 
     Each step scans every legal move once and takes the best strictly
     improving one; a move on the tabu list (the inverses of the last
-    ``config.tabu_length`` moves) qualifies only when it beats the best score
+    ``TABU_LENGTH`` moves) qualifies only when it beats the best score
     seen.  When no move improves, the best non-tabu move is taken as a stall,
     at most ``max_stalls`` times in a row without a new best.  With
     ``max_stalls=0`` every accepted move is a new best: strict ascent.
@@ -292,12 +286,12 @@ def _greedy_climb(
     children, parents = _state_from_edges(scorer.p, edges0)
     score = scorer.total(parents)
     best_edges, best_score = _edges_of(children), score
-    tabu: deque = deque(maxlen=config.tabu_length)
+    tabu: deque = deque(maxlen=TABU_LENGTH)
     stalls = 0
     deltas: dict[tuple[str, int, int], float] = {}
     while True:
         up, up_delta, stall, stall_delta = None, _EPS_GAIN, None, -math.inf
-        for move, delta in _scored_moves(scorer, deltas, children, parents, config.max_parents):
+        for move, delta in _scored_moves(scorer, deltas, children, parents, MAX_PARENTS):
             if move in tabu:
                 if score + delta > best_score + _EPS_GAIN and _beats(delta, up_delta):
                     up, up_delta = move, delta
@@ -335,9 +329,7 @@ def _covered_edges(parents) -> list[tuple[int, int]]:
     return sorted((u, v) for v, pv in parents.items() for u in pv if pv == parents[u] | {u})
 
 
-def _plateau_escape(
-    scorer: _BicScorer, config: SearchConfig, edges
-) -> tuple[frozenset, float] | None:
+def _plateau_escape(scorer: _BicScorer, edges) -> tuple[frozenset, float] | None:
     """Strict climb from the first equivalent DAG that has an improving move.
 
     Visits breadth-first the DAGs reachable from ``edges`` by covered-edge
@@ -352,22 +344,21 @@ def _plateau_escape(
             if member in seen:
                 continue
             seen.add(member)
-            climbed = _greedy_climb(scorer, config, member)
+            climbed = _greedy_climb(scorer, member)
             if climbed[0] != member:
                 return climbed
             queue.append(member)
     return None
 
 
-def _climb(scorer: _BicScorer, config: SearchConfig, edges0) -> tuple[frozenset, float]:
+def _climb(scorer: _BicScorer, edges0) -> tuple[frozenset, float]:
     """Strict ascent and plateau walk from ``edges0``, run once per scorer."""
-    key = (config, edges0)
-    if key not in scorer.climbs:
-        edges, score = _greedy_climb(scorer, config, edges0)
-        while (escaped := _plateau_escape(scorer, config, edges)) is not None:
+    if edges0 not in scorer.climbs:
+        edges, score = _greedy_climb(scorer, edges0)
+        while (escaped := _plateau_escape(scorer, edges)) is not None:
             edges, score = escaped
-        scorer.climbs[key] = edges, score
-    return scorer.climbs[key]
+        scorer.climbs[edges0] = edges, score
+    return scorer.climbs[edges0]
 
 
 def _dag(names: tuple[str, ...], edges) -> EdgeGraph:
@@ -388,12 +379,11 @@ def hill_climb(data, config: SearchConfig | None = None, *, names=None) -> EdgeG
     The search starts from the empty graph, every accepted move is a strict
     improvement and no randomness is used.  ``data`` is a matrix or the
     ``_BicScorer`` of one; hc, tabu and fges handed one scorer share its
-    local scores, and hc and tabu its climb.
+    local scores, and hc and tabu its climb.  ``config`` has no effect.
     """
-    config = config or SearchConfig()
     scorer = _scorer(data)
     names = _node_names(names, scorer.p)
-    best_edges, _ = _climb(scorer, config, frozenset())
+    best_edges, _ = _climb(scorer, frozenset())
     return _dag(names, best_edges)
 
 
@@ -402,15 +392,15 @@ def tabu_search(data, config: SearchConfig | None = None, *, names=None) -> Edge
 
     The ascent is ``hill_climb``'s, taken from the scorer when hill_climb
     already ran on it.  From its result hill-climb's move loop continues
-    with a tabu list and up to ``tabu_max_stalls`` stalls without a new
+    with a tabu list and up to ``TABU_MAX_STALLS`` stalls without a new
     global best.  The best structure encountered is returned, so the result
-    never scores below hill_climb on the same data and configuration.
+    never scores below hill_climb on the same data.  ``config`` has no
+    effect.
     """
-    config = config or SearchConfig()
     scorer = _scorer(data)
     names = _node_names(names, scorer.p)
-    edges, _ = _climb(scorer, config, frozenset())
-    best_edges, _ = _greedy_climb(scorer, config, edges, config.tabu_max_stalls)
+    edges, _ = _climb(scorer, frozenset())
+    best_edges, _ = _greedy_climb(scorer, edges, TABU_MAX_STALLS)
     return _dag(names, best_edges)
 
 
@@ -493,8 +483,8 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     The scored Insert operators into each node are kept between steps until
     the part of the pattern they read changes (Ramsey et al., Int. J. Data
     Sci. Anal. 2017).  ``data`` is a matrix or the ``_BicScorer`` of one.
+    ``config`` has no effect.
     """
-    config = config or SearchConfig()
     scorer = _scorer(data)
     p = scorer.p
     names = _node_names(names, p)
@@ -519,7 +509,7 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
         step = adjacency(nodes, directed, undirected, one_way=True)
         best = _EPS_GAIN
         for y in range(p):
-            row = _stored_insert_row(rows, scorer, config.max_parents, y, adj, und, parents)
+            row = _stored_insert_row(rows, scorer, MAX_PARENTS, y, adj, und, parents)
             for delta, x, t, block in row:
                 if not delta > best or not _is_clique(block, adj):
                     continue
@@ -782,13 +772,12 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
     additive-regression log-likelihood gain (penalized cubic splines, GCV
     smoothing).  Stage 2 regresses each node on all order-preceding nodes
     and keeps only parents whose smooth term tests significant below
-    ``cam_prune_alpha``.  Columns are standardized internally, after any
+    ``CAM_PRUNE_ALPHA``.  Columns are standardized internally, after any
     column of extreme magnitude is put in power-of-two units.  Every fit
     slices one Gram matrix and penalty of the intercept and all spline
     columns, and each parent list's eigensystem is computed once and shared
-    by every child fitted on it.
+    by every child fitted on it.  ``config`` has no effect.
     """
-    config = config or SearchConfig()
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise SearchError("data must be a 2-d matrix")
@@ -859,7 +848,7 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
         preds = order[:pos]
         if not preds:
             continue
-        for u in _prune_node(system, v, preds, n, config.cam_prune_alpha):
+        for u in _prune_node(system, v, preds, n, CAM_PRUNE_ALPHA):
             edges.append((u, v))
     return _dag(names, edges)
 

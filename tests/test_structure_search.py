@@ -1,5 +1,7 @@
 """Tests for BIC scoring and the structure-search method ensemble."""
 
+import contextlib
+import dataclasses
 import itertools
 import math
 from collections import deque
@@ -101,6 +103,13 @@ def collider_data(n: int = 5000, seed: int = 1):
     return np.column_stack([x, y, z])
 
 
+def _settings(constants):
+    """The search constants patched to ``constants``; none patched when empty."""
+    if not constants:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(structure_search, **constants)
+
+
 def ols_bic(data: np.ndarray, dag: EdgeGraph) -> float:
     """Per-node least-squares reference route for the Gaussian score."""
     n = data.shape[0]
@@ -120,17 +129,10 @@ def ols_bic(data: np.ndarray, dag: EdgeGraph) -> float:
 
 class TestSearchConfig:
     def test_defaults(self):
-        c = SearchConfig()
-        assert (c.max_parents, c.tabu_length, c.tabu_max_stalls) == (4, 10, 15)
-        assert c.cam_prune_alpha == 0.001
-
-    def test_validation(self):
-        with pytest.raises(SearchError):
-            SearchConfig(max_parents=0)
-        for alpha in (0.0, 1.0, 1.5, -0.01, math.nan):
-            with pytest.raises(SearchError):
-                SearchConfig(cam_prune_alpha=alpha)
-        assert SearchConfig(cam_prune_alpha=0.05).cam_prune_alpha == 0.05
+        s = structure_search
+        assert (s.MAX_PARENTS, s.TABU_LENGTH, s.TABU_MAX_STALLS) == (4, 10, 15)
+        assert s.CAM_PRUNE_ALPHA == 0.001
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == ["seed"]
 
 
 def _cho_local(scorer, v, parents):
@@ -372,7 +374,7 @@ class TestHillClimb:
         oracle = enumerate_best_dag(data)
         nodes = oracle.best.nodes
         start = frozenset((nodes.index(a), nodes.index(b)) for a, b in oracle.best.directed)
-        edges, _ = _climb(_BicScorer(data), SearchConfig(), start)
+        edges, _ = _climb(_BicScorer(data), start)
         assert _dag(nodes, edges) == oracle.best
 
     def test_legal_moves_are_the_acyclic_single_edge_edits(self):
@@ -434,7 +436,8 @@ class TestHillClimb:
         cause = rng.normal(0.0, 1.0, (800, 4))
         target = cause.sum(axis=1) + 0.3 * rng.normal(0.0, 1.0, 800)
         data = np.column_stack([cause, target])
-        dag = hill_climb(data, config=SearchConfig(max_parents=2))
+        with mock.patch.object(structure_search, "MAX_PARENTS", 2):
+            dag = hill_climb(data)
         assert all(len(dag.parents(v)) <= 2 for v in dag.nodes)
 
 
@@ -485,24 +488,24 @@ class TestTabuSearch:
         collider = frozenset({("X", "Y"), ("Z", "Y")})
         oracle = enumerate_best_dag(data, names=names)
         # hill_climb's and tabu_search's climbs, started from the trap
-        scorer, config = _BicScorer(data), SearchConfig()
+        scorer = _BicScorer(data)
         start = frozenset((names.index(a), names.index(b)) for a, b in trap_edges)
-        climbed, _ = _climb(scorer, config, start)
-        escaped, _ = _greedy_climb(scorer, config, climbed, config.tabu_max_stalls)
+        climbed, _ = _climb(scorer, start)
+        escaped, _ = _greedy_climb(scorer, climbed, structure_search.TABU_MAX_STALLS)
         for edges in (climbed, escaped):
             found = _dag(names, edges)
             assert found.directed == collider
             assert bic_score(data, found) == pytest.approx(oracle.best_score, abs=1e-9)
 
 
-def _reference_strict_climb(scorer, config, edges0):
+def _reference_strict_climb(scorer, edges0):
     """Strict best-improvement ascent with a move loop of its own, as it was
     before tabu search shared the loop: (edges, accumulated score)."""
     children, parents = _state_from_edges(scorer.p, edges0)
     score = scorer.total(parents)
     while True:
         best_move, best_delta = None, _EPS_GAIN
-        for move in _legal_moves(children, parents, scorer.p, config.max_parents):
+        for move in _legal_moves(children, parents, scorer.p, structure_search.MAX_PARENTS):
             delta = _move_delta(scorer, parents, move)
             if _beats(delta, best_delta):
                 best_move, best_delta = move, delta
@@ -512,15 +515,15 @@ def _reference_strict_climb(scorer, config, edges0):
         score += best_delta
 
 
-def _reference_tabu_walk(scorer, config, best_edges, best_score):
+def _reference_tabu_walk(scorer, best_edges, best_score):
     """Tabu search's former loop from the hill-climb result: one scan for an
     improving move and, on a stall step, a second scan for the stall move."""
     children, parents = _state_from_edges(scorer.p, best_edges)
     score = best_score
-    tabu = deque(maxlen=config.tabu_length)
+    tabu = deque(maxlen=structure_search.TABU_LENGTH)
     stalls = 0
     while True:
-        moves = _legal_moves(children, parents, scorer.p, config.max_parents)
+        moves = _legal_moves(children, parents, scorer.p, structure_search.MAX_PARENTS)
         chosen, chosen_delta = None, _EPS_GAIN
         for move in moves:
             delta = _move_delta(scorer, parents, move)
@@ -530,7 +533,7 @@ def _reference_tabu_walk(scorer, config, best_edges, best_score):
                 continue
             chosen, chosen_delta = move, delta
         if chosen is None:
-            if stalls >= config.tabu_max_stalls:
+            if stalls >= structure_search.TABU_MAX_STALLS:
                 break
             worst = -math.inf
             for move in moves:
@@ -552,49 +555,46 @@ def _reference_tabu_walk(scorer, config, best_edges, best_score):
     return best_edges, best_score
 
 
-_MOVE_LOOP_CONFIGS = [
-    SearchConfig(),
-    SearchConfig(max_parents=2, tabu_length=3, tabu_max_stalls=30),
-]
+_MOVE_LOOP_SETTINGS = [{}, {"MAX_PARENTS": 2, "TABU_LENGTH": 3, "TABU_MAX_STALLS": 30}]
 
 
 class TestMoveLoopAgainstReferences:
     """The one move loop gives hill-climb's and tabu search's former results."""
 
     @staticmethod
-    def check(data, config):
+    def check(data):
         # a scorer keeps its climb, so each climb gets a scorer of its own
         with mock.patch.object(structure_search, "_greedy_climb", _reference_strict_climb):
-            ref_hc = _climb(_BicScorer(data), config, frozenset())
+            ref_hc = _climb(_BicScorer(data), frozenset())
         scorer = _BicScorer(data)
-        hc = _climb(scorer, config, frozenset())
+        hc = _climb(scorer, frozenset())
         assert hc[0] == ref_hc[0]
         assert hc[1] == pytest.approx(ref_hc[1], abs=1e-9)
-        ref_tabu = _reference_tabu_walk(scorer, config, *ref_hc)
-        tabu = _greedy_climb(scorer, config, hc[0], config.tabu_max_stalls)
+        ref_tabu = _reference_tabu_walk(scorer, *ref_hc)
+        tabu = _greedy_climb(scorer, hc[0], structure_search.TABU_MAX_STALLS)
         assert tabu[0] == ref_tabu[0]
         assert tabu[1] == pytest.approx(ref_tabu[1], abs=1e-9)
         return hc[0], tabu[0]
 
-    @pytest.mark.parametrize("config", _MOVE_LOOP_CONFIGS, ids=["default", "short-tabu"])
-    def test_random_linear_sems(self, config):
-        for seed in range(200):
-            data, _ = sem_data(seed, n=300, p=3 + seed % 5)
-            self.check(data, config)
+    @pytest.mark.parametrize("constants", _MOVE_LOOP_SETTINGS, ids=["default", "short-tabu"])
+    def test_random_linear_sems(self, constants):
+        with _settings(constants):
+            for seed in range(200):
+                data, _ = sem_data(seed, n=300, p=3 + seed % 5)
+                self.check(data)
 
-    @pytest.mark.parametrize("config", _MOVE_LOOP_CONFIGS, ids=["default", "short-tabu"])
+    @pytest.mark.parametrize("constants", _MOVE_LOOP_SETTINGS, ids=["default", "short-tabu"])
     @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
-    def test_sem_cohort_designs(self, config, names):
-        for seed in range(4):
-            table, _ = sem_cohort(100, seed=seed)
-            for position in Position:
-                data = table.matrix(position, names)
-                hc, tabu = self.check(data, config)
-                # the public searches are these two loops
-                assert hill_climb(data, config).directed == {(f"x{u}", f"x{v}") for u, v in hc}
-                assert tabu_search(data, config).directed == {
-                    (f"x{u}", f"x{v}") for u, v in tabu
-                }
+    def test_sem_cohort_designs(self, constants, names):
+        with _settings(constants):
+            for seed in range(4):
+                table, _ = sem_cohort(100, seed=seed)
+                for position in Position:
+                    data = table.matrix(position, names)
+                    hc, tabu = self.check(data)
+                    # the public searches are these two loops
+                    assert hill_climb(data).directed == {(f"x{u}", f"x{v}") for u, v in hc}
+                    assert tabu_search(data).directed == {(f"x{u}", f"x{v}") for u, v in tabu}
 
 
 def _same_float(a, b):
@@ -619,17 +619,17 @@ def test_beats_tests_the_order_first_with_the_same_result(delta, incumbent, nudg
         assert _beats(d, incumbent) == _former_beats(d, incumbent)
 
 
-# the move loop's configurations, and fges's max_parents 2 and 4
-_TABLE_CONFIGS = [SearchConfig(), SearchConfig(max_parents=2), _MOVE_LOOP_CONFIGS[1]]
-_TABLE_CONFIG_IDS = ["default", "max-parents-2", "short-tabu"]
+# the move loop's settings, and fges's max_parents 2 and 4
+_TABLE_SETTINGS = [{}, {"MAX_PARENTS": 2}, _MOVE_LOOP_SETTINGS[1]]
+_TABLE_SETTING_IDS = ["default", "max-parents-2", "short-tabu"]
 
 
 class TestMoveDeltaTable:
     """Every delta the move loop takes from its table is the delta of that
     move in the current state."""
 
-    @pytest.mark.parametrize("config", _TABLE_CONFIGS, ids=_TABLE_CONFIG_IDS)
-    def test_served_deltas_are_fresh(self, config):
+    @pytest.mark.parametrize("constants", _TABLE_SETTINGS, ids=_TABLE_SETTING_IDS)
+    def test_served_deltas_are_fresh(self, constants):
         served = 0
 
         def checked(scorer, deltas, children, parents, max_parents):
@@ -642,12 +642,12 @@ class TestMoveDeltaTable:
                     assert _same_float(delta, _move_delta(scorer, parents, move)), move
             return scored
 
-        with mock.patch.object(structure_search, "_scored_moves", checked):
+        with _settings(constants), mock.patch.object(structure_search, "_scored_moves", checked):
             for seed in range(200):
                 data, _ = sem_data(seed, n=300, p=3 + seed % 6)
                 scorer = _BicScorer(data)
-                hill_climb(scorer, config)
-                tabu_search(scorer, config)
+                hill_climb(scorer)
+                tabu_search(scorer)
         assert served > 10_000
 
 
@@ -679,8 +679,8 @@ class TestSharedScorer:
                         assert self.SEARCHES[method](scorer, names=names) == fresh[method]
                         if method != "fges" and {"hc", "tabu"} & set(order[:i]):
                             # the climb comes from the scorer: tabu runs only its tabu phase
-                            expected = [] if method == "hc" else [(SearchConfig().tabu_max_stalls,)]
-                            assert [c.args[3:] for c in climb.call_args_list] == expected
+                            expected = [] if method == "hc" else [(structure_search.TABU_MAX_STALLS,)]
+                            assert [c.args[2:] for c in climb.call_args_list] == expected
                 # each (node, parents) key is factored on its first use only
                 assert factor.call_count == sum(1 for _, parents in scorer._cache if parents)
 
@@ -723,12 +723,11 @@ class TestFges:
             assert fges(data) == oracle.best_cpdag
 
 
-def _former_fges(data, config=None, *, names=None):
+def _former_fges(data, *, names=None):
     """fges as it was: after each operator a Dor-Tarsi consistent extension
     and the former completion of that DAG, with candidates sorted by score
     and the next one tried when a PDAG has no extension.  Returns the graph
     and the number of such retries."""
-    config = config or SearchConfig()
     scorer = _BicScorer(data)
     p = scorer.p
     names = _node_names(names, p)
@@ -754,7 +753,7 @@ def _former_fges(data, config=None, *, names=None):
                         block = na | set(t)
                         base = frozenset(block | parents[y])
                         new = base | {x}
-                        if len(new) > config.max_parents or not _is_clique(block, adj):
+                        if len(new) > structure_search.MAX_PARENTS or not _is_clique(block, adj):
                             continue
                         if _semi_directed_reaches(y, x, block, step):
                             continue
@@ -829,50 +828,9 @@ def _former_fges(data, config=None, *, names=None):
     return graph, retries
 
 
-_FGES_CONFIGS = [SearchConfig(), SearchConfig(max_parents=2)]
-
-
-class TestFgesAgainstFormerRebuild:
-    """One pattern completion per operator gives the former rebuild's output,
-    and the former rebuild never needed its retry."""
-
-    @staticmethod
-    def check(data, config):
-        ref, retries = _former_fges(data, config)
-        got = fges(data, config)
-        assert got.directed == ref.directed
-        assert got.undirected == ref.undirected
-        assert retries == 0
-
-    @pytest.mark.parametrize("config", _FGES_CONFIGS, ids=["default", "max-parents-2"])
-    def test_random_linear_sems(self, config):
-        for seed in range(600):
-            data, _ = sem_data(seed, n=300, p=3 + seed % 6)
-            self.check(data, config)
-
-    def test_exact_ties_go_to_the_first_candidate(self):
-        # columns that are permutations or copies of one small-integer column
-        # have exactly equal scatter entries, so many operators tie exactly
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            base = rng.integers(-3, 4, 24)
-            cols = [rng.permutation(base) if rng.random() < 0.5 else base for _ in range(3 + seed % 3)]
-            self.check(np.column_stack(cols).astype(float), SearchConfig())
-
-    @pytest.mark.parametrize("config", _FGES_CONFIGS, ids=["default", "max-parents-2"])
-    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
-    @pytest.mark.parametrize("n", [30, 60, 100, 1000])
-    def test_sem_cohort_designs(self, n, names, config):
-        for seed in range(10):
-            table, _ = sem_cohort(n, seed=seed)
-            for position in Position:
-                self.check(table.matrix(position, names), config)
-
-
-def _rescoring_fges(data, config=None, *, names=None):
+def _rescoring_fges(data, *, names=None):
     """fges as it was before its Insert-operator table: every Insert operator
     is scored again at each step."""
-    config = config or SearchConfig()
     scorer = structure_search._scorer(data)
     p = scorer.p
     names = _node_names(names, p)
@@ -900,7 +858,7 @@ def _rescoring_fges(data, config=None, *, names=None):
                         block = na | set(t)
                         base = frozenset(block | parents[y])
                         new = base | {x}
-                        if len(new) > config.max_parents:
+                        if len(new) > structure_search.MAX_PARENTS:
                             continue
                         delta = scorer.local(y, new) - scorer.local(y, base)
                         if not delta > best or not _is_clique(block, adj):
@@ -963,43 +921,57 @@ def _rescoring_fges(data, config=None, *, names=None):
     )
 
 
-class TestFgesAgainstRescoring:
-    """The Insert-operator table gives the graphs of rescoring every operator
-    at each step, on TestFgesAgainstFormerRebuild's inputs."""
+_FGES_SETTINGS = [{}, {"MAX_PARENTS": 2}]
+
+
+class TestFgesAgainstFormerRebuild:
+    """fges gives the graphs of two former versions: the rebuild, with a
+    consistent extension after each operator, which never needed its retry;
+    and the rescoring of every Insert operator at each step, before the
+    Insert-operator table."""
 
     @staticmethod
-    def check(data, config):
-        assert fges(data, config) == _rescoring_fges(data, config)
+    def check(data):
+        got = fges(data)
+        ref, retries = _former_fges(data)
+        assert got.directed == ref.directed
+        assert got.undirected == ref.undirected
+        assert retries == 0
+        assert got == _rescoring_fges(data)
 
-    @pytest.mark.parametrize("config", _FGES_CONFIGS, ids=["default", "max-parents-2"])
-    def test_random_linear_sems(self, config):
-        for seed in range(600):
-            data, _ = sem_data(seed, n=300, p=3 + seed % 6)
-            self.check(data, config)
+    @pytest.mark.parametrize("constants", _FGES_SETTINGS, ids=["default", "max-parents-2"])
+    def test_random_linear_sems(self, constants):
+        with _settings(constants):
+            for seed in range(600):
+                data, _ = sem_data(seed, n=300, p=3 + seed % 6)
+                self.check(data)
 
     def test_exact_ties_go_to_the_first_candidate(self):
+        # columns that are permutations or copies of one small-integer column
+        # have exactly equal scatter entries, so many operators tie exactly
         for seed in range(200):
             rng = np.random.default_rng(seed)
             base = rng.integers(-3, 4, 24)
             cols = [rng.permutation(base) if rng.random() < 0.5 else base for _ in range(3 + seed % 3)]
-            self.check(np.column_stack(cols).astype(float), SearchConfig())
+            self.check(np.column_stack(cols).astype(float))
 
-    @pytest.mark.parametrize("config", _FGES_CONFIGS, ids=["default", "max-parents-2"])
+    @pytest.mark.parametrize("constants", _FGES_SETTINGS, ids=["default", "max-parents-2"])
     @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
     @pytest.mark.parametrize("n", [30, 60, 100, 1000])
-    def test_sem_cohort_designs(self, n, names, config):
-        for seed in range(10):
-            table, _ = sem_cohort(n, seed=seed)
-            for position in Position:
-                self.check(table.matrix(position, names), config)
+    def test_sem_cohort_designs(self, n, names, constants):
+        with _settings(constants):
+            for seed in range(10):
+                table, _ = sem_cohort(n, seed=seed)
+                for position in Position:
+                    self.check(table.matrix(position, names))
 
 
 class TestInsertTable:
     """Every row of the Insert table that fges reads equals a fresh build of
     that row in the current pattern."""
 
-    @pytest.mark.parametrize("config", _TABLE_CONFIGS, ids=_TABLE_CONFIG_IDS)
-    def test_rows_read_are_fresh(self, config):
+    @pytest.mark.parametrize("constants", _TABLE_SETTINGS, ids=_TABLE_SETTING_IDS)
+    def test_rows_read_are_fresh(self, constants):
         served = 0
 
         def checked(rows, scorer, max_parents, y, adj, und, parents):
@@ -1011,10 +983,10 @@ class TestInsertTable:
             assert row == _insert_row(scorer, max_parents, y, adj, und, parents), y
             return row
 
-        with mock.patch.object(structure_search, "_stored_insert_row", checked):
+        with _settings(constants), mock.patch.object(structure_search, "_stored_insert_row", checked):
             for seed in range(200):
                 data, _ = sem_data(seed, n=300, p=3 + seed % 6)
-                fges(data, config)
+                fges(data)
         assert served > 1_000
 
 
@@ -1073,11 +1045,10 @@ class TestSearchInvariances:
             assert fges(moved) == base[2]
 
     def test_reruns_are_byte_identical(self):
+        # and a config, whatever its seed, has no effect
         data, _ = sem_data(3, n=800)
-        cfg = SearchConfig()
-        assert hill_climb(data, cfg).to_dot() == hill_climb(data, cfg).to_dot()
-        assert tabu_search(data, cfg).to_dot() == tabu_search(data, cfg).to_dot()
-        assert fges(data, cfg).to_dot() == fges(data, cfg).to_dot()
+        for search in (hill_climb, tabu_search, fges, cam_learn):
+            assert search(data).to_dot() == search(data, SearchConfig(seed=7)).to_dot()
 
     def test_outputs_are_valid_graphs(self):
         for seed in range(8):
@@ -1316,7 +1287,7 @@ def _former_gcv_fit(xtx, xty, yty, omega, n):
     return float(rss[best]), float(edf[best]), float(_LAMBDA_GRID[best])
 
 
-def _former_cam_learn(x, names, alpha=SearchConfig().cam_prune_alpha):
+def _former_cam_learn(x, names, alpha=structure_search.CAM_PRUNE_ALPHA):
     """cam_learn as it was, on a valid design: each fit decomposes its own
     smoother system, with no eigensystem shared between fits."""
     n, p = x.shape
