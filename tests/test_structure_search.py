@@ -103,11 +103,13 @@ def collider_data(n: int = 5000, seed: int = 1):
     return np.column_stack([x, y, z])
 
 
+@contextlib.contextmanager
 def _settings(constants):
-    """The search constants patched to ``constants``; none patched when empty."""
-    if not constants:
-        return contextlib.nullcontext()
-    return mock.patch.multiple(structure_search, **constants)
+    """The search constants named in ``constants`` patched to its values."""
+    with contextlib.ExitStack() as stack:
+        for name, value in constants.items():
+            stack.enter_context(mock.patch.object(structure_search, name, value))
+        yield
 
 
 def ols_bic(data: np.ndarray, dag: EdgeGraph) -> float:
