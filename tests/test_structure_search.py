@@ -926,20 +926,9 @@ def _rescoring_fges(data, *, names=None):
 _FGES_SETTINGS = [{}, {"MAX_PARENTS": 2}]
 
 
-class TestFgesAgainstFormerRebuild:
-    """fges gives the graphs of two former versions: the rebuild, with a
-    consistent extension after each operator, which never needed its retry;
-    and the rescoring of every Insert operator at each step, before the
-    Insert-operator table."""
-
-    @staticmethod
-    def check(data):
-        got = fges(data)
-        ref, retries = _former_fges(data)
-        assert got.directed == ref.directed
-        assert got.undirected == ref.undirected
-        assert retries == 0
-        assert got == _rescoring_fges(data)
+class _FgesDesigns:
+    """The inputs on which fges is compared with a former version; each
+    subclass's ``check`` names the version."""
 
     @pytest.mark.parametrize("constants", _FGES_SETTINGS, ids=["default", "max-parents-2"])
     def test_random_linear_sems(self, constants):
@@ -966,6 +955,28 @@ class TestFgesAgainstFormerRebuild:
                 table, _ = sem_cohort(n, seed=seed)
                 for position in Position:
                     self.check(table.matrix(position, names))
+
+
+class TestFgesAgainstFormerRebuild(_FgesDesigns):
+    """One pattern completion per operator gives the former rebuild's output,
+    and the former rebuild never needed its retry."""
+
+    @staticmethod
+    def check(data):
+        got = fges(data)
+        ref, retries = _former_fges(data)
+        assert got.directed == ref.directed
+        assert got.undirected == ref.undirected
+        assert retries == 0
+
+
+class TestFgesAgainstRescoring(_FgesDesigns):
+    """The Insert-operator table gives the graphs of rescoring every operator
+    at each step."""
+
+    @staticmethod
+    def check(data):
+        assert fges(data) == _rescoring_fges(data)
 
 
 class TestInsertTable:
