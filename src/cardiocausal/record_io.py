@@ -263,6 +263,12 @@ def _check_columns(ids, positions, values: np.ndarray) -> None:
         _check_parameters(ids[i], positions[i], dict(zip(PARAMETER_NAMES, values[i].tolist())))
 
 
+def _require_file(path: Path) -> None:
+    """FormatError unless ``path`` is a regular file, or a link to one."""
+    if not path.is_file():
+        raise FormatError(f"{'not a file' if path.exists() else 'no such file'}: {path}")
+
+
 @contextmanager
 def _open_csv(path: Path):
     """Open a CSV file as UTF-8 text, dropping a leading byte-order mark.
@@ -328,8 +334,7 @@ def _sample_rate_hz(path: Path, t: np.ndarray) -> float:
 
 def load_signal_record(path) -> SignalRecord:
     path = Path(path)
-    if not path.is_file():
-        raise FormatError(f"no such file: {path}")
+    _require_file(path)
     subject_id, _, pos_text = path.stem.rpartition("_")
     # stripped as load_parameter_table strips it, so params.csv loads back
     subject_id = subject_id.strip()
@@ -400,8 +405,7 @@ def load_parameter_table(path) -> ParameterTable:
     first.  A duplicate key is reported once every line has passed.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FormatError(f"no such file: {path}")
+    _require_file(path)
     ids, positions, values = [], [], []
     try:
         with _open_csv(path) as fh:

@@ -22,7 +22,7 @@ from scipy.special import fdtrc
 
 from ._util import extreme_exponent, is_constant, without_overflow
 from .association import AssociationError, Direction, GeneralizedCorrPairs
-from .graphs import EdgeGraph, _complete_pattern, adjacency, cpdag_of, topological_sort
+from .graphs import EdgeGraph, _complete_pattern, cpdag_of, topological_sort
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 _log = logging.getLogger(__name__)
@@ -70,13 +70,24 @@ def _node_names(names, p: int) -> tuple[str, ...]:
     return names
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class _BicScorer:
     """Decomposable Gaussian BIC from the centered scatter matrix.
 
-    Caches each local score by (node, parent set), so at most p times the
-    number of parent sets of size up to ``MAX_PARENTS``, and each strict
-    climb's result by its start edges.  Searches handed one scorer share
-    both caches.
+    A parent set is an int bitmask, bit ``u`` standing for column ``u``.
+    Each local score is cached in a dict per node, keyed by the mask: at
+    most p times the number of parent sets of size up to ``MAX_PARENTS``.
+    Each strict climb's result is cached by its start edges.  Searches
+    handed one scorer share both caches.
     """
 
     def __init__(self, data):
@@ -101,18 +112,18 @@ class _BicScorer:
             raise SearchError("data too large: scatter matrix overflows")
         self.n = n
         self.p = p
-        self._cache: dict[tuple[int, frozenset[int]], float] = {}
+        self._cache: list[dict[int, float]] = [{} for _ in range(p)]
         self.climbs: dict[frozenset, tuple[frozenset, float]] = {}
 
-    def local(self, v: int, parents: frozenset[int]) -> float:
-        key = (v, parents)
-        cached = self._cache.get(key)
+    def local(self, v: int, mask: int) -> float:
+        cache = self._cache[v]
+        cached = cache.get(mask)
         if cached is not None:
             return cached
         n = self.n
         svv = float(self.scatter[v, v])
-        if parents:
-            idx = sorted(parents)
+        if mask:
+            idx = _bits(mask)
             spp = self.scatter.take(idx, 0).take(idx, 1)
             spv = self.scatter[idx, v]
             # the LAPACK calls cho_factor and cho_solve make; the scatter
@@ -123,7 +134,7 @@ class _BicScorer:
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of LAPACK potrf or potrs")
             if info > 0:  # a leading minor is not positive definite
-                self._cache[key] = -math.inf
+                cache[mask] = -math.inf
                 return -math.inf
             rss = svv - float(spv @ beta)
         else:
@@ -131,13 +142,13 @@ class _BicScorer:
         sigma2 = rss / n
         floor = 1e-12 * (svv / n if svv > 0 else 1.0)
         sigma2 = max(sigma2, floor)
-        k = len(parents) + 2  # slopes + intercept + variance
+        k = mask.bit_count() + 2  # slopes + intercept + variance
         score = -0.5 * n * (math.log(2.0 * math.pi * sigma2) + 1.0) - 0.5 * k * math.log(n)
-        self._cache[key] = score
+        cache[mask] = score
         return score
 
-    def total(self, parents: dict[int, set[int]]) -> float:
-        return sum(self.local(v, frozenset(parents[v])) for v in range(self.p))
+    def total(self, parents: list[int]) -> float:
+        return sum(self.local(v, parents[v]) for v in range(self.p))
 
 
 def _scorer(data) -> _BicScorer:
@@ -153,120 +164,121 @@ def bic_score(data, dag: EdgeGraph) -> float:
         raise SearchError("dag node count must match data columns")
     index = {name: i for i, name in enumerate(dag.nodes)}
     return scorer.units_offset + sum(
-        scorer.local(index[v], frozenset(index[a] for a in dag.parents(v)))
+        scorer.local(index[v], sum(1 << index[a] for a in dag.parents(v)))
         for v in dag.nodes
     )
 
 
 # --- greedy searches over {add, delete, reverse} -------------------------
 
+# A move on ``p`` nodes is the int ``op * p * p + head * p + tail``, with op
+# _ADD, _DELETE or _REVERSE applied to the edge tail -> head.  It is also
+# the move's index in a climb's delta table: the add, delete and reverse
+# tables one after the other, each p x p with one row per head.
+_ADD, _DELETE, _REVERSE = range(3)
 
-def _descendant_masks(children, parents, p: int) -> list[int]:
-    """Each node's descendants in a DAG of ``p`` nodes, as a bitmask."""
-    order, pending = [], [len(parents[v]) for v in range(p)]
-    ready = [v for v in range(p) if not pending[v]]
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for c in children[v]:
-            pending[c] -= 1
-            if not pending[c]:
-                ready.append(c)
-    reach = [0] * p
-    # children before parents
-    for v in reversed(order):
-        for c in children[v]:
-            reach[v] |= reach[c] | 1 << c
+
+def _move_parts(move: int, p: int) -> tuple[int, int, int]:
+    """(op, tail, head) of a move on ``p`` nodes."""
+    op, rest = divmod(move, p * p)
+    head, tail = divmod(rest, p)
+    return op, tail, head
+
+
+def _descendant_masks(children) -> list[int]:
+    """Each node's descendants in the DAG whose child sets are the bitmasks
+    ``children``, as a bitmask; handed the parent sets, each node's
+    ancestors.  Warshall's closure, one bitmask row per node."""
+    reach = list(children)
+    for k in range(len(reach)):
+        bit, below = 1 << k, reach[k]
+        for v, r in enumerate(reach):
+            if r & bit:
+                reach[v] = r | below
     return reach
 
 
-def _legal_moves(children, parents, p: int, max_parents: int) -> list[tuple[str, int, int]]:
-    reach = _descendant_masks(children, parents, p)
+def _legal_moves(children, parents, p: int, max_parents: int) -> list[int]:
+    """The legal moves in scan order: adds, then deletes, then reversals,
+    each in (tail, head) order."""
+    ancestors = _descendant_masks(parents)
+    pp = p * p
+    nodes = range(p)
+    open_heads = sum(1 << v for v in nodes if parents[v].bit_count() < max_parents)
     adds, dels, revs = [], [], []
-    for u in range(p):
-        # reversing u -> v closes a cycle iff another u ~> v path exists,
-        # that is iff v descends from a child of u
-        below = 0
-        for c in children[u]:
-            below |= reach[c]
-        reversible = len(parents[u]) < max_parents
-        for v in range(p):
-            if u == v:
-                continue
-            if v in children[u]:
-                dels.append(("delete", u, v))
-                if reversible and not below >> v & 1:
-                    revs.append(("reverse", u, v))
-            elif u not in children[v]:
-                if len(parents[v]) < max_parents and not reach[v] >> u & 1:
-                    adds.append(("add", u, v))
+    for u in nodes:
+        cu = children[u]
+        # adding u -> v closes a cycle iff v is an ancestor of u
+        heads = open_heads & ~(cu | ancestors[u] | 1 << u)
+        reversible = parents[u].bit_count() < max_parents
+        for v in nodes:
+            if heads >> v & 1:
+                adds.append(v * p + u)
+            elif cu >> v & 1:
+                dels.append(pp + v * p + u)
+                # reversing u -> v closes a cycle iff another u ~> v path
+                # exists, that is iff another child of u is an ancestor of v
+                if reversible and not cu & ancestors[v]:
+                    revs.append(2 * pp + v * p + u)
     return adds + dels + revs
 
 
-def _move_delta(scorer: _BicScorer, parents, move) -> float:
-    op, u, v = move
-    pv = frozenset(parents[v])
-    if op == "add":
-        return scorer.local(v, pv | {u}) - scorer.local(v, pv)
-    if op == "delete":
-        return scorer.local(v, pv - {u}) - scorer.local(v, pv)
-    pu = frozenset(parents[u])
-    return (
-        scorer.local(v, pv - {u})
-        + scorer.local(u, pu | {v})
-        - scorer.local(v, pv)
-        - scorer.local(u, pu)
-    )
+def _apply_move(children, parents, move: int) -> None:
+    op, u, v = _move_parts(move, len(parents))
+    # add sets the edge's bits and delete clears them
+    children[u] ^= 1 << v
+    parents[v] ^= 1 << u
+    if op == _REVERSE:
+        children[v] |= 1 << u
+        parents[u] |= 1 << v
 
 
-def _apply_move(children, parents, move) -> None:
-    op, u, v = move
-    if op == "add":
-        children[u].add(v)
-        parents[v].add(u)
-    elif op == "delete":
-        children[u].discard(v)
-        parents[v].discard(u)
-    else:
-        children[u].discard(v)
-        parents[v].discard(u)
-        children[v].add(u)
-        parents[u].add(v)
+def _inverse_move(move: int, p: int) -> int:
+    op, u, v = _move_parts(move, p)
+    if op == _ADD:
+        return move + p * p  # delete u -> v
+    if op == _DELETE:
+        return move - p * p  # add u -> v
+    return (_REVERSE * p + u) * p + v  # reverse v -> u
 
 
-def _inverse_move(move) -> tuple[str, int, int]:
-    op, u, v = move
-    if op == "add":
-        return ("delete", u, v)
-    if op == "delete":
-        return ("add", u, v)
-    return ("reverse", v, u)
-
-
-def _state_from_edges(p: int, edges) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-    """Children and parents of each of the ``p`` nodes."""
-    nodes = range(p)
-    edges = tuple(edges)
-    return (
-        adjacency(nodes, edges, one_way=True),
-        adjacency(nodes, [(v, u) for u, v in edges], one_way=True),
-    )
+def _state_from_edges(p: int, edges) -> tuple[list[int], list[int]]:
+    """Children and parents of each of the ``p`` nodes, as bitmasks."""
+    children, parents = [0] * p, [0] * p
+    for u, v in edges:
+        children[u] |= 1 << v
+        parents[v] |= 1 << u
+    return children, parents
 
 
 def _edges_of(children) -> frozenset[tuple[int, int]]:
-    return frozenset((u, v) for u, cs in children.items() for v in cs)
+    return frozenset((u, v) for u, cs in enumerate(children) for v in _bits(cs))
 
 
-def _scored_moves(scorer: _BicScorer, deltas: dict, children, parents, max_parents: int):
-    """The legal moves in scan order with their deltas, each taken from
+def _scored_moves(scorer: _BicScorer, deltas: list, children, parents, max_parents: int):
+    """The legal moves in scan order and their deltas, each taken from
     ``deltas`` when there and otherwise scored and stored there."""
-    scored = []
-    for move in _legal_moves(children, parents, scorer.p, max_parents):
-        delta = deltas.get(move)
-        if delta is None:
-            delta = deltas[move] = _move_delta(scorer, parents, move)
-        scored.append((move, delta))
-    return scored
+    p = scorer.p
+    moves = _legal_moves(children, parents, p, max_parents)
+    now = None  # each node's local score in the current DAG
+    for move in moves:
+        if deltas[move] is not None:
+            continue
+        if now is None:
+            now = [scorer.local(v, parents[v]) for v in range(p)]
+        op, u, v = _move_parts(move, p)
+        if op == _ADD:
+            deltas[move] = scorer.local(v, parents[v] | 1 << u) - now[v]
+        elif op == _DELETE:
+            deltas[move] = scorer.local(v, parents[v] ^ 1 << u) - now[v]
+        else:
+            deltas[move] = (
+                scorer.local(v, parents[v] ^ 1 << u)
+                + scorer.local(u, parents[u] | 1 << v)
+                - now[v]
+                - now[u]
+            )
+    return moves, [deltas[move] for move in moves]
 
 
 def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[frozenset, float]:
@@ -279,26 +291,34 @@ def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[froz
     at most ``max_stalls`` times in a row without a new best.  With
     ``max_stalls=0`` every accepted move is a new best: strict ascent.
 
+    Parent and child sets are bitmasks and moves are ints (``_move_parts``).
     A move's delta reads only the parents of its head, and of its tail for a
-    reversal, so each delta is kept between steps until a step changes one
-    of those parent sets (Scutari, JSS 2010).
+    reversal, so each delta is kept in the add, delete or reverse table
+    between steps (Scutari, JSS 2010).  A step clears the rows of the heads
+    whose parents it changed, and the reverse entries of those tails.
     """
-    children, parents = _state_from_edges(scorer.p, edges0)
+    p = scorer.p
+    pp = p * p
+    children, parents = _state_from_edges(p, edges0)
     score = scorer.total(parents)
     best_edges, best_score = _edges_of(children), score
     tabu: deque = deque(maxlen=TABU_LENGTH)
     stalls = 0
-    deltas: dict[tuple[str, int, int], float] = {}
+    deltas: list[float | None] = [None] * (3 * pp)
+    unscored = [None] * p
     while True:
         up, up_delta, stall, stall_delta = None, _EPS_GAIN, None, -math.inf
-        for move, delta in _scored_moves(scorer, deltas, children, parents, MAX_PARENTS):
-            if move in tabu:
+        tabu_moves = set(tabu)
+        for move, delta in zip(*_scored_moves(scorer, deltas, children, parents, MAX_PARENTS)):
+            if move in tabu_moves:
                 if score + delta > best_score + _EPS_GAIN and _beats(delta, up_delta):
                     up, up_delta = move, delta
                 continue
-            if _beats(delta, up_delta):
+            # _beats compares first too; the order test here saves its call
+            # for the many moves that lose
+            if delta > up_delta and _beats(delta, up_delta):
                 up, up_delta = move, delta
-            if stall is None or _beats(delta, stall_delta):
+            if stall is None or delta > stall_delta and _beats(delta, stall_delta):
                 stall, stall_delta = move, delta
         if up is None:
             if stall is None or stalls >= max_stalls:
@@ -306,15 +326,14 @@ def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[froz
             up, up_delta = stall, stall_delta
             stalls += 1
         _apply_move(children, parents, up)
-        op, u, v = up
-        changed = (u, v) if op == "reverse" else (v,)
-        deltas = {
-            m: d
-            for m, d in deltas.items()
-            if m[2] not in changed and not (m[0] == "reverse" and m[1] in changed)
-        }
+        op, u, v = _move_parts(up, p)
+        for w in (u, v) if op == _REVERSE else (v,):
+            # w's row in each table, then the reversals with tail w
+            for row in range(w * p, 3 * pp, pp):
+                deltas[row : row + p] = unscored
+            deltas[2 * pp + w :: p] = unscored
         score += up_delta
-        tabu.append(_inverse_move(up))
+        tabu.append(_inverse_move(up, p))
         if score > best_score + _EPS_GAIN:
             best_edges, best_score, stalls = _edges_of(children), score, 0
 
@@ -326,7 +345,9 @@ def _covered_edges(parents) -> list[tuple[int, int]]:
     of an equivalence class is reachable by such reversals (Chickering 1995),
     so each one leaves the decomposable score unchanged.
     """
-    return sorted((u, v) for v, pv in parents.items() for u in pv if pv == parents[u] | {u})
+    return sorted(
+        (u, v) for v, pv in enumerate(parents) for u in _bits(pv) if pv == parents[u] | 1 << u
+    )
 
 
 def _plateau_escape(scorer: _BicScorer, edges) -> tuple[frozenset, float] | None:
@@ -407,50 +428,54 @@ def tabu_search(data, config: SearchConfig | None = None, *, names=None) -> Edge
 # --- greedy equivalence search -------------------------------------------
 
 
-def _is_clique(nodes, adj) -> bool:
-    return all(b in adj[a] for a, b in itertools.combinations(sorted(nodes), 2))
+def _is_clique(mask: int, adj) -> bool:
+    """True when the nodes of ``mask`` are pairwise adjacent in ``adj``."""
+    return all(mask & ~adj[a] == 1 << a for a in _bits(mask))
 
 
-def _semi_directed_reaches(y: int, x: int, blocked, step) -> bool:
-    """True when a semi-directed path y -> ... -> x avoids ``blocked``;
-    ``step`` lists each node's children and undirected neighbours."""
-    stack = [y]
-    seen = {y}
-    while stack:
-        v = stack.pop()
-        for w in step[v]:
-            if w in blocked or w in seen:
-                continue
-            if w == x:
-                return True
-            seen.add(w)
-            stack.append(w)
+def _semi_directed_reaches(y: int, x: int, blocked: int, step) -> bool:
+    """True when a semi-directed path y -> ... -> x avoids the nodes of
+    ``blocked``; ``step`` holds each node's children and undirected
+    neighbours, as a bitmask."""
+    frontier = 1 << y
+    seen = frontier | blocked
+    while frontier:
+        reached = 0
+        for v in _bits(frontier):
+            reached |= step[v]
+        frontier = reached & ~seen
+        if frontier >> x & 1:
+            return True
+        seen |= frontier
     return False
 
 
 def _insert_row(scorer: _BicScorer, max_parents: int, y: int, adj, und, parents) -> list:
     """The Insert(x, y, T) operators into ``y`` that gain more than
-    ``_EPS_GAIN``, in candidate order, as (delta, x, T, NA(y, x) | T).
+    ``_EPS_GAIN``, in candidate order, as (delta, x, T, NA(y, x) | T), the
+    last a bitmask.
 
     ``adj``, ``und`` and ``parents`` give each node's adjacent nodes,
-    undirected neighbours and parents.  A row reads only those of ``y`` and
-    the adjacent nodes of ``y``'s undirected neighbours.
+    undirected neighbours and parents as bitmasks.  A row reads only those
+    of ``y`` and the adjacent nodes of ``y``'s undirected neighbours.
     """
     row = []
     nb_y = und[y]
     for x in range(scorer.p):
-        if x == y or x in adj[y]:
+        if x == y or adj[y] >> x & 1:
             continue
-        na = {v for v in nb_y if v in adj[x]}
-        t0 = sorted(nb_y - adj[x])
-        for size in range(len(t0) + 1):
+        na = nb_y & adj[x]
+        t0 = _bits(nb_y & ~adj[x])
+        # y's new parent set NA | T | pa(y) | {x} has |T| more members than
+        # at T = {}, so a T larger than ``room`` exceeds ``max_parents``
+        room = max_parents - (na | parents[y]).bit_count() - 1
+        for size in range(min(len(t0), room) + 1):
             for t in itertools.combinations(t0, size):
-                block = na | set(t)
-                base = frozenset(block | parents[y])
-                new = base | {x}
-                if len(new) > max_parents:
-                    continue
-                delta = scorer.local(y, new) - scorer.local(y, base)
+                block = na
+                for v in t:
+                    block |= 1 << v
+                base = block | parents[y]
+                delta = scorer.local(y, base | 1 << x) - scorer.local(y, base)
                 if delta > _EPS_GAIN:
                     row.append((delta, x, t, block))
     return row
@@ -458,12 +483,7 @@ def _insert_row(scorer: _BicScorer, max_parents: int, y: int, adj, und, parents)
 
 def _stored_insert_row(rows: dict, scorer: _BicScorer, max_parents: int, y: int, adj, und, parents):
     """Row ``y`` of the Insert table ``rows``, rebuilt when what it reads changed."""
-    reads = (
-        frozenset(adj[y]),
-        frozenset(und[y]),
-        frozenset(parents[y]),
-        tuple(frozenset(adj[v]) for v in sorted(und[y])),
-    )
+    reads = (adj[y], und[y], parents[y], *(adj[v] for v in _bits(und[y])))
     stored = rows.get(y)
     if stored is None or stored[0] != reads:
         stored = rows[y] = reads, _insert_row(scorer, max_parents, y, adj, und, parents)
@@ -493,9 +513,15 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     undirected: set[frozenset] = set()
 
     def neighbours():
-        """Adjacent nodes, undirected neighbours and parents of each node."""
-        parents = _state_from_edges(p, directed)[1]
-        return adjacency(nodes, directed, undirected), adjacency(nodes, (), undirected), parents
+        """Adjacent nodes, undirected neighbours, parents and children of
+        each node, as bitmasks."""
+        children, parents = _state_from_edges(p, directed)
+        und = [0] * p
+        for a, b in undirected:
+            und[a] |= 1 << b
+            und[b] |= 1 << a
+        adj = [und[v] | parents[v] | children[v] for v in nodes]
+        return adj, und, parents, children
 
     # Each generator scores an operator from the cached local scores (the
     # Insert operators from their table) first, and checks its validity only
@@ -505,10 +531,10 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     rows: dict[int, tuple] = {}
 
     def forward_candidates():
-        adj, und, parents = neighbours()
-        step = adjacency(nodes, directed, undirected, one_way=True)
+        adj, und, parents, children = neighbours()
+        step = [children[v] | und[v] for v in nodes]
         best = _EPS_GAIN
-        for y in range(p):
+        for y in nodes:
             row = _stored_insert_row(rows, scorer, MAX_PARENTS, y, adj, und, parents)
             for delta, x, t, block in row:
                 if not delta > best or not _is_clique(block, adj):
@@ -519,21 +545,19 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                 yield delta, x, y, t
 
     def backward_candidates():
-        adj, und, parents = neighbours()
+        adj, und, parents, _ = neighbours()
         best = _EPS_GAIN
-        for y in range(p):
+        for y in nodes:
             nb_y = und[y]
-            for x in range(p):
-                if x == y:
-                    continue
-                if (x, y) not in directed and frozenset((x, y)) not in undirected:
-                    continue
-                na = {v for v in nb_y if v in adj[x]}
-                for size in range(len(na) + 1):
-                    for h in itertools.combinations(sorted(na), size):
-                        rest = na - set(h)
-                        base = frozenset((rest | parents[y]) - {x})
-                        delta = scorer.local(y, base) - scorer.local(y, frozenset(base | {x}))
+            # x -> y or x - y
+            for x in _bits(parents[y] | nb_y):
+                na = nb_y & adj[x]
+                na_bits = _bits(na)
+                for size in range(len(na_bits) + 1):
+                    for h in itertools.combinations(na_bits, size):
+                        rest = na - sum(1 << v for v in h)
+                        base = (rest | parents[y]) & ~(1 << x)
+                        delta = scorer.local(y, base) - scorer.local(y, base | 1 << x)
                         if not delta > best or not _is_clique(rest, adj):
                             continue
                         best = delta
@@ -813,36 +837,34 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
             eigensystems[key] = _smoother_eigensystem(gram[block], omega[block])
         return eigensystems[key], xtz[cols, v], float(z[:, v] @ z[:, v])
 
-    rss_cache: dict[tuple[int, frozenset[int]], float] = {}
+    rss_cache: list[dict[int, float]] = [{} for _ in range(p)]
 
-    def rss_of(v: int, parent_set: frozenset[int]) -> float:
-        key = (v, parent_set)
-        if key not in rss_cache:
-            fit = _gcv_fit(*system(v, sorted(parent_set)), n)
-            rss_cache[key] = max(fit.rss, 1e-300)
-        return rss_cache[key]
+    def rss_of(v: int, mask: int) -> float:
+        if mask not in rss_cache[v]:
+            fit = _gcv_fit(*system(v, _bits(mask)), n)
+            rss_cache[v][mask] = max(fit.rss, 1e-300)
+        return rss_cache[v][mask]
 
     children, parents = _state_from_edges(p, ())
     while True:
         best, best_gain = None, _EPS_GAIN
-        reach = _descendant_masks(children, parents, p)
+        reach = _descendant_masks(children)
         for v in range(p):
-            base = rss_of(v, frozenset(parents[v]))
+            base = rss_of(v, parents[v])
             for u in range(p):
-                if u == v or u in parents[v] or reach[v] >> u & 1:
+                if u == v or (parents[v] | reach[v]) >> u & 1:
                     continue
-                new = rss_of(v, frozenset(parents[v] | {u}))
+                new = rss_of(v, parents[v] | 1 << u)
                 gain = 0.5 * n * math.log(base / new)
                 if gain > best_gain:
                     best, best_gain = (u, v), gain
         if best is None:
             break
-        children[best[0]].add(best[1])
-        parents[best[1]].add(best[0])
+        u, v = best
+        children[u] |= 1 << v
+        parents[v] |= 1 << u
 
-    order = topological_sort(
-        tuple(range(p)), frozenset((u, v) for u, cs in children.items() for v in cs)
-    )
+    order = topological_sort(tuple(range(p)), _edges_of(children))
     edges = []
     for pos, v in enumerate(order):
         preds = order[:pos]

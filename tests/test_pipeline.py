@@ -740,7 +740,10 @@ class TestParallelExtraction:
     def test_workers_end_with_a_killed_run(self, items, cohort_csv, tmp_path):
         for name in ("a_supine.csv", "b_supine.csv"):
             (tmp_path / name).write_text("t,ecg,ip\n", "utf-8")
-        # each child prints its pid and waits; this process waits too
+        # each child prints its pid and waits; this process waits too.  The
+        # line goes out in one write: print writes the pid and the newline
+        # apart when stdout is unbuffered (PYTHONUNBUFFERED), and two
+        # children's lines could then interleave
         probe = (
             "import os, sys, time\n"
             "from pathlib import Path\n"
@@ -748,7 +751,7 @@ class TestParallelExtraction:
             "parent = os.getpid()\n"
             "def stuck(*args):\n"
             "    if os.getpid() != parent:\n"
-            "        print(os.getpid(), flush=True)\n"
+            "        os.write(1, b'%d\\n' % os.getpid())\n"
             "    time.sleep(60)\n"
             "pipeline._row_from_signal_file = stuck\n"
             "pipeline._position_result = stuck\n"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cardiocausal import cli
 from cardiocausal.param_features import ParamVector
 from cardiocausal.record_io import (
     DERIVED_SOURCES,
@@ -633,6 +634,16 @@ def test_arbitrary_bytes_raise_only_format_error(tmp_path_factory, data, kind, h
     ids=["signal", "params"],
 )
 class TestUnreadableFiles:
+    def test_directory_is_not_a_file(self, tmp_path, loader, text):
+        path = tmp_path / "s1_supine.csv"
+        path.mkdir()
+        with pytest.raises(FormatError) as caught:
+            loader(path)
+        assert str(caught.value) == f"not a file: {path}"
+        with pytest.raises(FormatError) as caught:
+            loader(tmp_path / "s2_supine.csv")
+        assert str(caught.value) == f"no such file: {tmp_path / 's2_supine.csv'}"
+
     def test_oversized_cell_is_one_format_error(self, tmp_path, loader, text):
         path = tmp_path / "s1_supine.csv"
         path.write_bytes(text.encode() + _OVERSIZED_CELL + b",1,2\n")
@@ -954,3 +965,29 @@ def test_carriage_return_ids_are_quoted(tmp_path, subject):
     former = (tmp_path / "former.csv").read_bytes()
     assert former.replace(b"\n" + subject.encode() + b",", b"\n" + quoted + b",", 1) == new
     assert load_parameter_table(tmp_path / "new.csv") == table
+
+
+class TestParamsInputPathThroughTheCli:
+    """A params input that is a directory, or that does not exist, ends the
+    CLI with one line on stderr that says which."""
+
+    @staticmethod
+    def analyze(path, tmp_path, capsys):
+        code = cli.main(
+            ["analyze", "--input", str(path), "--input-kind", "params", "--out", str(tmp_path / "out")]
+        )
+        out, err = capsys.readouterr()
+        assert out == ""
+        return code, err.splitlines()
+
+    def test_directory_is_not_a_file(self, tmp_path, capsys):
+        path = tmp_path / "params.csv"
+        path.mkdir()
+        assert self.analyze(path, tmp_path, capsys) == (2, [f"analysis failed: not a file: {path}"])
+
+    def test_missing_path_does_not_exist(self, tmp_path, capsys):
+        path = tmp_path / "params.csv"
+        assert self.analyze(path, tmp_path, capsys) == (
+            3,
+            [f"error: input path does not exist: {path}"],
+        )

@@ -39,6 +39,8 @@ from cardiocausal.structure_search import (
     tabu_search,
 )
 from cardiocausal.structure_search import (
+    _ADD,
+    _DELETE,
     _EPS_GAIN,
     _LAMBDA_GRID,
     _N_BASIS,
@@ -54,9 +56,8 @@ from cardiocausal.structure_search import (
     _greedy_climb,
     _insert_row,
     _inverse_move,
-    _is_clique,
     _legal_moves,
-    _move_delta,
+    _move_parts,
     _node_names,
     _penalized_fits,
     _prune_node,
@@ -214,19 +215,36 @@ class TestBicScore:
                 data[:, p - 1] = data[:, 0]
             scorer = _BicScorer(data)
             for v in range(p):
-                others = [u for u in range(p) if u != v]
-                for size in range(5):
-                    for parents in map(frozenset, combinations(others, size)):
-                        ref = _cho_local(scorer, v, parents)
-                        assert scorer.local(v, parents).hex() == ref.hex()
-                        infinite += ref == -math.inf
+                for mask in range(1 << p):
+                    if mask >> v & 1 or mask.bit_count() > 4:
+                        continue
+                    ref = _cho_local(scorer, v, _members(mask))
+                    assert scorer.local(v, mask).hex() == ref.hex()
+                    infinite += ref == -math.inf
         assert infinite > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 20), data=st.data())
+    def test_each_node_and_parent_mask_has_a_cache_entry_of_its_own(self, p, data):
+        # every (node, mask) pair scored on one scorer keeps its own entry
+        # and float, so no two pairs share a cache key
+        n = p + 1 + data.draw(st.integers(0, 40))
+        x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(0.0, 1.0, (n, p))
+        scorer = _BicScorer(x)
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, 2**p - 1)), min_size=1, max_size=40)
+        )
+        pairs = [(v, mask & ~(1 << v)) for v, mask in pairs]
+        for _ in range(2):  # scored, then served from the cache
+            for v, mask in pairs:
+                assert scorer.local(v, mask).hex() == _cho_local(scorer, v, _members(mask)).hex()
+        assert sum(map(len, scorer._cache)) == len(set(pairs))
 
     def test_illegal_lapack_argument_raises(self):
         scorer = _BicScorer(np.random.default_rng(23).normal(0.0, 1.0, (30, 3)))
         with mock.patch.object(structure_search, "dpotrf", lambda a, **kw: (a, -1)):
             with pytest.raises(ValueError, match="illegal value in argument 1"):
-                scorer.local(0, frozenset({1, 2}))
+                scorer.local(0, _mask({1, 2}))
 
     def test_decomposability_of_single_edits(self):
         # the gain of adding u -> v must not depend on edges elsewhere
@@ -307,6 +325,53 @@ class TestDagPreconditions:
             bic_score(data, graph)
         with pytest.raises(GraphError):
             cpdag_of(graph)
+
+
+def _mask(nodes) -> int:
+    """The bitmask of a set of column indices."""
+    return sum(1 << v for v in nodes)
+
+
+def _members(mask: int) -> list[int]:
+    """The column indices of a bitmask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _former_state_from_edges(p, edges):
+    """Children and parents of each of the ``p`` nodes as sets, as the
+    searches held them before bitmasks."""
+    edges = tuple(edges)
+    return (
+        adjacency(range(p), edges, one_way=True),
+        adjacency(range(p), [(v, u) for u, v in edges], one_way=True),
+    )
+
+
+_OPS = ("add", "delete", "reverse")
+
+
+def _named(moves, p):
+    """Moves on ``p`` nodes as ("add" | "delete" | "reverse", tail, head)."""
+    return [(_OPS[op], u, v) for op, u, v in (_move_parts(move, p) for move in moves)]
+
+
+def _move_delta(scorer, parents, move):
+    """A move's delta from its own local-score lookups, as the move loop
+    scored each move before it kept the nodes' current scores; ``parents``
+    holds bitmasks."""
+    op, u, v = _move_parts(move, scorer.p)
+    pv = parents[v]
+    if op == _ADD:
+        return scorer.local(v, pv | 1 << u) - scorer.local(v, pv)
+    if op == _DELETE:
+        return scorer.local(v, pv & ~(1 << u)) - scorer.local(v, pv)
+    pu = parents[u]
+    return (
+        scorer.local(v, pv & ~(1 << u))
+        + scorer.local(u, pu | 1 << v)
+        - scorer.local(v, pv)
+        - scorer.local(u, pu)
+    )
 
 
 def _descendants(children):
@@ -412,11 +477,11 @@ class TestHillClimb:
                             continue
                         expected.append((op, u, v))
             children, parents = _state_from_edges(p, edges)
-            assert _legal_moves(children, parents, p, max_parents) == expected
+            assert _named(_legal_moves(children, parents, p, max_parents), p) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
-        p=st.integers(2, 10),
+        p=st.integers(2, 16),
         max_parents=st.integers(1, 4),
         data=st.data(),
     )
@@ -424,13 +489,19 @@ class TestHillClimb:
         order = data.draw(st.permutations(range(p)))
         pairs = [(order[i], order[j]) for i, j in combinations(range(p), 2)]
         kept = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        children, parents = _state_from_edges(p, [e for e, k in zip(pairs, kept) if k])
-        assert _legal_moves(children, parents, p, max_parents) == _former_legal_moves(
-            children, parents, p, max_parents
+        edges = [e for e, k in zip(pairs, kept) if k]
+        children, parents = _state_from_edges(p, edges)
+        set_children, set_parents = _former_state_from_edges(p, edges)
+        assert _named(_legal_moves(children, parents, p, max_parents), p) == _former_legal_moves(
+            set_children, set_parents, p, max_parents
         )
-        masks = _descendant_masks(children, parents, p)
-        assert [{c for c in range(p) if masks[v] >> c & 1} for v in range(p)] == [
-            _descendants(children)[v] for v in range(p)
+        descendants = _descendants(set_children)
+        masks = _descendant_masks(children)
+        assert [set(_members(masks[v])) for v in range(p)] == [descendants[v] for v in range(p)]
+        # handed the parents, the same routine gives the ancestors
+        masks = _descendant_masks(parents)
+        assert [set(_members(masks[v])) for v in range(p)] == [
+            {u for u in range(p) if v in descendants[u]} for v in range(p)
         ]
 
     def test_max_parents_respected(self):
@@ -550,7 +621,7 @@ def _reference_tabu_walk(scorer, best_edges, best_score):
             stalls += 1
         _apply_move(children, parents, chosen)
         score += chosen_delta
-        tabu.append(_inverse_move(chosen))
+        tabu.append(_inverse_move(chosen, scorer.p))
         if score > best_score + _EPS_GAIN:
             best_edges, best_score = _edges_of(children), score
             stalls = 0
@@ -636,13 +707,13 @@ class TestMoveDeltaTable:
 
         def checked(scorer, deltas, children, parents, max_parents):
             nonlocal served
-            stored = dict(deltas)
-            scored = _scored_moves(scorer, deltas, children, parents, max_parents)
-            for move, delta in scored:
-                if move in stored:
+            stored = list(deltas)
+            moves, scored = _scored_moves(scorer, deltas, children, parents, max_parents)
+            for move, delta in zip(moves, scored):
+                if stored[move] is not None:
                     served += 1
-                    assert _same_float(delta, _move_delta(scorer, parents, move)), move
-            return scored
+                assert _same_float(delta, _move_delta(scorer, parents, move)), move
+            return moves, scored
 
         with _settings(constants), mock.patch.object(structure_search, "_scored_moves", checked):
             for seed in range(200):
@@ -684,17 +755,18 @@ class TestSharedScorer:
                             expected = [] if method == "hc" else [(structure_search.TABU_MAX_STALLS,)]
                             assert [c.args[2:] for c in climb.call_args_list] == expected
                 # each (node, parents) key is factored on its first use only
-                assert factor.call_count == sum(1 for _, parents in scorer._cache if parents)
+                assert factor.call_count == sum(1 for node in scorer._cache for mask in node if mask)
 
 
 class TestFges:
     def test_semi_directed_paths_follow_arrows(self):
         # 3 -> 0 -> 1 - 2
         step = adjacency(range(4), {(3, 0), (0, 1)}, {frozenset((1, 2))}, one_way=True)
-        assert _semi_directed_reaches(3, 2, set(), step)
-        assert _semi_directed_reaches(2, 1, set(), step)
-        assert not _semi_directed_reaches(2, 0, set(), step)
-        assert not _semi_directed_reaches(3, 2, {0}, step)
+        step = [_mask(step[v]) for v in range(4)]
+        assert _semi_directed_reaches(3, 2, 0, step)
+        assert _semi_directed_reaches(2, 1, 0, step)
+        assert not _semi_directed_reaches(2, 0, 0, step)
+        assert not _semi_directed_reaches(3, 2, _mask({0}), step)
 
     def test_chain_gives_undirected_skeleton(self):
         rng = np.random.default_rng(10)
@@ -725,6 +797,26 @@ class TestFges:
             assert fges(data) == oracle.best_cpdag
 
 
+def _former_is_clique(nodes, adj) -> bool:
+    return all(b in adj[a] for a, b in itertools.combinations(sorted(nodes), 2))
+
+
+def _former_semi_directed_reaches(y, x, blocked, step) -> bool:
+    """``_semi_directed_reaches`` on node sets, as it was before bitmasks."""
+    stack = [y]
+    seen = {y}
+    while stack:
+        v = stack.pop()
+        for w in step[v]:
+            if w in blocked or w in seen:
+                continue
+            if w == x:
+                return True
+            seen.add(w)
+            stack.append(w)
+    return False
+
+
 def _former_fges(data, *, names=None):
     """fges as it was: after each operator a Dor-Tarsi consistent extension
     and the former completion of that DAG, with candidates sorted by score
@@ -737,7 +829,7 @@ def _former_fges(data, *, names=None):
     retries = 0
 
     def neighbours():
-        parents = _state_from_edges(p, directed)[1]
+        parents = _former_state_from_edges(p, directed)[1]
         return adjacency(range(p), directed, undirected), adjacency(range(p), (), undirected), parents
 
     def forward_candidates():
@@ -755,11 +847,11 @@ def _former_fges(data, *, names=None):
                         block = na | set(t)
                         base = frozenset(block | parents[y])
                         new = base | {x}
-                        if len(new) > structure_search.MAX_PARENTS or not _is_clique(block, adj):
+                        if len(new) > structure_search.MAX_PARENTS or not _former_is_clique(block, adj):
                             continue
-                        if _semi_directed_reaches(y, x, block, step):
+                        if _former_semi_directed_reaches(y, x, block, step):
                             continue
-                        delta = scorer.local(y, frozenset(new)) - scorer.local(y, base)
+                        delta = scorer.local(y, _mask(new)) - scorer.local(y, _mask(base))
                         if delta > _EPS_GAIN:
                             out.append((delta, order, x, y, t))
                         order += 1
@@ -776,10 +868,10 @@ def _former_fges(data, *, names=None):
                 for size in range(len(na) + 1):
                     for h in combinations(sorted(na), size):
                         rest = na - set(h)
-                        if not _is_clique(rest, adj):
+                        if not _former_is_clique(rest, adj):
                             continue
                         base = frozenset((rest | parents[y]) - {x})
-                        delta = scorer.local(y, base) - scorer.local(y, frozenset(base | {x}))
+                        delta = scorer.local(y, _mask(base)) - scorer.local(y, _mask(base | {x}))
                         if delta > _EPS_GAIN:
                             out.append((delta, order, x, y, h))
                         order += 1
@@ -841,7 +933,7 @@ def _rescoring_fges(data, *, names=None):
     undirected: set[frozenset] = set()
 
     def neighbours():
-        parents = _state_from_edges(p, directed)[1]
+        parents = _former_state_from_edges(p, directed)[1]
         return adjacency(nodes, directed, undirected), adjacency(nodes, (), undirected), parents
 
     def forward_candidates():
@@ -862,10 +954,10 @@ def _rescoring_fges(data, *, names=None):
                         new = base | {x}
                         if len(new) > structure_search.MAX_PARENTS:
                             continue
-                        delta = scorer.local(y, new) - scorer.local(y, base)
-                        if not delta > best or not _is_clique(block, adj):
+                        delta = scorer.local(y, _mask(new)) - scorer.local(y, _mask(base))
+                        if not delta > best or not _former_is_clique(block, adj):
                             continue
-                        if _semi_directed_reaches(y, x, block, step):
+                        if _former_semi_directed_reaches(y, x, block, step):
                             continue
                         best = delta
                         yield delta, x, y, t
@@ -885,8 +977,8 @@ def _rescoring_fges(data, *, names=None):
                     for h in combinations(sorted(na), size):
                         rest = na - set(h)
                         base = frozenset((rest | parents[y]) - {x})
-                        delta = scorer.local(y, base) - scorer.local(y, frozenset(base | {x}))
-                        if not delta > best or not _is_clique(rest, adj):
+                        delta = scorer.local(y, _mask(base)) - scorer.local(y, _mask(base | {x}))
+                        if not delta > best or not _former_is_clique(rest, adj):
                             continue
                         best = delta
                         yield delta, x, y, h
@@ -1326,7 +1418,7 @@ def _former_cam_learn(x, names, alpha=structure_search.CAM_PRUNE_ALPHA):
             rss_cache[v, parent_set] = max(rss, 1e-300)
         return rss_cache[v, parent_set]
 
-    children, parents = _state_from_edges(p, ())
+    children, parents = _former_state_from_edges(p, ())
     while True:
         best, best_gain = None, _EPS_GAIN
         reach = _descendants(children)
