@@ -5,12 +5,15 @@ edges (cycles allowed), the DAGs of hc, tabu and cam, and fges's CPDAG, the
 completed partially directed representative of a Markov equivalence class,
 whose directed edges are shared by every member of the class and whose
 undirected edges are those the class leaves open.
+
+Inside the search layer a graph is each node's parents, and undirected
+neighbours, as int bitmasks (bit ``i`` for node ``i``); ``_masks`` and
+``_graph`` convert between that form and an ``EdgeGraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 Edge = tuple[str, str]
 
@@ -19,46 +22,35 @@ class GraphError(ValueError):
     """Malformed graph structure: self-loop, cycle, or unknown endpoint."""
 
 
-def adjacency(nodes, directed=(), undirected=(), *, one_way: bool = False) -> dict:
-    """Neighbour set of each node in ``nodes``.
-
-    An undirected edge joins both of its ends; so does a directed edge
-    a -> b, unless ``one_way``, when only b is listed under a.
-    """
-    adj = {v: set() for v in nodes}
-    for a, b in directed:
-        adj[a].add(b)
-        if not one_way:
-            adj[b].add(a)
-    for pair in undirected:
-        a, b = tuple(pair)
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def topological_sort(nodes: tuple[str, ...], edges: frozenset[Edge]) -> list[str]:
-    """Kahn's algorithm; raises GraphError when the edge set has a cycle.
+def _children(parents) -> list[int]:
+    """Each node's children, as a bitmask, from its parents."""
+    children = [0] * len(parents)
+    for v, pv in enumerate(parents):
+        for u in _bits(pv):
+            children[u] |= 1 << v
+    return children
 
-    Ties are broken by node order in ``nodes`` so the result is deterministic.
-    """
-    in_deg = {v: 0 for v in nodes}
-    for _, b in edges:
-        in_deg[b] += 1
-    children = adjacency(nodes, edges, one_way=True)
-    order = []
-    ready = [v for v in nodes if in_deg[v] == 0]
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        next_ready = []
-        for c in sorted(children[v], key=nodes.index):
-            in_deg[c] -= 1
-            if in_deg[c] == 0:
-                next_ready.append(c)
-        ready = sorted(set(ready) | set(next_ready), key=nodes.index)
-    if len(order) != len(nodes):
-        raise GraphError("edge set contains a cycle")
+
+def _topological_order(parents) -> list[int]:
+    """Kahn's algorithm on parent bitmasks, taking the lowest-numbered ready
+    node each time; raises GraphError when the graph has a cycle."""
+    order, placed = [], 0
+    for _ in parents:
+        ready = [v for v, pv in enumerate(parents) if not (placed >> v & 1 or pv & ~placed)]
+        if not ready:
+            raise GraphError("edge set contains a cycle")
+        order.append(ready[0])
+        placed |= 1 << ready[0]
     return order
 
 
@@ -105,7 +97,7 @@ class EdgeGraph:
         it has no undirected edge and no directed cycle."""
         if self.undirected:
             raise GraphError("a DAG has no undirected edges")
-        topological_sort(self.nodes, self.directed)  # raises on cycle
+        _topological_order(_masks(self)[0])  # raises on cycle
         return self
 
     def parents(self, node: str) -> frozenset[str]:
@@ -144,58 +136,74 @@ class EdgeGraph:
         )
 
 
-def _meek_closure(
-    nodes: tuple[str, ...],
-    directed: set[Edge],
-    undirected: set[frozenset[str]],
-) -> tuple[set[Edge], set[frozenset[str]]]:
-    """Apply Meek orientation rules R1-R3 until a fixpoint is reached."""
-    adj = adjacency(nodes, directed, undirected)
+def _masks(graph: EdgeGraph) -> tuple[list[int], list[int]]:
+    """Each node's parents and undirected neighbours, as bitmasks: bit ``i``
+    stands for ``graph.nodes[i]``."""
+    index = {v: i for i, v in enumerate(graph.nodes)}
+    parents, und = [0] * len(index), [0] * len(index)
+    for a, b in graph.directed:
+        parents[index[b]] |= 1 << index[a]
+    for pair in graph.undirected:
+        a, b = (index[v] for v in pair)
+        und[a] |= 1 << b
+        und[b] |= 1 << a
+    return parents, und
+
+
+def _graph(nodes, parents, und=()) -> EdgeGraph:
+    """The graph over ``nodes`` with each node's parents and undirected
+    neighbours given as bitmasks, bit ``i`` for ``nodes[i]``."""
+    return EdgeGraph(
+        nodes,
+        frozenset((nodes[u], nodes[v]) for v, pv in enumerate(parents) for u in _bits(pv)),
+        frozenset(
+            frozenset((nodes[u], nodes[v])) for v, uv in enumerate(und) for u in _bits(uv) if u < v
+        ),
+    )
+
+
+def _complete_pattern(parents, und) -> tuple[list[int], list[int]]:
+    """The completed pattern of a PDAG's Markov equivalence class.
+
+    A graph is each node's parents and undirected neighbours, as bitmasks
+    (bit ``u`` for node ``u``); the inputs are not modified.  The edges of
+    unshielded colliders (a -> c <- b, a and b not adjacent) stay directed,
+    every other edge becomes undirected, and rules R1-R3 orient the rest;
+    they are complete for a pattern (Meek, UAI 1995).
+    """
+    p = len(parents)
+    adj = [pv | uv | cv for pv, uv, cv in zip(parents, und, _children(parents))]
+    # a parent of v stays one when v has another parent not adjacent to it
+    parents = [sum(1 << a for a in _bits(pv) if pv & ~adj[a] & ~(1 << a)) for pv in parents]
+    children = _children(parents)
+    und = [adj[v] & ~(parents[v] | children[v]) for v in range(p)]
 
     def forced(b, c) -> bool:
         """Whether R1, R2 or R3 orients the undirected edge b - c as b -> c."""
-        into_c = [a for a in nodes if (a, c) in directed and frozenset((b, a)) in undirected]
-        return (
+        into_c = parents[c] & und[b]
+        return bool(
             # R1: a -> b, a and c not adjacent
-            any((a, b) in directed and c not in adj[a] for a in nodes)
+            parents[b] & ~adj[c]
             # R2: b -> a -> c
-            or any((b, a) in directed and (a, c) in directed for a in nodes)
+            or children[b] & parents[c]
             # R3: b - a1 -> c, b - a2 -> c, a1 and a2 not adjacent
-            or any(a2 not in adj[a1] for a1, a2 in combinations(into_c, 2))
+            or any(into_c & ~adj[a] & ~(1 << a) for a in _bits(into_c))
         )
 
     changed = True
     while changed:
         changed = False
-        for pair in sorted(undirected, key=lambda p: tuple(sorted(p))):
-            if pair not in undirected:
-                continue
-            x, y = tuple(sorted(pair))
-            for b, c in ((x, y), (y, x)):
-                if forced(b, c):
-                    undirected.discard(pair)
-                    directed.add((b, c))
-                    changed = True
-                    break
-    return directed, undirected
-
-
-def _complete_pattern(nodes, directed, undirected) -> tuple[set[Edge], set[frozenset[str]]]:
-    """The completed pattern of a PDAG's Markov equivalence class.
-
-    The edges of unshielded colliders (a -> c <- b, a and b not adjacent)
-    stay directed, every other edge becomes undirected, and rules R1-R3
-    orient the rest; they are complete for a pattern (Meek, UAI 1995).
-    """
-    adj = adjacency(nodes, directed, undirected)
-    parents = adjacency(nodes, {(b, a) for a, b in directed}, one_way=True)
-    colliders: set[Edge] = set()
-    for v in nodes:
-        for p, q in combinations(parents[v], 2):
-            if q not in adj[p]:
-                colliders.update(((p, v), (q, v)))
-    loose = {frozenset(e) for e in directed if e not in colliders} | set(undirected)
-    return _meek_closure(nodes, colliders, loose)
+        for x in range(p):
+            for y in _bits(und[x] >> x + 1 << x + 1):  # each pair x - y once, y > x
+                for b, c in ((x, y), (y, x)):
+                    if forced(b, c):
+                        und[b] ^= 1 << c
+                        und[c] ^= 1 << b
+                        parents[c] |= 1 << b
+                        children[b] |= 1 << c
+                        changed = True
+                        break
+    return parents, und
 
 
 def cpdag_of(dag: EdgeGraph) -> EdgeGraph:
@@ -205,5 +213,4 @@ def cpdag_of(dag: EdgeGraph) -> EdgeGraph:
     must be a DAG (GraphError otherwise).
     """
     dag.require_dag()
-    directed, undirected = _complete_pattern(dag.nodes, dag.directed, ())
-    return EdgeGraph(dag.nodes, frozenset(directed), frozenset(undirected))
+    return _graph(dag.nodes, *_complete_pattern(*_masks(dag)))

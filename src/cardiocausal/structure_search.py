@@ -1,10 +1,15 @@
 """Score-based causal structure discovery over a parameter table.
 
-All searches use the decomposable Gaussian BIC computed from the scatter
-matrix, so Markov-equivalent graphs score equal up to floating rounding and
-single-edge edits are evaluated incrementally.  Every search is deterministic:
-candidate moves are ranked lexicographically by (operator, from, to) and the
-first strict maximum wins.
+hc, tabu and fges use the decomposable Gaussian BIC computed from the
+scatter matrix, so Markov-equivalent graphs score equal up to floating
+rounding and single-edge edits are evaluated incrementally.  Every search is
+deterministic: it scans its candidates in a fixed order and the first strict
+maximum wins.  hc and tabu rank moves by (operator, from, to), adds before
+deletes before reversals; fges scans its Insert and Delete operators by
+head, then tail, then the set T or H, smaller sets first; cam's greedy
+stage scans edges by child, then parent.  The searches hold each graph as
+its nodes' parent masks (and fges also its undirected-neighbour masks) and
+make an ``EdgeGraph`` only of their result.
 """
 
 from __future__ import annotations
@@ -22,7 +27,16 @@ from scipy.special import fdtrc
 
 from ._util import extreme_exponent, is_constant, without_overflow
 from .association import AssociationError, Direction, GeneralizedCorrPairs
-from .graphs import EdgeGraph, _complete_pattern, cpdag_of, topological_sort
+from .graphs import (
+    EdgeGraph,
+    _bits,
+    _children,
+    _complete_pattern,
+    _graph,
+    _masks,
+    _topological_order,
+    cpdag_of,
+)
 from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 _log = logging.getLogger(__name__)
@@ -67,17 +81,9 @@ def _node_names(names, p: int) -> tuple[str, ...]:
     names = tuple(names)
     if len(names) != p:
         raise SearchError("names must match the number of data columns")
+    if len(set(names)) != p:
+        raise SearchError("duplicate node names")
     return names
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class _BicScorer:
@@ -86,8 +92,8 @@ class _BicScorer:
     A parent set is an int bitmask, bit ``u`` standing for column ``u``.
     Each local score is cached in a dict per node, keyed by the mask: at
     most p times the number of parent sets of size up to ``MAX_PARENTS``.
-    Each strict climb's result is cached by its start edges.  Searches
-    handed one scorer share both caches.
+    Each strict climb's result is cached by its start, a tuple of parent
+    masks.  Searches handed one scorer share both caches.
     """
 
     def __init__(self, data):
@@ -113,7 +119,7 @@ class _BicScorer:
         self.n = n
         self.p = p
         self._cache: list[dict[int, float]] = [{} for _ in range(p)]
-        self.climbs: dict[frozenset, tuple[frozenset, float]] = {}
+        self.climbs: dict[tuple[int, ...], tuple[tuple[int, ...], float]] = {}
 
     def local(self, v: int, mask: int) -> float:
         cache = self._cache[v]
@@ -162,11 +168,7 @@ def bic_score(data, dag: EdgeGraph) -> float:
     scorer = _scorer(data)
     if len(dag.nodes) != scorer.p:
         raise SearchError("dag node count must match data columns")
-    index = {name: i for i, name in enumerate(dag.nodes)}
-    return scorer.units_offset + sum(
-        scorer.local(index[v], sum(1 << index[a] for a in dag.parents(v)))
-        for v in dag.nodes
-    )
+    return scorer.units_offset + scorer.total(_masks(dag)[0])
 
 
 # --- greedy searches over {add, delete, reverse} -------------------------
@@ -242,19 +244,6 @@ def _inverse_move(move: int, p: int) -> int:
     return (_REVERSE * p + u) * p + v  # reverse v -> u
 
 
-def _state_from_edges(p: int, edges) -> tuple[list[int], list[int]]:
-    """Children and parents of each of the ``p`` nodes, as bitmasks."""
-    children, parents = [0] * p, [0] * p
-    for u, v in edges:
-        children[u] |= 1 << v
-        parents[v] |= 1 << u
-    return children, parents
-
-
-def _edges_of(children) -> frozenset[tuple[int, int]]:
-    return frozenset((u, v) for u, cs in enumerate(children) for v in _bits(cs))
-
-
 def _scored_moves(scorer: _BicScorer, deltas: list, children, parents, max_parents: int):
     """The legal moves in scan order and their deltas, each taken from
     ``deltas`` when there and otherwise scored and stored there."""
@@ -281,7 +270,7 @@ def _scored_moves(scorer: _BicScorer, deltas: list, children, parents, max_paren
     return moves, [deltas[move] for move in moves]
 
 
-def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[frozenset, float]:
+def _greedy_climb(scorer: _BicScorer, parents0, max_stalls: int = 0) -> tuple[tuple, float]:
     """Best-move search over {add, delete, reverse}; the best DAG seen and its score.
 
     Each step scans every legal move once and takes the best strictly
@@ -291,7 +280,7 @@ def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[froz
     at most ``max_stalls`` times in a row without a new best.  With
     ``max_stalls=0`` every accepted move is a new best: strict ascent.
 
-    Parent and child sets are bitmasks and moves are ints (``_move_parts``).
+    A DAG is a tuple of parent masks, and moves are ints (``_move_parts``).
     A move's delta reads only the parents of its head, and of its tail for a
     reversal, so each delta is kept in the add, delete or reverse table
     between steps (Scutari, JSS 2010).  A step clears the rows of the heads
@@ -299,9 +288,10 @@ def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[froz
     """
     p = scorer.p
     pp = p * p
-    children, parents = _state_from_edges(p, edges0)
+    parents = list(parents0)
+    children = _children(parents)
     score = scorer.total(parents)
-    best_edges, best_score = _edges_of(children), score
+    best, best_score = tuple(parents), score
     tabu: deque = deque(maxlen=TABU_LENGTH)
     stalls = 0
     deltas: list[float | None] = [None] * (3 * pp)
@@ -322,7 +312,7 @@ def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[froz
                 stall, stall_delta = move, delta
         if up is None:
             if stall is None or stalls >= max_stalls:
-                return best_edges, best_score
+                return best, best_score
             up, up_delta = stall, stall_delta
             stalls += 1
         _apply_move(children, parents, up)
@@ -335,7 +325,7 @@ def _greedy_climb(scorer: _BicScorer, edges0, max_stalls: int = 0) -> tuple[froz
         score += up_delta
         tabu.append(_inverse_move(up, p))
         if score > best_score + _EPS_GAIN:
-            best_edges, best_score, stalls = _edges_of(children), score, 0
+            best, best_score, stalls = tuple(parents), score, 0
 
 
 def _covered_edges(parents) -> list[tuple[int, int]]:
@@ -350,18 +340,21 @@ def _covered_edges(parents) -> list[tuple[int, int]]:
     )
 
 
-def _plateau_escape(scorer: _BicScorer, edges) -> tuple[frozenset, float] | None:
+def _plateau_escape(scorer: _BicScorer, parents) -> tuple[tuple, float] | None:
     """Strict climb from the first equivalent DAG that has an improving move.
 
-    Visits breadth-first the DAGs reachable from ``edges`` by covered-edge
+    Visits breadth-first the DAGs reachable from ``parents`` by covered-edge
     reversals; None when no DAG in that class has a strictly improving move.
     """
-    seen = {edges}
-    queue = deque([edges])
+    seen = {parents}
+    queue = deque([parents])
     while queue:
         current = queue.popleft()
-        for u, v in _covered_edges(_state_from_edges(scorer.p, current)[1]):
-            member = (current - {(u, v)}) | {(v, u)}
+        for u, v in _covered_edges(current):
+            flipped = list(current)
+            flipped[v] ^= 1 << u
+            flipped[u] |= 1 << v
+            member = tuple(flipped)
             if member in seen:
                 continue
             seen.add(member)
@@ -372,19 +365,19 @@ def _plateau_escape(scorer: _BicScorer, edges) -> tuple[frozenset, float] | None
     return None
 
 
-def _climb(scorer: _BicScorer, edges0) -> tuple[frozenset, float]:
-    """Strict ascent and plateau walk from ``edges0``, run once per scorer."""
-    if edges0 not in scorer.climbs:
-        edges, score = _greedy_climb(scorer, edges0)
-        while (escaped := _plateau_escape(scorer, edges)) is not None:
-            edges, score = escaped
-        scorer.climbs[edges0] = edges, score
-    return scorer.climbs[edges0]
+def _climb(scorer: _BicScorer, parents0) -> tuple[tuple, float]:
+    """Strict ascent and plateau walk from ``parents0``, run once per scorer."""
+    if parents0 not in scorer.climbs:
+        parents, score = _greedy_climb(scorer, parents0)
+        while (escaped := _plateau_escape(scorer, parents)) is not None:
+            parents, score = escaped
+        scorer.climbs[parents0] = parents, score
+    return scorer.climbs[parents0]
 
 
-def _dag(names: tuple[str, ...], edges) -> EdgeGraph:
-    """The DAG over ``names`` with column-index edges; GraphError on a cycle."""
-    return EdgeGraph(names, frozenset((names[u], names[v]) for u, v in edges)).require_dag()
+def _dag(names: tuple[str, ...], parents) -> EdgeGraph:
+    """The DAG over ``names`` with parent masks ``parents``; GraphError on a cycle."""
+    return _graph(names, parents).require_dag()
 
 
 def hill_climb(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
@@ -404,8 +397,8 @@ def hill_climb(data, config: SearchConfig | None = None, *, names=None) -> EdgeG
     """
     scorer = _scorer(data)
     names = _node_names(names, scorer.p)
-    best_edges, _ = _climb(scorer, frozenset())
-    return _dag(names, best_edges)
+    parents, _ = _climb(scorer, (0,) * scorer.p)
+    return _dag(names, parents)
 
 
 def tabu_search(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
@@ -420,9 +413,9 @@ def tabu_search(data, config: SearchConfig | None = None, *, names=None) -> Edge
     """
     scorer = _scorer(data)
     names = _node_names(names, scorer.p)
-    edges, _ = _climb(scorer, frozenset())
-    best_edges, _ = _greedy_climb(scorer, edges, TABU_MAX_STALLS)
-    return _dag(names, best_edges)
+    parents, _ = _climb(scorer, (0,) * scorer.p)
+    best, _ = _greedy_climb(scorer, parents, TABU_MAX_STALLS)
+    return _dag(names, best)
 
 
 # --- greedy equivalence search -------------------------------------------
@@ -508,20 +501,14 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     scorer = _scorer(data)
     p = scorer.p
     names = _node_names(names, p)
-    nodes = tuple(range(p))
-    directed: set[tuple[int, int]] = set()
-    undirected: set[frozenset] = set()
+    nodes = range(p)
+    parents, und = [0] * p, [0] * p
 
     def neighbours():
-        """Adjacent nodes, undirected neighbours, parents and children of
-        each node, as bitmasks."""
-        children, parents = _state_from_edges(p, directed)
-        und = [0] * p
-        for a, b in undirected:
-            und[a] |= 1 << b
-            und[b] |= 1 << a
+        """Adjacent nodes and children of each node, as bitmasks."""
+        children = _children(parents)
         adj = [und[v] | parents[v] | children[v] for v in nodes]
-        return adj, und, parents, children
+        return adj, children
 
     # Each generator scores an operator from the cached local scores (the
     # Insert operators from their table) first, and checks its validity only
@@ -531,7 +518,7 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
     rows: dict[int, tuple] = {}
 
     def forward_candidates():
-        adj, und, parents, children = neighbours()
+        adj, children = neighbours()
         step = [children[v] | und[v] for v in nodes]
         best = _EPS_GAIN
         for y in nodes:
@@ -545,7 +532,7 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                 yield delta, x, y, t
 
     def backward_candidates():
-        adj, und, parents, _ = neighbours()
+        adj, _ = neighbours()
         best = _EPS_GAIN
         for y in nodes:
             nb_y = und[y]
@@ -564,37 +551,32 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                         yield delta, x, y, h
 
     def run_phase(candidate_fn, apply_fn):
-        nonlocal directed, undirected
         # max keeps the first of equal scores, in candidate order
         while (best := max(candidate_fn(), key=lambda c: c[0], default=None)) is not None:
             apply_fn(*best[1:])
-            directed, undirected = _complete_pattern(nodes, directed, undirected)
+            parents[:], und[:] = _complete_pattern(parents, und)
+
+    def orient(a, b):
+        """Make a -> b of the edge a - b, or of no edge."""
+        und[a] &= ~(1 << b)
+        und[b] &= ~(1 << a)
+        parents[b] |= 1 << a
 
     def apply_insert(x, y, t):
-        directed.add((x, y))
-        for v in t:
-            undirected.discard(frozenset((v, y)))
-            directed.add((v, y))
+        for v in (x, *t):
+            orient(v, y)
 
     def apply_delete(x, y, h):
-        directed.discard((x, y))
-        undirected.discard(frozenset((x, y)))
+        orient(x, y)  # x -> y whether it was x -> y or x - y, then removed
+        parents[y] ^= 1 << x
         for v in h:
-            if frozenset((y, v)) in undirected:
-                undirected.discard(frozenset((y, v)))
-                directed.add((y, v))
-            if frozenset((x, v)) in undirected:
-                undirected.discard(frozenset((x, v)))
-                directed.add((x, v))
+            for u in (y, x):
+                if und[u] >> v & 1:
+                    orient(u, v)
 
     run_phase(forward_candidates, apply_insert)
     run_phase(backward_candidates, apply_delete)
-
-    return EdgeGraph(
-        names,
-        frozenset((names[a], names[b]) for a, b in directed),
-        frozenset(frozenset(names[v] for v in pair) for pair in undirected),
-    )
+    return _graph(names, parents, und)
 
 
 # --- exhaustive small-graph oracle ----------------------------------------
@@ -617,7 +599,7 @@ def enumerate_best_dag(data, *, names=None) -> EnumerationResult:
     names = _node_names(names, p)
 
     seen: set[frozenset] = set()
-    best_edges: frozenset | None = None
+    best_parents: list[int] | None = None
     best_key: tuple | None = None
     best_score = -math.inf
     for perm in itertools.permutations(range(p)):
@@ -628,12 +610,15 @@ def enumerate_best_dag(data, *, names=None) -> EnumerationResult:
             if edges in seen:
                 continue
             seen.add(edges)
-            score = scorer.total(_state_from_edges(p, edges)[1])
+            parents = [0] * p
+            for u, v in edges:
+                parents[v] |= 1 << u
+            score = scorer.total(parents)
             key = tuple(sorted(edges))
             if score > best_score or (score == best_score and key < best_key):
-                best_edges, best_key, best_score = edges, key, score
+                best_parents, best_key, best_score = parents, key, score
 
-    best = _dag(names, best_edges)
+    best = _dag(names, best_parents)
     return EnumerationResult(
         best=best, best_score=best_score, best_cpdag=cpdag_of(best), n_dags=len(seen)
     )
@@ -845,10 +830,10 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
             rss_cache[v][mask] = max(fit.rss, 1e-300)
         return rss_cache[v][mask]
 
-    children, parents = _state_from_edges(p, ())
+    parents = [0] * p
     while True:
         best, best_gain = None, _EPS_GAIN
-        reach = _descendant_masks(children)
+        reach = _descendant_masks(_children(parents))
         for v in range(p):
             base = rss_of(v, parents[v])
             for u in range(p):
@@ -861,18 +846,15 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
         if best is None:
             break
         u, v = best
-        children[u] |= 1 << v
         parents[v] |= 1 << u
 
-    order = topological_sort(tuple(range(p)), _edges_of(children))
-    edges = []
+    order = _topological_order(parents)
+    pruned = [0] * p
     for pos, v in enumerate(order):
         preds = order[:pos]
-        if not preds:
-            continue
-        for u in _prune_node(system, v, preds, n, CAM_PRUNE_ALPHA):
-            edges.append((u, v))
-    return _dag(names, edges)
+        if preds:
+            pruned[v] = sum(1 << u for u in _prune_node(system, v, preds, n, CAM_PRUNE_ALPHA))
+    return _dag(names, pruned)
 
 
 # --- pairwise generalized-correlation graph --------------------------------

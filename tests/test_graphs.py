@@ -9,12 +9,92 @@ from cardiocausal.graphs import (
     EdgeGraph,
     GraphError,
     _complete_pattern,
-    adjacency,
+    _graph,
+    _masks,
+    _topological_order,
     cpdag_of,
-    topological_sort,
 )
 
 NODES3 = ("x", "y", "z")
+
+
+def former_adjacency(nodes, directed=(), undirected=(), *, one_way: bool = False) -> dict:
+    """Neighbour set of each node in ``nodes``, as ``graphs.adjacency`` gave
+    it before graphs were bitmasks.
+
+    An undirected edge joins both of its ends; so does a directed edge
+    a -> b, unless ``one_way``, when only b is listed under a.
+    """
+    adj = {v: set() for v in nodes}
+    for a, b in directed:
+        adj[a].add(b)
+        if not one_way:
+            adj[b].add(a)
+    for pair in undirected:
+        a, b = tuple(pair)
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def former_topological_sort(nodes, edges) -> list:
+    """Kahn's algorithm on an edge set, ties broken by node order in
+    ``nodes``, as ``graphs.topological_sort`` was; GraphError on a cycle."""
+    in_deg = {v: 0 for v in nodes}
+    for _, b in edges:
+        in_deg[b] += 1
+    children = former_adjacency(nodes, edges, one_way=True)
+    order = []
+    ready = [v for v in nodes if in_deg[v] == 0]
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        next_ready = []
+        for c in sorted(children[v], key=nodes.index):
+            in_deg[c] -= 1
+            if in_deg[c] == 0:
+                next_ready.append(c)
+        ready = sorted(set(ready) | set(next_ready), key=nodes.index)
+    if len(order) != len(nodes):
+        raise GraphError("edge set contains a cycle")
+    return order
+
+
+def former_complete_pattern(nodes, directed, undirected) -> tuple[set, set]:
+    """``graphs._complete_pattern`` on sets of edges, as it was before
+    bitmasks: unshielded colliders, then R1-R3 until a fixpoint."""
+    adj = former_adjacency(nodes, directed, undirected)
+    parents = former_adjacency(nodes, {(b, a) for a, b in directed}, one_way=True)
+    colliders = set()
+    for v in nodes:
+        for p, q in combinations(parents[v], 2):
+            if q not in adj[p]:
+                colliders.update(((p, v), (q, v)))
+    loose = {frozenset(e) for e in directed if e not in colliders} | set(undirected)
+    directed, undirected = colliders, loose
+
+    def forced(b, c) -> bool:
+        into_c = [a for a in nodes if (a, c) in directed and frozenset((b, a)) in undirected]
+        return (
+            any((a, b) in directed and c not in adj[a] for a in nodes)
+            or any((b, a) in directed and (a, c) in directed for a in nodes)
+            or any(a2 not in adj[a1] for a1, a2 in combinations(into_c, 2))
+        )
+
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(undirected, key=lambda p: tuple(sorted(p))):
+            if pair not in undirected:
+                continue
+            x, y = tuple(sorted(pair))
+            for b, c in ((x, y), (y, x)):
+                if forced(b, c):
+                    undirected.discard(pair)
+                    directed.add((b, c))
+                    changed = True
+                    break
+    return directed, undirected
 
 
 def all_dags_3() -> list[EdgeGraph]:
@@ -64,30 +144,47 @@ def random_dag(rng, n_nodes: int, density: float = 0.4) -> EdgeGraph:
     return EdgeGraph(nodes, frozenset(edges))
 
 
-class TestAdjacency:
-    def test_both_edge_kinds_join_both_ends(self):
-        adj = adjacency(("a", "b", "c", "d"), {("a", "b")}, {frozenset(("b", "c"))})
-        assert adj == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": set()}
+class TestMasks:
+    def test_parents_and_undirected_neighbours(self):
+        g = EdgeGraph(("a", "b", "c", "d"), {("a", "b")}, {frozenset(("b", "c"))})
+        assert _masks(g) == ([0, 0b0001, 0, 0], [0, 0b0100, 0b0010, 0])
 
-    def test_one_way_lists_a_directed_edge_under_its_tail(self):
-        adj = adjacency(("a", "b", "c"), {("a", "b")}, {frozenset(("b", "c"))}, one_way=True)
-        assert adj == {"a": {"b"}, "b": {"c"}, "c": {"b"}}
+    def test_round_trip_on_random_pdags(self):
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        for i in range(200):
+            d = random_dag(rng, 1 + i % 8, density=0.5)
+            g = EdgeGraph(d.nodes, *_partly_unoriented(rng, d))
+            parents, und = _masks(g)
+            assert _graph(g.nodes, parents, und) == g
+            assert _graph(d.nodes, _masks(d)[0]) == d
 
 
 class TestTopologicalSort:
     def test_chain(self):
-        assert topological_sort(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")})) == [
-            "a",
-            "b",
-            "c",
-        ]
+        # a -> b -> c
+        assert _topological_order([0, 0b001, 0b010]) == [0, 1, 2]
 
     def test_tie_break_follows_node_order(self):
-        assert topological_sort(("c", "b", "a"), frozenset()) == ["c", "b", "a"]
+        # 2 -> 0: nodes 1 and 2 are ready first, the lower one goes first
+        assert _topological_order([0b100, 0, 0]) == [1, 2, 0]
+        assert _topological_order([0, 0, 0]) == [0, 1, 2]
 
     def test_cycle_rejected(self):
         with pytest.raises(GraphError):
-            topological_sort(("a", "b"), frozenset({("a", "b"), ("b", "a")}))
+            _topological_order([0b10, 0b01])
+        with pytest.raises(GraphError):
+            _topological_order([0b100, 0b001, 0b010, 0])
+
+    def test_matches_the_former_kahn_order_on_random_dags(self):
+        import numpy as np
+
+        rng = np.random.default_rng(6)
+        for i in range(500):
+            d = random_dag(rng, 1 + i % 10, density=(0.2, 0.5, 0.8)[i % 3])
+            order = [d.nodes[v] for v in _topological_order(_masks(d)[0])]
+            assert order == former_topological_sort(d.nodes, d.directed)
 
 
 class TestDag:
@@ -230,7 +327,7 @@ class TestCpdagOf:
 
 def _former_meek_closure(nodes, directed, undirected):
     """The former closure: Meek's rules R1-R4, each its own branch."""
-    adj = adjacency(nodes, directed, undirected)
+    adj = former_adjacency(nodes, directed, undirected)
 
     def orient(a, b):
         undirected.discard(frozenset((a, b)))
@@ -278,7 +375,7 @@ def _former_meek_closure(nodes, directed, undirected):
 def former_cpdag_of(dag: EdgeGraph) -> EdgeGraph:
     """The former completion of a DAG: its v-structures, then R1-R4."""
     dag.require_dag()
-    adj = adjacency(dag.nodes, dag.directed)
+    adj = former_adjacency(dag.nodes, dag.directed)
     directed = set()
     for v in dag.nodes:
         for p, q in combinations(sorted(dag.parents(v)), 2):
@@ -292,9 +389,9 @@ def former_cpdag_of(dag: EdgeGraph) -> EdgeGraph:
 def former_consistent_extension(nodes, directed, undirected):
     """Dor-Tarsi sink elimination: a DAG that keeps a PDAG's directed edges
     and v-structures, or None when there is none."""
-    adj = adjacency(nodes, directed, undirected)
-    und = adjacency(nodes, (), undirected)
-    children = adjacency(nodes, directed, one_way=True)
+    adj = former_adjacency(nodes, directed, undirected)
+    und = former_adjacency(nodes, (), undirected)
+    children = former_adjacency(nodes, directed, one_way=True)
     remaining = set(nodes)
     result = set(directed)
     while remaining:
@@ -323,8 +420,24 @@ def _partly_unoriented(rng, dag: EdgeGraph) -> tuple[frozenset, frozenset]:
     return dag.directed - loose, frozenset(frozenset(e) for e in loose)
 
 
+def _mask_completion(graph: EdgeGraph) -> EdgeGraph:
+    """``_complete_pattern`` of ``graph``'s masks, which it must not modify."""
+    parents, und = _masks(graph)
+    out = _complete_pattern(parents, und)
+    assert (parents, und) == _masks(graph)
+    return _graph(graph.nodes, *out)
+
+
+def _set_completion(graph: EdgeGraph) -> EdgeGraph:
+    """The former set-based completion of ``graph``."""
+    return EdgeGraph(
+        graph.nodes, *former_complete_pattern(graph.nodes, set(graph.directed), set(graph.undirected))
+    )
+
+
 class TestCompletePattern:
-    """One completion routine gives the former v-structures + R1-R4 result."""
+    """One completion routine gives the former v-structures + R1-R4 result,
+    and the former completion on sets of edges."""
 
     def test_cpdag_of_matches_the_former_completion_on_random_dags(self):
         import numpy as np
@@ -343,8 +456,9 @@ class TestCompletePattern:
             directed, undirected = _partly_unoriented(rng, d)
             ext = former_consistent_extension(d.nodes, directed, undirected)
             assert ext is not None
-            out = _complete_pattern(d.nodes, directed, undirected)
-            assert EdgeGraph(d.nodes, *out) == former_cpdag_of(ext) == cpdag_of(d)
+            pdag = EdgeGraph(d.nodes, directed, undirected)
+            out = _mask_completion(pdag)
+            assert out == _set_completion(pdag) == former_cpdag_of(ext) == cpdag_of(d)
 
     def test_completion_is_a_fixpoint(self):
         import numpy as np
@@ -352,12 +466,13 @@ class TestCompletePattern:
         rng = np.random.default_rng(4)
         for i in range(300):
             c = cpdag_of(random_dag(rng, 2 + i % 8, density=0.5))
-            assert EdgeGraph(c.nodes, *_complete_pattern(c.nodes, c.directed, c.undirected)) == c
+            assert _mask_completion(c) == _set_completion(c) == c
 
     def test_inputs_are_not_modified(self):
-        directed = {("x", "y"), ("z", "y")}
-        undirected = {frozenset(("y", "w"))}
-        out = _complete_pattern(("x", "y", "z", "w"), directed, undirected)
-        assert out == ({("x", "y"), ("z", "y"), ("y", "w")}, set())
-        assert directed == {("x", "y"), ("z", "y")}
-        assert undirected == {frozenset(("y", "w"))}
+        # x -> y <- z, y - w on nodes 0..3
+        parents = [0, 0b0101, 0, 0]
+        und = [0, 0b1000, 0, 0b0010]
+        out = _complete_pattern(parents, und)
+        assert out == ([0, 0b0101, 0, 0b0010], [0, 0, 0, 0])
+        assert parents == [0, 0b0101, 0, 0]
+        assert und == [0, 0b1000, 0, 0b0010]

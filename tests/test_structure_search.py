@@ -23,9 +23,8 @@ from cardiocausal.association import (
     correlation_matrix,
     generalized_corr_pair,
 )
-from cardiocausal.graphs import EdgeGraph, GraphError, _complete_pattern, adjacency, cpdag_of
+from cardiocausal.graphs import EdgeGraph, GraphError, _complete_pattern, _graph, _masks, cpdag_of
 from cardiocausal.pipeline import STRUCTURE_NAMES
-from cardiocausal.graphs import topological_sort
 from cardiocausal.record_io import PARAMETER_NAMES, ParameterRow, ParameterTable, Position
 from cardiocausal.structure_search import (
     SearchConfig,
@@ -51,7 +50,6 @@ from cardiocausal.structure_search import (
     _climb,
     _dag,
     _descendant_masks,
-    _edges_of,
     _gcv_fit,
     _greedy_climb,
     _insert_row,
@@ -65,12 +63,18 @@ from cardiocausal.structure_search import (
     _semi_directed_reaches,
     _smoother_eigensystem,
     _SplineTerm,
-    _state_from_edges,
     _stored_insert_row,
 )
 from cardiocausal.synthetic import sem_cohort
 from test_association import former_loo_predictions, make_table, random_columns
-from test_graphs import former_consistent_extension, former_cpdag_of, vstructs_of
+from test_graphs import (
+    former_adjacency,
+    former_complete_pattern,
+    former_consistent_extension,
+    former_cpdag_of,
+    former_topological_sort,
+    vstructs_of,
+)
 
 
 def sem_data(seed: int, n: int = 4000, p: int = 4):
@@ -309,6 +313,22 @@ class TestBicScore:
         assert bic_score(data * 2.0**600, dag) == pytest.approx(expected, rel=1e-12)
 
 
+class TestNodeNames:
+    @pytest.mark.parametrize(
+        "search",
+        [hill_climb, tabu_search, fges, cam_learn, enumerate_best_dag],
+        ids=["hc", "tabu", "fges", "cam", "enumerate"],
+    )
+    def test_duplicate_names_rejected_before_any_scoring(self, search):
+        data = np.random.default_rng(24).normal(0.0, 1.0, (60, 3))
+        with (
+            mock.patch.object(_BicScorer, "local", side_effect=AssertionError("scored")),
+            mock.patch.object(structure_search, "_gcv_fit", side_effect=AssertionError("fitted")),
+            pytest.raises(SearchError, match="duplicate node names"),
+        ):
+            search(data, names=("a", "a", "b"))
+
+
 class TestDagPreconditions:
     # a directed cycle (the shape gc can return) and a mixed graph (fges's)
     NOT_DAGS = [
@@ -337,13 +357,28 @@ def _members(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
+def _edge_masks(p, edges):
+    """Children and parents of each of the ``p`` nodes of an edge set, as
+    bitmasks."""
+    children, parents = [0] * p, [0] * p
+    for u, v in edges:
+        children[u] |= 1 << v
+        parents[v] |= 1 << u
+    return children, parents
+
+
+def _edges(parents):
+    """The edges (u, v) of a DAG given by its parent masks."""
+    return frozenset((u, v) for v, pv in enumerate(parents) for u in _members(pv))
+
+
 def _former_state_from_edges(p, edges):
     """Children and parents of each of the ``p`` nodes as sets, as the
     searches held them before bitmasks."""
     edges = tuple(edges)
     return (
-        adjacency(range(p), edges, one_way=True),
-        adjacency(range(p), [(v, u) for u, v in edges], one_way=True),
+        former_adjacency(range(p), edges, one_way=True),
+        former_adjacency(range(p), [(v, u) for u, v in edges], one_way=True),
     )
 
 
@@ -440,9 +475,9 @@ class TestHillClimb:
         data = collider_data()
         oracle = enumerate_best_dag(data)
         nodes = oracle.best.nodes
-        start = frozenset((nodes.index(a), nodes.index(b)) for a, b in oracle.best.directed)
-        edges, _ = _climb(_BicScorer(data), start)
-        assert _dag(nodes, edges) == oracle.best
+        start = tuple(_masks(oracle.best)[0])
+        parents, _ = _climb(_BicScorer(data), start)
+        assert _dag(nodes, parents) == oracle.best
 
     def test_legal_moves_are_the_acyclic_single_edge_edits(self):
         rng = np.random.default_rng(14)
@@ -476,7 +511,7 @@ class TestHillClimb:
                         except GraphError:
                             continue
                         expected.append((op, u, v))
-            children, parents = _state_from_edges(p, edges)
+            children, parents = _edge_masks(p, edges)
             assert _named(_legal_moves(children, parents, p, max_parents), p) == expected
 
     @settings(max_examples=300, deadline=None)
@@ -490,7 +525,7 @@ class TestHillClimb:
         pairs = [(order[i], order[j]) for i, j in combinations(range(p), 2)]
         kept = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         edges = [e for e, k in zip(pairs, kept) if k]
-        children, parents = _state_from_edges(p, edges)
+        children, parents = _edge_masks(p, edges)
         set_children, set_parents = _former_state_from_edges(p, edges)
         assert _named(_legal_moves(children, parents, p, max_parents), p) == _former_legal_moves(
             set_children, set_parents, p, max_parents
@@ -562,19 +597,19 @@ class TestTabuSearch:
         oracle = enumerate_best_dag(data, names=names)
         # hill_climb's and tabu_search's climbs, started from the trap
         scorer = _BicScorer(data)
-        start = frozenset((names.index(a), names.index(b)) for a, b in trap_edges)
+        start = tuple(_masks(trap)[0])
         climbed, _ = _climb(scorer, start)
         escaped, _ = _greedy_climb(scorer, climbed, structure_search.TABU_MAX_STALLS)
-        for edges in (climbed, escaped):
-            found = _dag(names, edges)
+        for parents in (climbed, escaped):
+            found = _dag(names, parents)
             assert found.directed == collider
             assert bic_score(data, found) == pytest.approx(oracle.best_score, abs=1e-9)
 
 
-def _reference_strict_climb(scorer, edges0):
+def _reference_strict_climb(scorer, parents0):
     """Strict best-improvement ascent with a move loop of its own, as it was
-    before tabu search shared the loop: (edges, accumulated score)."""
-    children, parents = _state_from_edges(scorer.p, edges0)
+    before tabu search shared the loop: (parent masks, accumulated score)."""
+    children, parents = _edge_masks(scorer.p, _edges(parents0))
     score = scorer.total(parents)
     while True:
         best_move, best_delta = None, _EPS_GAIN
@@ -583,15 +618,15 @@ def _reference_strict_climb(scorer, edges0):
             if _beats(delta, best_delta):
                 best_move, best_delta = move, delta
         if best_move is None:
-            return _edges_of(children), score
+            return tuple(parents), score
         _apply_move(children, parents, best_move)
         score += best_delta
 
 
-def _reference_tabu_walk(scorer, best_edges, best_score):
+def _reference_tabu_walk(scorer, best, best_score):
     """Tabu search's former loop from the hill-climb result: one scan for an
     improving move and, on a stall step, a second scan for the stall move."""
-    children, parents = _state_from_edges(scorer.p, best_edges)
+    children, parents = _edge_masks(scorer.p, _edges(best))
     score = best_score
     tabu = deque(maxlen=structure_search.TABU_LENGTH)
     stalls = 0
@@ -623,9 +658,9 @@ def _reference_tabu_walk(scorer, best_edges, best_score):
         score += chosen_delta
         tabu.append(_inverse_move(chosen, scorer.p))
         if score > best_score + _EPS_GAIN:
-            best_edges, best_score = _edges_of(children), score
+            best, best_score = tuple(parents), score
             stalls = 0
-    return best_edges, best_score
+    return best, best_score
 
 
 _MOVE_LOOP_SETTINGS = [{}, {"MAX_PARENTS": 2, "TABU_LENGTH": 3, "TABU_MAX_STALLS": 30}]
@@ -637,17 +672,18 @@ class TestMoveLoopAgainstReferences:
     @staticmethod
     def check(data):
         # a scorer keeps its climb, so each climb gets a scorer of its own
+        empty = (0,) * data.shape[1]
         with mock.patch.object(structure_search, "_greedy_climb", _reference_strict_climb):
-            ref_hc = _climb(_BicScorer(data), frozenset())
+            ref_hc = _climb(_BicScorer(data), empty)
         scorer = _BicScorer(data)
-        hc = _climb(scorer, frozenset())
+        hc = _climb(scorer, empty)
         assert hc[0] == ref_hc[0]
         assert hc[1] == pytest.approx(ref_hc[1], abs=1e-9)
         ref_tabu = _reference_tabu_walk(scorer, *ref_hc)
         tabu = _greedy_climb(scorer, hc[0], structure_search.TABU_MAX_STALLS)
         assert tabu[0] == ref_tabu[0]
         assert tabu[1] == pytest.approx(ref_tabu[1], abs=1e-9)
-        return hc[0], tabu[0]
+        return _edges(hc[0]), _edges(tabu[0])
 
     @pytest.mark.parametrize("constants", _MOVE_LOOP_SETTINGS, ids=["default", "short-tabu"])
     def test_random_linear_sems(self, constants):
@@ -761,7 +797,7 @@ class TestSharedScorer:
 class TestFges:
     def test_semi_directed_paths_follow_arrows(self):
         # 3 -> 0 -> 1 - 2
-        step = adjacency(range(4), {(3, 0), (0, 1)}, {frozenset((1, 2))}, one_way=True)
+        step = former_adjacency(range(4), {(3, 0), (0, 1)}, {frozenset((1, 2))}, one_way=True)
         step = [_mask(step[v]) for v in range(4)]
         assert _semi_directed_reaches(3, 2, 0, step)
         assert _semi_directed_reaches(2, 1, 0, step)
@@ -830,11 +866,15 @@ def _former_fges(data, *, names=None):
 
     def neighbours():
         parents = _former_state_from_edges(p, directed)[1]
-        return adjacency(range(p), directed, undirected), adjacency(range(p), (), undirected), parents
+        return (
+            former_adjacency(range(p), directed, undirected),
+            former_adjacency(range(p), (), undirected),
+            parents,
+        )
 
     def forward_candidates():
         adj, und, parents = neighbours()
-        step = adjacency(range(p), directed, undirected, one_way=True)
+        step = former_adjacency(range(p), directed, undirected, one_way=True)
         out, order = [], 0
         for y in range(p):
             for x in range(p):
@@ -934,11 +974,15 @@ def _rescoring_fges(data, *, names=None):
 
     def neighbours():
         parents = _former_state_from_edges(p, directed)[1]
-        return adjacency(nodes, directed, undirected), adjacency(nodes, (), undirected), parents
+        return (
+            former_adjacency(nodes, directed, undirected),
+            former_adjacency(nodes, (), undirected),
+            parents,
+        )
 
     def forward_candidates():
         adj, und, parents = neighbours()
-        step = adjacency(nodes, directed, undirected, one_way=True)
+        step = former_adjacency(nodes, directed, undirected, one_way=True)
         best = _EPS_GAIN
         for y in range(p):
             nb_y = und[y]
@@ -987,7 +1031,7 @@ def _rescoring_fges(data, *, names=None):
         nonlocal directed, undirected
         while (best := max(candidate_fn(), key=lambda c: c[0], default=None)) is not None:
             apply_fn(*best[1:])
-            directed, undirected = _complete_pattern(nodes, directed, undirected)
+            directed, undirected = former_complete_pattern(nodes, directed, undirected)
 
     def apply_insert(x, y, t):
         directed.add((x, y))
@@ -1162,7 +1206,7 @@ class TestSearchInvariances:
             cp = fges(data)
             # a completed pattern: a fixpoint of the completion, and the
             # class of a member DAG found by brute force
-            assert EdgeGraph(cp.nodes, *_complete_pattern(cp.nodes, cp.directed, cp.undirected)) == cp
+            assert _graph(cp.nodes, *_complete_pattern(*_masks(cp))) == cp
             member = _brute_force_member(cp)
             assert member is not None
             assert cpdag_of(member) == cp
@@ -1435,7 +1479,7 @@ def _former_cam_learn(x, names, alpha=structure_search.CAM_PRUNE_ALPHA):
         children[best[0]].add(best[1])
         parents[best[1]].add(best[0])
 
-    order = topological_sort(
+    order = former_topological_sort(
         tuple(range(p)), frozenset((u, v) for u, cs in children.items() for v in cs)
     )
     edges = []
@@ -1454,7 +1498,7 @@ def _former_cam_learn(x, names, alpha=structure_search.CAM_PRUNE_ALPHA):
             f_stat = ((rss - full_rss) / df1) / (full_rss / df2)
             if f_stat > 0 and float(structure_search.fdtrc(df1, df2, f_stat)) < alpha:
                 edges.append((u, v))
-    return _dag(names, edges)
+    return EdgeGraph(names, frozenset((names[u], names[v]) for u, v in edges)).require_dag()
 
 
 class TestCamAgainstFormerSmoother:
