@@ -200,19 +200,20 @@ def _descendant_masks(children) -> list[int]:
     return reach
 
 
-def _legal_moves(children, parents, p: int, max_parents: int) -> list[int]:
+def _legal_moves(children, parents) -> list[int]:
     """The legal moves in scan order: adds, then deletes, then reversals,
     each in (tail, head) order."""
     ancestors = _descendant_masks(parents)
+    p = len(parents)
     pp = p * p
     nodes = range(p)
-    open_heads = sum(1 << v for v in nodes if parents[v].bit_count() < max_parents)
+    open_heads = sum(1 << v for v in nodes if parents[v].bit_count() < MAX_PARENTS)
     adds, dels, revs = [], [], []
     for u in nodes:
         cu = children[u]
         # adding u -> v closes a cycle iff v is an ancestor of u
         heads = open_heads & ~(cu | ancestors[u] | 1 << u)
-        reversible = parents[u].bit_count() < max_parents
+        reversible = parents[u].bit_count() < MAX_PARENTS
         for v in nodes:
             if heads >> v & 1:
                 adds.append(v * p + u)
@@ -244,11 +245,11 @@ def _inverse_move(move: int, p: int) -> int:
     return (_REVERSE * p + u) * p + v  # reverse v -> u
 
 
-def _scored_moves(scorer: _BicScorer, deltas: list, children, parents, max_parents: int):
+def _scored_moves(scorer: _BicScorer, deltas: list, children, parents):
     """The legal moves in scan order and their deltas, each taken from
     ``deltas`` when there and otherwise scored and stored there."""
     p = scorer.p
-    moves = _legal_moves(children, parents, p, max_parents)
+    moves = _legal_moves(children, parents)
     now = None  # each node's local score in the current DAG
     for move in moves:
         if deltas[move] is not None:
@@ -299,7 +300,7 @@ def _greedy_climb(scorer: _BicScorer, parents0, max_stalls: int = 0) -> tuple[tu
     while True:
         up, up_delta, stall, stall_delta = None, _EPS_GAIN, None, -math.inf
         tabu_moves = set(tabu)
-        for move, delta in zip(*_scored_moves(scorer, deltas, children, parents, MAX_PARENTS)):
+        for move, delta in zip(*_scored_moves(scorer, deltas, children, parents)):
             if move in tabu_moves:
                 if score + delta > best_score + _EPS_GAIN and _beats(delta, up_delta):
                     up, up_delta = move, delta
@@ -340,37 +341,32 @@ def _covered_edges(parents) -> list[tuple[int, int]]:
     )
 
 
-def _plateau_escape(scorer: _BicScorer, parents) -> tuple[tuple, float] | None:
-    """Strict climb from the first equivalent DAG that has an improving move.
-
-    Visits breadth-first the DAGs reachable from ``parents`` by covered-edge
-    reversals; None when no DAG in that class has a strictly improving move.
-    """
-    seen = {parents}
-    queue = deque([parents])
-    while queue:
-        current = queue.popleft()
-        for u, v in _covered_edges(current):
-            flipped = list(current)
-            flipped[v] ^= 1 << u
-            flipped[u] |= 1 << v
-            member = tuple(flipped)
-            if member in seen:
-                continue
-            seen.add(member)
-            climbed = _greedy_climb(scorer, member)
-            if climbed[0] != member:
-                return climbed
-            queue.append(member)
-    return None
-
-
 def _climb(scorer: _BicScorer, parents0) -> tuple[tuple, float]:
-    """Strict ascent and plateau walk from ``parents0``, run once per scorer."""
+    """Strict ascent and plateau walk from ``parents0``, run once per scorer.
+
+    The walk (see ``hill_climb``) takes only a climb that ends more than
+    ``_EPS_GAIN`` above the incumbent, so each incumbent scores higher than
+    the last, and the walk ends also where a singular design breaks the ties.
+    """
     if parents0 not in scorer.climbs:
         parents, score = _greedy_climb(scorer, parents0)
-        while (escaped := _plateau_escape(scorer, parents)) is not None:
-            parents, score = escaped
+        seen, queue = {parents}, deque([parents])
+        while queue:
+            current = queue.popleft()
+            for u, v in _covered_edges(current):
+                flipped = list(current)
+                flipped[v] ^= 1 << u
+                flipped[u] |= 1 << v
+                member = tuple(flipped)
+                if member in seen:
+                    continue
+                seen.add(member)
+                climbed, climbed_score = _greedy_climb(scorer, member)
+                if climbed_score > score + _EPS_GAIN:
+                    parents, score = climbed, climbed_score
+                    seen, queue = {parents}, deque([parents])
+                    break
+                queue.append(member)
         scorer.climbs[parents0] = parents, score
     return scorer.climbs[parents0]
 
@@ -387,13 +383,13 @@ def hill_climb(data, config: SearchConfig | None = None, *, names=None) -> EdgeG
     needs one or more reversals of covered edges, which tie exactly.  So at
     each stop the DAGs reachable by covered-edge reversals (the
     Markov-equivalent DAGs) are visited breadth-first, edges in sorted order,
-    and the strict ascent is re-run from each; the first one that climbs
-    becomes the incumbent and the walk repeats from its result.  The search
-    ends when no DAG in the reachable class has a strictly improving move.
-    The search starts from the empty graph, every accepted move is a strict
-    improvement and no randomness is used.  ``data`` is a matrix or the
-    ``_BicScorer`` of one; hc, tabu and fges handed one scorer share its
-    local scores, and hc and tabu its climb.  ``config`` has no effect.
+    and the strict ascent is re-run from each; the walk continues from the
+    first climb that ends above the incumbent.  The search ends when no
+    climb from the reachable class ends above it.  The search starts from
+    the empty graph, every accepted move is a strict improvement and no
+    randomness is used.  ``data`` is a matrix or the ``_BicScorer`` of one;
+    hc, tabu and fges handed one scorer share its local scores, and hc and
+    tabu its climb.  ``config`` has no effect.
     """
     scorer = _scorer(data)
     names = _node_names(names, scorer.p)
@@ -443,7 +439,7 @@ def _semi_directed_reaches(y: int, x: int, blocked: int, step) -> bool:
     return False
 
 
-def _insert_row(scorer: _BicScorer, max_parents: int, y: int, adj, und, parents) -> list:
+def _insert_row(scorer: _BicScorer, y: int, adj, und, parents) -> list:
     """The Insert(x, y, T) operators into ``y`` that gain more than
     ``_EPS_GAIN``, in candidate order, as (delta, x, T, NA(y, x) | T), the
     last a bitmask.
@@ -460,8 +456,8 @@ def _insert_row(scorer: _BicScorer, max_parents: int, y: int, adj, und, parents)
         na = nb_y & adj[x]
         t0 = _bits(nb_y & ~adj[x])
         # y's new parent set NA | T | pa(y) | {x} has |T| more members than
-        # at T = {}, so a T larger than ``room`` exceeds ``max_parents``
-        room = max_parents - (na | parents[y]).bit_count() - 1
+        # at T = {}, so a T larger than ``room`` exceeds ``MAX_PARENTS``
+        room = MAX_PARENTS - (na | parents[y]).bit_count() - 1
         for size in range(min(len(t0), room) + 1):
             for t in itertools.combinations(t0, size):
                 block = na
@@ -474,12 +470,12 @@ def _insert_row(scorer: _BicScorer, max_parents: int, y: int, adj, und, parents)
     return row
 
 
-def _stored_insert_row(rows: dict, scorer: _BicScorer, max_parents: int, y: int, adj, und, parents):
+def _stored_insert_row(rows: dict, scorer: _BicScorer, y: int, adj, und, parents):
     """Row ``y`` of the Insert table ``rows``, rebuilt when what it reads changed."""
     reads = (adj[y], und[y], parents[y], *(adj[v] for v in _bits(und[y])))
     stored = rows.get(y)
     if stored is None or stored[0] != reads:
-        stored = rows[y] = reads, _insert_row(scorer, max_parents, y, adj, und, parents)
+        stored = rows[y] = reads, _insert_row(scorer, y, adj, und, parents)
     return stored[1]
 
 
@@ -522,7 +518,7 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
         step = [children[v] | und[v] for v in nodes]
         best = _EPS_GAIN
         for y in nodes:
-            row = _stored_insert_row(rows, scorer, MAX_PARENTS, y, adj, und, parents)
+            row = _stored_insert_row(rows, scorer, y, adj, und, parents)
             for delta, x, t, block in row:
                 if not delta > best or not _is_clique(block, adj):
                     continue
@@ -751,8 +747,8 @@ def _gcv_fit(eigensystem, xty, yty, n: int) -> _GamFit:
     return _GamFit(rss=float(rss[best]), edf=float(edf[best]), lam=float(_LAMBDA_GRID[best]))
 
 
-def _prune_node(system, v: int, preds: list[int], n: int, alpha: float) -> list[int]:
-    """Approximate F-test of each smooth term; keep parents with p < alpha.
+def _prune_node(system, v: int, preds: list[int], n: int) -> list[int]:
+    """Approximate F-test of each smooth term; keep parents with p < CAM_PRUNE_ALPHA.
 
     ``system(v, parents)`` gives the smoother eigensystem of ``parents``,
     ``X'y`` and ``y'y`` of ``v``.
@@ -769,7 +765,7 @@ def _prune_node(system, v: int, preds: list[int], n: int, alpha: float) -> list[
         if f_stat <= 0:
             continue
         p_value = float(fdtrc(df1, df2, f_stat))
-        if p_value < alpha:
+        if p_value < CAM_PRUNE_ALPHA:
             kept.append(u)
     return kept
 
@@ -853,7 +849,7 @@ def cam_learn(data, config: SearchConfig | None = None, *, names=None) -> EdgeGr
     for pos, v in enumerate(order):
         preds = order[:pos]
         if preds:
-            pruned[v] = sum(1 << u for u in _prune_node(system, v, preds, n, CAM_PRUNE_ALPHA))
+            pruned[v] = sum(1 << u for u in _prune_node(system, v, preds, n))
     return _dag(names, pruned)
 
 

@@ -50,6 +50,7 @@ from cardiocausal.record_io import (
     save_parameter_table,
 )
 from cardiocausal.synthetic import sem_cohort, synthetic_ecg
+from test_structure_search import collinear_hr_table
 
 
 @pytest.fixture(scope="module")
@@ -1249,12 +1250,12 @@ class TestPlain:
         }
 
 
-def _fresh_python(code: str, cwd=None) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's package."""
+def _fresh_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(cardiocausal.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=120,
     )
 
@@ -1263,6 +1264,7 @@ class TestCli:
     def test_import_loads_no_scipy_stats_interpolate_or_sparse(self):
         # a fresh interpreter: this one has imported scipy.stats for the oracles
         done = _fresh_python(
+            "-c",
             "import sys, cardiocausal.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate', 'scipy.sparse') "
             "if m in sys.modules))"
@@ -1273,6 +1275,7 @@ class TestCli:
     def test_package_import_loads_no_submodule(self):
         # the modules are the API; the package itself re-exports nothing
         done = _fresh_python(
+            "-c",
             "import sys, cardiocausal; "
             "print(sorted(m for m in sys.modules if m.startswith('cardiocausal.')))"
         )
@@ -1285,7 +1288,7 @@ class TestCli:
         example = section.split("```python\n", 1)[1].split("```", 1)[0]
         table, _ = sem_cohort(100, seed=0)
         save_parameter_table(table, tmp_path / "params.csv")
-        done = _fresh_python(example, cwd=tmp_path)
+        done = _fresh_python("-c", example, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
 
     def test_successful_run_writes_all_outputs(self, cohort_csv, tmp_path, capsys):
@@ -1560,6 +1563,25 @@ class TestCli:
         assert err[-1] == "analysis failed: cam search for supine: degenerate column for smoother"
         assert all(line.startswith("warning: ") for line in err[:-1])
         assert "warning: correlation matrix for supine: RR is constant; its correlations are null" in err
+
+    @pytest.mark.parametrize(
+        "methods, code, stderr",
+        [
+            ("hc,tabu,fges", 0, ""),
+            (None, 2, "analysis failed: cam search for supine: collinear columns\n"),
+        ],
+        ids=["bic-methods", "default-methods"],
+    )
+    def test_collinear_column_ends(self, tmp_path, methods, code, stderr):
+        # HR = RMSSD + RR in every row: covered-edge reversals do not all tie,
+        # so hc's plateau walk must end on its scores, and cam stops at its
+        # rank check
+        save_parameter_table(collinear_hr_table(), tmp_path / "params.csv")
+        argv = ["analyze", "--input", "params.csv", "--input-kind", "params", "--out", "out"]
+        if methods:
+            argv += ["--methods", methods]
+        done = _fresh_python("-W", "error", "-m", "cardiocausal.cli", *argv, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (code, stderr)
 
     def test_constant_column_with_a_rounding_mean_is_constant(self, tmp_path, capsys):
         # np.std of RR = 0.2 in every row is about 5.6e-17, not 0

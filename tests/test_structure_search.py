@@ -512,7 +512,8 @@ class TestHillClimb:
                             continue
                         expected.append((op, u, v))
             children, parents = _edge_masks(p, edges)
-            assert _named(_legal_moves(children, parents, p, max_parents), p) == expected
+            with _settings({"MAX_PARENTS": max_parents}):
+                assert _named(_legal_moves(children, parents), p) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -527,9 +528,10 @@ class TestHillClimb:
         edges = [e for e, k in zip(pairs, kept) if k]
         children, parents = _edge_masks(p, edges)
         set_children, set_parents = _former_state_from_edges(p, edges)
-        assert _named(_legal_moves(children, parents, p, max_parents), p) == _former_legal_moves(
-            set_children, set_parents, p, max_parents
-        )
+        with _settings({"MAX_PARENTS": max_parents}):
+            assert _named(_legal_moves(children, parents), p) == _former_legal_moves(
+                set_children, set_parents, p, max_parents
+            )
         descendants = _descendants(set_children)
         masks = _descendant_masks(children)
         assert [set(_members(masks[v])) for v in range(p)] == [descendants[v] for v in range(p)]
@@ -606,6 +608,55 @@ class TestTabuSearch:
             assert bic_score(data, found) == pytest.approx(oracle.best_score, abs=1e-9)
 
 
+def rank4_design():
+    """Six columns of rank 4, the last draw of a loop over random upper
+    triangular mixings."""
+    rng = np.random.default_rng(0)
+    for p in (3, 4, 5, 6):
+        m = np.triu(rng.normal(size=(p, p)) * (rng.random((p, p)) < 0.5))
+        data = rng.normal(size=(200, p)) @ m
+    return data
+
+
+def collinear_hr_table():
+    """``sem_cohort(100, seed=0)`` with every row's HR set to RMSSD + RR."""
+    table, _ = sem_cohort(100, seed=0)
+    rows = []
+    for row in table.rows:
+        hr = row.params["RMSSD"] + row.params["RR"]
+        rows.append(dataclasses.replace(row, params={**row.params, "HR": hr}))
+    return ParameterTable(rows)
+
+
+class TestRankDeficientDesigns:
+    """Where columns are exact linear combinations of others, covered-edge
+    reversals need not tie, and the plateau walk must still end."""
+
+    DESIGNS = {
+        "rank-4": rank4_design,
+        "supine-hr-sum": lambda: collinear_hr_table().matrix(Position.SUPINE, STRUCTURE_NAMES),
+    }
+
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_searches_end_at_or_above_the_strict_ascent(self, design):
+        data = self.DESIGNS[design]()
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 1_000:
+                raise AssertionError("more than 1,000 strict climbs")
+            return _greedy_climb(*args)
+
+        with mock.patch.object(structure_search, "_greedy_climb", counted):
+            hc = hill_climb(data)
+            tabu = tabu_search(data)
+        strict, _ = _greedy_climb(_BicScorer(data), (0,) * data.shape[1])
+        assert bic_score(data, hc) >= bic_score(data, _dag(hc.nodes, strict))
+        assert bic_score(data, tabu) >= bic_score(data, hc) - 1e-9
+
+
 def _reference_strict_climb(scorer, parents0):
     """Strict best-improvement ascent with a move loop of its own, as it was
     before tabu search shared the loop: (parent masks, accumulated score)."""
@@ -613,7 +664,7 @@ def _reference_strict_climb(scorer, parents0):
     score = scorer.total(parents)
     while True:
         best_move, best_delta = None, _EPS_GAIN
-        for move in _legal_moves(children, parents, scorer.p, structure_search.MAX_PARENTS):
+        for move in _legal_moves(children, parents):
             delta = _move_delta(scorer, parents, move)
             if _beats(delta, best_delta):
                 best_move, best_delta = move, delta
@@ -631,7 +682,7 @@ def _reference_tabu_walk(scorer, best, best_score):
     tabu = deque(maxlen=structure_search.TABU_LENGTH)
     stalls = 0
     while True:
-        moves = _legal_moves(children, parents, scorer.p, structure_search.MAX_PARENTS)
+        moves = _legal_moves(children, parents)
         chosen, chosen_delta = None, _EPS_GAIN
         for move in moves:
             delta = _move_delta(scorer, parents, move)
@@ -728,7 +779,7 @@ def test_beats_tests_the_order_first_with_the_same_result(delta, incumbent, nudg
         assert _beats(d, incumbent) == _former_beats(d, incumbent)
 
 
-# the move loop's settings, and fges's max_parents 2 and 4
+# the move loop's settings, and fges's MAX_PARENTS 2 and 4
 _TABLE_SETTINGS = [{}, {"MAX_PARENTS": 2}, _MOVE_LOOP_SETTINGS[1]]
 _TABLE_SETTING_IDS = ["default", "max-parents-2", "short-tabu"]
 
@@ -741,10 +792,10 @@ class TestMoveDeltaTable:
     def test_served_deltas_are_fresh(self, constants):
         served = 0
 
-        def checked(scorer, deltas, children, parents, max_parents):
+        def checked(scorer, deltas, children, parents):
             nonlocal served
             stored = list(deltas)
-            moves, scored = _scored_moves(scorer, deltas, children, parents, max_parents)
+            moves, scored = _scored_moves(scorer, deltas, children, parents)
             for move, delta in zip(moves, scored):
                 if stored[move] is not None:
                     served += 1
@@ -1123,13 +1174,13 @@ class TestInsertTable:
     def test_rows_read_are_fresh(self, constants):
         served = 0
 
-        def checked(rows, scorer, max_parents, y, adj, und, parents):
+        def checked(rows, scorer, y, adj, und, parents):
             nonlocal served
             before = rows.get(y)
-            row = _stored_insert_row(rows, scorer, max_parents, y, adj, und, parents)
+            row = _stored_insert_row(rows, scorer, y, adj, und, parents)
             if before is not None and row is before[1]:
                 served += 1
-            assert row == _insert_row(scorer, max_parents, y, adj, und, parents), y
+            assert row == _insert_row(scorer, y, adj, und, parents), y
             return row
 
         with _settings(constants), mock.patch.object(structure_search, "_stored_insert_row", checked):
@@ -1381,8 +1432,11 @@ class TestGcvSmoother:
         def system(v, parents):
             return _eigen_inputs(_dense_smoother(z, v, parents)[0])
 
-        with mock.patch.object(structure_search, "fdtrc", wraps=structure_search.fdtrc) as sf:
-            _prune_node(system, v, preds, n, 0.001)
+        with (
+            _settings({"CAM_PRUNE_ALPHA": 0.001}),
+            mock.patch.object(structure_search, "fdtrc", wraps=structure_search.fdtrc) as sf,
+        ):
+            _prune_node(system, v, preds, n)
         assert [call.args for call in sf.call_args_list] == [
             pytest.approx(e, rel=1e-6) for e in expected
         ]
