@@ -90,7 +90,10 @@ def breathing_regularity(cvs) -> float:
     """
     if len(cvs) != len(DERIVED_SOURCES["BR"]):
         raise FeatureError("need the five coefficients of variation")
-    return 100.0 - 20.0 * sum(math.tanh(v) for v in cvs)
+    total = 0.0  # added left to right: from Python 3.12 sum() compensates
+    for v in cvs:
+        total += math.tanh(v)
+    return 100.0 - 20.0 * total
 
 
 def param_vector(rr_ms, breaths: BreathSeries) -> ParamVector:

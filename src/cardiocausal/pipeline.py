@@ -46,21 +46,7 @@ from .structure_search import (
     tabu_search,
 )
 
-# Each structure method as (table, position, design, names, warnings) ->
-# EdgeGraph; ``design`` is the table matrix over ``names``, or for the
-# methods in _BIC_METHODS the position's shared BIC scorer of it.
-_METHODS = {
-    "gc": lambda table, pos, design, names, warnings: EdgeGraph(
-        names, gc_graph(table, pos, names, warnings)
-    ),
-    "hc": lambda table, pos, design, names, warnings: hill_climb(design, names=names),
-    "tabu": lambda table, pos, design, names, warnings: tabu_search(design, names=names),
-    "fges": lambda table, pos, design, names, warnings: fges(design, names=names),
-    "cam": lambda table, pos, design, names, warnings: cam_learn(design, names=names),
-}
-
-METHOD_NAMES = tuple(_METHODS)
-_BIC_METHODS = frozenset({"hc", "tabu", "fges"})
+METHOD_NAMES = ("gc", "hc", "tabu", "fges", "cam")
 
 # Pairs whose relationship is deterministic by construction and therefore
 # never reported as a structure edge.
@@ -345,45 +331,39 @@ def _write_outputs(report: CausalReport, out_dir: Path) -> None:
         )
 
 
-def _method_graphs(
-    table: ParameterTable, pos: Position, config: RunConfig, warnings_list: list[str]
-) -> dict[str, EdgeGraph]:
-    """The graph of each method of ``config`` for one position.
+def _position_result(table: ParameterTable, pos: Position, config: RunConfig):
+    """``(warnings, correlation matrix, method graphs)`` of one position.  An
+    expected failure raises PipelineError with the position's warnings.
 
     hc, tabu and fges are handed one BIC scorer of the design, so they share
     its local scores and tabu continues from hc's climb.  The first of them
-    to run builds it, so an error of the scorer names that method, and it is
-    dropped with the position.
+    to run builds it, so an error of the scorer names that method.
     """
+    warnings_list: list[str] = []
     names = STRUCTURE_NAMES if config.mask_derived == "exclude" else PARAMETER_NAMES
-    design = table.matrix(pos, names)
     scorer: _BicScorer | None = None
     graphs: dict[str, EdgeGraph] = {}
+    stage = f"correlation matrix for {pos.value}"
     try:
+        matrix = correlation_matrix(table, pos, warnings=warnings_list)
+        design = table.matrix(pos, names)
         for method in config.methods:
-            data = design
-            if method in _BIC_METHODS:
+            stage = f"{method} search for {pos.value}"
+            if method == "gc":
+                graph = EdgeGraph(names, gc_graph(table, pos, names, warnings_list))
+            elif method == "cam":
+                graph = cam_learn(design, names=names)
+            else:
                 if scorer is None:
                     scorer = _BicScorer(design)
-                data = scorer
-            graph = _METHODS[method](table, pos, data, names, warnings_list)
+                search = hill_climb if method == "hc" else tabu_search if method == "tabu" else fges
+                graph = search(scorer, names=names)
             if config.mask_derived == "post-hoc":
                 graph = _mask_ignored(graph)
             graphs[method] = graph
     except (SearchError, AssociationError) as exc:
-        raise PipelineError(f"{method} search for {pos.value}: {exc}", warnings_list) from None
-    return graphs
-
-
-def _position_result(table: ParameterTable, pos: Position, config: RunConfig):
-    """``(warnings, correlation matrix, method graphs)`` of one position.  An
-    expected failure raises PipelineError with the position's warnings."""
-    warnings_list: list[str] = []
-    try:
-        matrix = correlation_matrix(table, pos, warnings=warnings_list)
-    except AssociationError as exc:
-        raise PipelineError(f"correlation matrix for {pos.value}: {exc}", warnings_list) from None
-    return warnings_list, matrix, _method_graphs(table, pos, config, warnings_list)
+        raise PipelineError(f"{stage}: {exc}", warnings_list) from None
+    return warnings_list, matrix, graphs
 
 
 class _Stopped(str):
@@ -449,7 +429,8 @@ def _forked_map(function, items, run_first_here: bool = False):
     resume a ``read``) or with ``run_first_here`` first runs the first item
     in place of one child.  Otherwise it runs every item, up to the first
     that raises.  The items of a child that died, or whose result cannot be
-    pickled or read, give a ``_Stopped``.  Every child is SIGKILLed if this
+    pickled or read, give a ``_Stopped``, as do all items left to children
+    when the system refuses the first fork.  Every child is SIGKILLed if this
     process or its own item raises, and reaped in every case.
     """
     items = list(items)
@@ -458,17 +439,25 @@ def _forked_map(function, items, run_first_here: bool = False):
     lifeline_read, lifeline = os.pipe()
     tasks, task_write = os.pipe()
     fds = [lifeline_read, lifeline, tasks, task_write]
-    children, received, outcomes, finished = {}, {}, {}, False
+    children, received, outcomes, finished, reason = {}, {}, {}, False, None
     try:
         for _ in range(workers - here):
             results_read, results = os.pipe()
             fds.append(results_read)
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:  # the children started take every item
+                os.close(fds.pop())
+                os.close(results)
+                reason = None if children else _Stopped(f"cannot start a worker process: {exc}")
+                break
             if pid == 0:
                 _child(function, items, tasks, lifeline_read, results, fds)
             os.close(results)
             children[pid], received[results_read] = results_read, []
-        order = b"".join(i.to_bytes(4, "little") for i in range(here, len(items)))
+        # with no child to read them, more indices than the pipe holds would block
+        queued = range(here, len(items)) if children else ()
+        order = b"".join(i.to_bytes(4, "little") for i in queued)
         for start in range(0, len(order), select.PIPE_BUF):
             os.write(task_write, order[start : start + select.PIPE_BUF])
         os.close(fds.pop(3))  # task_write: the children see the end of the tasks
@@ -495,7 +484,6 @@ def _forked_map(function, items, run_first_here: bool = False):
         codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children}
         for fd in fds:
             os.close(fd)
-    reason = None
     for pid, fd in children.items():
         code, payload = codes[pid], b"".join(received[fd])
         try:

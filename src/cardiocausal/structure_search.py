@@ -154,7 +154,10 @@ class _BicScorer:
         return score
 
     def total(self, parents: list[int]) -> float:
-        return sum(self.local(v, parents[v]) for v in range(self.p))
+        total = 0.0  # added left to right: from Python 3.12 sum() compensates
+        for v in range(self.p):
+            total += self.local(v, parents[v])
+        return total
 
 
 def _scorer(data) -> _BicScorer:
@@ -506,30 +509,28 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
         adj = [und[v] | parents[v] | children[v] for v in nodes]
         return adj, children
 
-    # Each generator scores an operator from the cached local scores (the
-    # Insert operators from their table) first, and checks its validity only
-    # when its delta beats that of every valid operator before it (a NaN delta
-    # never does): max keeps the first of equal deltas, so no other operator
-    # can win.  Validity can change anywhere, so it is never stored.
+    # Each scan scores an operator from the cached local scores (the Insert
+    # operators from their table) first, and checks its validity only when
+    # its delta beats that of every valid operator before it (a NaN delta
+    # never does), so it returns the first valid operator of largest delta.
+    # Validity can change anywhere, so it is never stored.
     rows: dict[int, tuple] = {}
 
-    def forward_candidates():
+    def best_insert():
         adj, children = neighbours()
         step = [children[v] | und[v] for v in nodes]
-        best = _EPS_GAIN
+        best, found = _EPS_GAIN, None
         for y in nodes:
-            row = _stored_insert_row(rows, scorer, y, adj, und, parents)
-            for delta, x, t, block in row:
+            for delta, x, t, block in _stored_insert_row(rows, scorer, y, adj, und, parents):
                 if not delta > best or not _is_clique(block, adj):
                     continue
-                if _semi_directed_reaches(y, x, block, step):
-                    continue
-                best = delta
-                yield delta, x, y, t
+                if not _semi_directed_reaches(y, x, block, step):
+                    best, found = delta, (x, y, t)
+        return found
 
-    def backward_candidates():
+    def best_delete():
         adj, _ = neighbours()
-        best = _EPS_GAIN
+        best, found = _EPS_GAIN, None
         for y in nodes:
             nb_y = und[y]
             # x -> y or x - y
@@ -541,15 +542,13 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                         rest = na - sum(1 << v for v in h)
                         base = (rest | parents[y]) & ~(1 << x)
                         delta = scorer.local(y, base) - scorer.local(y, base | 1 << x)
-                        if not delta > best or not _is_clique(rest, adj):
-                            continue
-                        best = delta
-                        yield delta, x, y, h
+                        if delta > best and _is_clique(rest, adj):
+                            best, found = delta, (x, y, h)
+        return found
 
-    def run_phase(candidate_fn, apply_fn):
-        # max keeps the first of equal scores, in candidate order
-        while (best := max(candidate_fn(), key=lambda c: c[0], default=None)) is not None:
-            apply_fn(*best[1:])
+    def run_phase(best_fn, apply_fn):
+        while (op := best_fn()) is not None:
+            apply_fn(*op)
             parents[:], und[:] = _complete_pattern(parents, und)
 
     def orient(a, b):
@@ -570,8 +569,8 @@ def fges(data, config: SearchConfig | None = None, *, names=None) -> EdgeGraph:
                 if und[u] >> v & 1:
                     orient(u, v)
 
-    run_phase(forward_candidates, apply_insert)
-    run_phase(backward_candidates, apply_delete)
+    run_phase(best_insert, apply_insert)
+    run_phase(best_delete, apply_delete)
     return _graph(names, parents, und)
 
 

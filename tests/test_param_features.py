@@ -32,6 +32,22 @@ from cardiocausal.synthetic import sem_cohort, synthetic_ecg
 TestKind.__test__ = False  # enum of statistical tests, not a test class
 
 
+def neumaier_sum(values) -> float:
+    """sum() over floats as CPython 3.12 computes it: Neumaier's compensated
+    sum, the compensation added at the end when it is finite and nonzero."""
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
 def make_breaths(
     n_insp=6,
     period=4.0,
@@ -162,6 +178,23 @@ class TestBreathingRegularity:
     def test_wrong_count_rejected(self):
         with pytest.raises(FeatureError):
             breathing_regularity([0.1, 0.1, 0.1, 0.1])
+
+    def test_adds_left_to_right_where_a_compensated_sum_differs(self):
+        # the five tanh terms added left to right, on any Python; the
+        # Neumaier-compensated sum that sum() uses for floats from Python
+        # 3.12 rounds some cohort rows differently
+        differ = 0
+        for seed in range(8):
+            table, _ = sem_cohort(100, seed=seed)
+            for row in table.rows:
+                cvs = [row.params[name] for name in DERIVED_SOURCES["BR"]]
+                terms = [math.tanh(v) for v in cvs]
+                left = 0.0
+                for term in terms:
+                    left += term
+                assert breathing_regularity(cvs) == 100.0 - 20.0 * left
+                differ += 100.0 - 20.0 * neumaier_sum(terms) != 100.0 - 20.0 * left
+        assert differ > 0
 
 
 class TestParamVector:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import cardiocausal
 from cardiocausal import cli, pipeline, structure_search
+from cardiocausal.association import AssociationError
 from cardiocausal.cli import main
 from cardiocausal.graphs import EdgeGraph, GraphError
 from cardiocausal.pipeline import (
@@ -587,6 +588,23 @@ class _Forks:
         monkeypatch.setattr(os, "fork", fork)
 
 
+def _refuse_fork(monkeypatch, call: int):
+    """Make the ``call``-th ``os.fork`` raise EAGAIN, as a process limit does."""
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == call:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
 def _on_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
@@ -622,6 +640,40 @@ class TestParallelExtraction:
         assert forks.count == (0 if len(cpus) == 1 else len(cpus))
         assert table == expected_table
         assert warnings == expected_warnings
+
+    def test_refused_fork_leaves_the_items_to_the_started_worker(
+        self, mixed_signals_dir, monkeypatch
+    ):
+        expected_table, expected_warnings = _serial_table(mixed_signals_dir)
+        _on_cpus(monkeypatch, {0, 1, 2})
+        _refuse_fork(monkeypatch, 2)
+        fds, warnings = _open_fds(), []
+        table = pipeline._table_from_signals(mixed_signals_dir, warnings)
+        assert _open_fds() == fds
+        assert table == expected_table
+        assert warnings == expected_warnings
+
+    def test_refused_first_fork_stops_more_items_than_the_task_pipe_holds(self, monkeypatch):
+        # no child reads the task pipe, so no index is written to it; the
+        # alarm turns a blocked write into a failure instead of a hang
+        def blocked(signum, frame):
+            raise TimeoutError("blocked writing the task indices")
+
+        _on_cpus(monkeypatch, {0, 1})
+        _refuse_fork(monkeypatch, 1)
+        fds = _open_fds()
+        former = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(30)
+        try:
+            outcomes = list(pipeline._forked_map(abs, range(20_000)))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, former)
+        assert _open_fds() == fds
+        assert set(outcomes) == {
+            "cannot start a worker process: [Errno 11] Resource temporarily unavailable"
+        }
+        assert len(outcomes) == 20_000 and isinstance(outcomes[0], pipeline._Stopped)
 
     def test_at_most_one_worker_per_file(self, signals_dir, tmp_path, monkeypatch):
         for name in ("s00_supine.csv", "s01_supine.csv"):
@@ -898,6 +950,39 @@ class TestConcurrentPositions:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"analysis failed: {message}")
+
+    def test_refused_fork_exits_2_with_one_line(self, cohort_csv, tmp_path, monkeypatch, capsys):
+        _on_cpus(monkeypatch, {0, 1})
+        _refuse_fork(monkeypatch, 1)
+        fds = _open_fds()
+        code = main([
+            "analyze", "--input", str(cohort_csv), "--input-kind", "params",
+            "--methods", "hc", "--out", str(tmp_path / "out"),
+        ])
+        assert _open_fds() == fds
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "analysis failed: position worker for standing stopped: cannot start a worker"
+            " process: [Errno 11] Resource temporarily unavailable"
+        ]
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_correlation_matrix_failure_names_its_stage(self, cohort_csv, monkeypatch, cpus):
+        real = pipeline.correlation_matrix
+
+        def failing(table, pos, warnings):
+            warnings.append(f"seen in {pos.value}")
+            if pos is Position.STANDING:
+                raise AssociationError("no matrix")
+            return real(table, pos, warnings=warnings)
+
+        monkeypatch.setattr(pipeline, "correlation_matrix", failing)
+        _on_cpus(monkeypatch, cpus)
+        config = RunConfig(input_path=str(cohort_csv), input_kind="params", methods=("hc",))
+        message = "^correlation matrix for standing: no matrix$"
+        with pytest.raises(PipelineError, match=message) as exc:
+            run_pipeline(config)
+        assert exc.value.warnings == ("seen in supine", "seen in standing")
 
     def test_child_is_killed_when_this_process_fails(self, cohort_csv, monkeypatch):
         def stuck(table, pos, config):

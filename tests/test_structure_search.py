@@ -75,6 +75,7 @@ from test_graphs import (
     former_topological_sort,
     vstructs_of,
 )
+from test_param_features import neumaier_sum
 
 
 def sem_data(seed: int, n: int = 4000, p: int = 4):
@@ -311,6 +312,24 @@ class TestBicScore:
         dag = EdgeGraph(("a", "b"), frozenset({("a", "b")}))
         expected = bic_score(data, dag) - 30 * 2 * 600 * math.log(2.0)
         assert bic_score(data * 2.0**600, dag) == pytest.approx(expected, rel=1e-12)
+
+    def test_total_adds_left_to_right_where_a_compensated_sum_differs(self):
+        # the local scores of hc's DAG added in node order, on any Python;
+        # the Neumaier-compensated sum that sum() uses for floats from
+        # Python 3.12 rounds some of these totals differently
+        differ = 0
+        for seed in range(4):
+            table, _ = sem_cohort(100, seed=seed)
+            for pos, names in itertools.product(Position, (STRUCTURE_NAMES, PARAMETER_NAMES)):
+                scorer = _BicScorer(table.matrix(pos, names))
+                parents = _masks(hill_climb(scorer, names=names))[0]
+                local = [scorer.local(v, parents[v]) for v in range(scorer.p)]
+                left = 0.0
+                for score in local:
+                    left += score
+                assert scorer.total(parents) == left
+                differ += neumaier_sum(local) != left
+        assert differ > 0
 
 
 class TestNodeNames:
