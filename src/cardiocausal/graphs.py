@@ -1,10 +1,11 @@
 """Graphs of directed and undirected edges over named parameter nodes.
 
-Every structure method returns one ``EdgeGraph``: gc's pairwise directed
-edges (cycles allowed), the DAGs of hc, tabu and cam, and fges's CPDAG, the
-completed partially directed representative of a Markov equivalence class,
-whose directed edges are shared by every member of the class and whose
-undirected edges are those the class leaves open.
+Every graph in a report is one ``EdgeGraph``: the DAGs of hc, tabu and
+cam, fges's CPDAG, and gc's pairwise directed edges (cycles allowed), which
+``gc_graph`` returns as a set of (cause, effect) name pairs and the pipeline
+wraps.  The CPDAG is the completed partially directed representative of a
+Markov equivalence class, whose directed edges are shared by every member of
+the class and whose undirected edges are those the class leaves open.
 
 Inside the search layer a graph is each node's parents, and undirected
 neighbours, as int bitmasks (bit ``i`` for node ``i``); ``_masks`` and

@@ -60,43 +60,6 @@ def former_topological_sort(nodes, edges) -> list:
     return order
 
 
-def former_complete_pattern(nodes, directed, undirected) -> tuple[set, set]:
-    """``graphs._complete_pattern`` on sets of edges, as it was before
-    bitmasks: unshielded colliders, then R1-R3 until a fixpoint."""
-    adj = former_adjacency(nodes, directed, undirected)
-    parents = former_adjacency(nodes, {(b, a) for a, b in directed}, one_way=True)
-    colliders = set()
-    for v in nodes:
-        for p, q in combinations(parents[v], 2):
-            if q not in adj[p]:
-                colliders.update(((p, v), (q, v)))
-    loose = {frozenset(e) for e in directed if e not in colliders} | set(undirected)
-    directed, undirected = colliders, loose
-
-    def forced(b, c) -> bool:
-        into_c = [a for a in nodes if (a, c) in directed and frozenset((b, a)) in undirected]
-        return (
-            any((a, b) in directed and c not in adj[a] for a in nodes)
-            or any((b, a) in directed and (a, c) in directed for a in nodes)
-            or any(a2 not in adj[a1] for a1, a2 in combinations(into_c, 2))
-        )
-
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(undirected, key=lambda p: tuple(sorted(p))):
-            if pair not in undirected:
-                continue
-            x, y = tuple(sorted(pair))
-            for b, c in ((x, y), (y, x)):
-                if forced(b, c):
-                    undirected.discard(pair)
-                    directed.add((b, c))
-                    changed = True
-                    break
-    return directed, undirected
-
-
 def all_dags_3() -> list[EdgeGraph]:
     """All 25 DAGs on three labelled nodes."""
     pairs = [("x", "y"), ("x", "z"), ("y", "z")]
@@ -428,16 +391,8 @@ def _mask_completion(graph: EdgeGraph) -> EdgeGraph:
     return _graph(graph.nodes, *out)
 
 
-def _set_completion(graph: EdgeGraph) -> EdgeGraph:
-    """The former set-based completion of ``graph``."""
-    return EdgeGraph(
-        graph.nodes, *former_complete_pattern(graph.nodes, set(graph.directed), set(graph.undirected))
-    )
-
-
 class TestCompletePattern:
-    """One completion routine gives the former v-structures + R1-R4 result,
-    and the former completion on sets of edges."""
+    """One completion routine gives the former v-structures + R1-R4 result."""
 
     def test_cpdag_of_matches_the_former_completion_on_random_dags(self):
         import numpy as np
@@ -457,8 +412,7 @@ class TestCompletePattern:
             ext = former_consistent_extension(d.nodes, directed, undirected)
             assert ext is not None
             pdag = EdgeGraph(d.nodes, directed, undirected)
-            out = _mask_completion(pdag)
-            assert out == _set_completion(pdag) == former_cpdag_of(ext) == cpdag_of(d)
+            assert _mask_completion(pdag) == former_cpdag_of(ext) == cpdag_of(d)
 
     def test_completion_is_a_fixpoint(self):
         import numpy as np
@@ -466,7 +420,7 @@ class TestCompletePattern:
         rng = np.random.default_rng(4)
         for i in range(300):
             c = cpdag_of(random_dag(rng, 2 + i % 8, density=0.5))
-            assert _mask_completion(c) == _set_completion(c) == c
+            assert _mask_completion(c) == c
 
     def test_inputs_are_not_modified(self):
         # x -> y <- z, y - w on nodes 0..3

@@ -69,7 +69,6 @@ from cardiocausal.synthetic import sem_cohort
 from test_association import former_loo_predictions, make_table, random_columns
 from test_graphs import (
     former_adjacency,
-    former_complete_pattern,
     former_consistent_extension,
     former_cpdag_of,
     former_topological_sort,
@@ -445,22 +444,32 @@ def _descendants(children):
     return reach
 
 
-def _former_legal_moves(children, parents, p, max_parents):
-    """``_legal_moves`` as it was, with each node's descendants as a set."""
-    reach = _descendants(children)
-    adds, dels, revs = [], [], []
-    for u in range(p):
-        for v in range(p):
-            if u == v:
-                continue
-            if v in children[u]:
-                dels.append(("delete", u, v))
-                if len(parents[u]) < max_parents and not any(v in reach[c] for c in children[u]):
-                    revs.append(("reverse", u, v))
-            elif u not in children[v]:
-                if len(parents[v]) < max_parents and u not in reach[v]:
-                    adds.append(("add", u, v))
-    return adds + dels + revs
+def _acyclic_single_edge_edits(p, edges, max_parents):
+    """Every single-edge edit of the DAG ``edges`` on ``p`` nodes that leaves
+    a DAG with at most ``max_parents`` parents at the edited head, by brute
+    force: adds, then deletes, then reversals, each by tail and head."""
+    edits = []
+    for op in ("add", "delete", "reverse"):
+        for u in range(p):
+            for v in range(p):
+                if u == v:
+                    continue
+                if op == "add" and (u, v) not in edges and (v, u) not in edges:
+                    edited, head = edges | {(u, v)}, v
+                elif op == "delete" and (u, v) in edges:
+                    edited, head = edges - {(u, v)}, None
+                elif op == "reverse" and (u, v) in edges:
+                    edited, head = (edges - {(u, v)}) | {(v, u)}, u
+                else:
+                    continue
+                if head is not None and sum(b == head for _, b in edited) > max_parents:
+                    continue
+                try:
+                    EdgeGraph(tuple(range(p)), frozenset(edited)).require_dag()
+                except GraphError:
+                    continue
+                edits.append((op, u, v))
+    return edits
 
 
 class TestHillClimb:
@@ -509,30 +518,11 @@ class TestHillClimb:
                 for i, j in combinations(range(p), 2)
                 if rng.random() < 0.4
             }
-            expected = []
-            for op in ("add", "delete", "reverse"):
-                for u in range(p):
-                    for v in range(p):
-                        if u == v:
-                            continue
-                        if op == "add" and (u, v) not in edges and (v, u) not in edges:
-                            edited, head = edges | {(u, v)}, v
-                        elif op == "delete" and (u, v) in edges:
-                            edited, head = edges - {(u, v)}, None
-                        elif op == "reverse" and (u, v) in edges:
-                            edited, head = (edges - {(u, v)}) | {(v, u)}, u
-                        else:
-                            continue
-                        if head is not None and sum(b == head for _, b in edited) > max_parents:
-                            continue
-                        try:
-                            EdgeGraph(tuple(range(p)), frozenset(edited)).require_dag()
-                        except GraphError:
-                            continue
-                        expected.append((op, u, v))
             children, parents = _edge_masks(p, edges)
             with _settings({"MAX_PARENTS": max_parents}):
-                assert _named(_legal_moves(children, parents), p) == expected
+                assert _named(_legal_moves(children, parents), p) == _acyclic_single_edge_edits(
+                    p, edges, max_parents
+                )
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -540,18 +530,17 @@ class TestHillClimb:
         max_parents=st.integers(1, 4),
         data=st.data(),
     )
-    def test_legal_moves_match_the_descendant_set_version(self, p, max_parents, data):
+    def test_legal_moves_and_descendant_masks_on_random_dags(self, p, max_parents, data):
         order = data.draw(st.permutations(range(p)))
         pairs = [(order[i], order[j]) for i, j in combinations(range(p), 2)]
         kept = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        edges = [e for e, k in zip(pairs, kept) if k]
+        edges = {e for e, k in zip(pairs, kept) if k}
         children, parents = _edge_masks(p, edges)
-        set_children, set_parents = _former_state_from_edges(p, edges)
         with _settings({"MAX_PARENTS": max_parents}):
-            assert _named(_legal_moves(children, parents), p) == _former_legal_moves(
-                set_children, set_parents, p, max_parents
+            assert _named(_legal_moves(children, parents), p) == _acyclic_single_edge_edits(
+                p, edges, max_parents
             )
-        descendants = _descendants(set_children)
+        descendants = _descendants(_former_state_from_edges(p, edges)[0])
         masks = _descendant_masks(children)
         assert [set(_members(masks[v])) for v in range(p)] == [descendants[v] for v in range(p)]
         # handed the parents, the same routine gives the ancestors
@@ -649,7 +638,9 @@ def collinear_hr_table():
 
 class TestRankDeficientDesigns:
     """Where columns are exact linear combinations of others, covered-edge
-    reversals need not tie, and the plateau walk must still end."""
+    reversals need not tie, and the plateau walk must still end.  fges must
+    still give the former rebuild's graph, whose consistent extension always
+    exists."""
 
     DESIGNS = {
         "rank-4": rank4_design,
@@ -674,6 +665,14 @@ class TestRankDeficientDesigns:
         strict, _ = _greedy_climb(_BicScorer(data), (0,) * data.shape[1])
         assert bic_score(data, hc) >= bic_score(data, _dag(hc.nodes, strict))
         assert bic_score(data, tabu) >= bic_score(data, hc) - 1e-9
+
+    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
+    @pytest.mark.parametrize("position", list(Position), ids=lambda position: position.value)
+    def test_fges_gives_the_former_rebuild(self, position, names):
+        _assert_fges_is_the_former_rebuild(collinear_hr_table().matrix(position, names))
+
+    def test_fges_gives_the_former_rebuild_on_rank_4(self):
+        _assert_fges_is_the_former_rebuild(rank4_design())
 
 
 def _reference_strict_climb(scorer, parents0):
@@ -1032,116 +1031,31 @@ def _former_fges(data, *, names=None):
     return graph, retries
 
 
-def _rescoring_fges(data, *, names=None):
-    """fges as it was before its Insert-operator table: every Insert operator
-    is scored again at each step."""
-    scorer = structure_search._scorer(data)
-    p = scorer.p
-    names = _node_names(names, p)
-    nodes = tuple(range(p))
-    directed: set[tuple[int, int]] = set()
-    undirected: set[frozenset] = set()
-
-    def neighbours():
-        parents = _former_state_from_edges(p, directed)[1]
-        return (
-            former_adjacency(nodes, directed, undirected),
-            former_adjacency(nodes, (), undirected),
-            parents,
-        )
-
-    def forward_candidates():
-        adj, und, parents = neighbours()
-        step = former_adjacency(nodes, directed, undirected, one_way=True)
-        best = _EPS_GAIN
-        for y in range(p):
-            nb_y = und[y]
-            for x in range(p):
-                if x == y or x in adj[y]:
-                    continue
-                na = {v for v in nb_y if v in adj[x]}
-                t0 = sorted(nb_y - adj[x])
-                for size in range(len(t0) + 1):
-                    for t in combinations(t0, size):
-                        block = na | set(t)
-                        base = frozenset(block | parents[y])
-                        new = base | {x}
-                        if len(new) > structure_search.MAX_PARENTS:
-                            continue
-                        delta = scorer.local(y, _mask(new)) - scorer.local(y, _mask(base))
-                        if not delta > best or not _former_is_clique(block, adj):
-                            continue
-                        if _former_semi_directed_reaches(y, x, block, step):
-                            continue
-                        best = delta
-                        yield delta, x, y, t
-
-    def backward_candidates():
-        adj, und, parents = neighbours()
-        best = _EPS_GAIN
-        for y in range(p):
-            nb_y = und[y]
-            for x in range(p):
-                if x == y:
-                    continue
-                if (x, y) not in directed and frozenset((x, y)) not in undirected:
-                    continue
-                na = {v for v in nb_y if v in adj[x]}
-                for size in range(len(na) + 1):
-                    for h in combinations(sorted(na), size):
-                        rest = na - set(h)
-                        base = frozenset((rest | parents[y]) - {x})
-                        delta = scorer.local(y, _mask(base)) - scorer.local(y, _mask(base | {x}))
-                        if not delta > best or not _former_is_clique(rest, adj):
-                            continue
-                        best = delta
-                        yield delta, x, y, h
-
-    def run_phase(candidate_fn, apply_fn):
-        nonlocal directed, undirected
-        while (best := max(candidate_fn(), key=lambda c: c[0], default=None)) is not None:
-            apply_fn(*best[1:])
-            directed, undirected = former_complete_pattern(nodes, directed, undirected)
-
-    def apply_insert(x, y, t):
-        directed.add((x, y))
-        for v in t:
-            undirected.discard(frozenset((v, y)))
-            directed.add((v, y))
-
-    def apply_delete(x, y, h):
-        directed.discard((x, y))
-        undirected.discard(frozenset((x, y)))
-        for v in h:
-            if frozenset((y, v)) in undirected:
-                undirected.discard(frozenset((y, v)))
-                directed.add((y, v))
-            if frozenset((x, v)) in undirected:
-                undirected.discard(frozenset((x, v)))
-                directed.add((x, v))
-
-    run_phase(forward_candidates, apply_insert)
-    run_phase(backward_candidates, apply_delete)
-    return EdgeGraph(
-        names,
-        frozenset((names[a], names[b]) for a, b in directed),
-        frozenset(frozenset(names[v] for v in pair) for pair in undirected),
-    )
-
-
 _FGES_SETTINGS = [{}, {"MAX_PARENTS": 2}]
 
 
-class _FgesDesigns:
-    """The inputs on which fges is compared with a former version; each
-    subclass's ``check`` names the version."""
+def _assert_fges_is_the_former_rebuild(data):
+    """fges gives ``_former_fges``'s graph, and the former rebuild never
+    needed its retry."""
+    got = fges(data)
+    ref, retries = _former_fges(data)
+    assert got.directed == ref.directed
+    assert got.undirected == ref.undirected
+    assert retries == 0
+
+
+class TestFgesAgainstFormerRebuild:
+    """One pattern completion per operator gives the former rebuild's output,
+    and the former rebuild never needed its retry.  The former rebuild scores
+    every operator again at each step, so this also checks the Insert-operator
+    table."""
 
     @pytest.mark.parametrize("constants", _FGES_SETTINGS, ids=["default", "max-parents-2"])
     def test_random_linear_sems(self, constants):
         with _settings(constants):
             for seed in range(600):
                 data, _ = sem_data(seed, n=300, p=3 + seed % 6)
-                self.check(data)
+                _assert_fges_is_the_former_rebuild(data)
 
     def test_exact_ties_go_to_the_first_candidate(self):
         # columns that are permutations or copies of one small-integer column
@@ -1150,7 +1064,7 @@ class _FgesDesigns:
             rng = np.random.default_rng(seed)
             base = rng.integers(-3, 4, 24)
             cols = [rng.permutation(base) if rng.random() < 0.5 else base for _ in range(3 + seed % 3)]
-            self.check(np.column_stack(cols).astype(float))
+            _assert_fges_is_the_former_rebuild(np.column_stack(cols).astype(float))
 
     @pytest.mark.parametrize("constants", _FGES_SETTINGS, ids=["default", "max-parents-2"])
     @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
@@ -1160,29 +1074,7 @@ class _FgesDesigns:
             for seed in range(10):
                 table, _ = sem_cohort(n, seed=seed)
                 for position in Position:
-                    self.check(table.matrix(position, names))
-
-
-class TestFgesAgainstFormerRebuild(_FgesDesigns):
-    """One pattern completion per operator gives the former rebuild's output,
-    and the former rebuild never needed its retry."""
-
-    @staticmethod
-    def check(data):
-        got = fges(data)
-        ref, retries = _former_fges(data)
-        assert got.directed == ref.directed
-        assert got.undirected == ref.undirected
-        assert retries == 0
-
-
-class TestFgesAgainstRescoring(_FgesDesigns):
-    """The Insert-operator table gives the graphs of rescoring every operator
-    at each step."""
-
-    @staticmethod
-    def check(data):
-        assert fges(data) == _rescoring_fges(data)
+                    _assert_fges_is_the_former_rebuild(table.matrix(position, names))
 
 
 class TestInsertTable:
