@@ -17,8 +17,12 @@ from .record_io import PARAMETER_NAMES, ParameterTable, Position
 
 MPE_GATE = 0.9
 DIRECTION_ALPHA = 0.05
-# bytes of gc's kernel held at a time: the rows of one block
-_KERNEL_BLOCK_BYTES = 2**19
+# rows and columns of one tile of gc's kernel (0.3 MB), the fastest of 96-256
+# at 100, 1000 and 2000 rows
+_KERNEL_TILE = 192
+# the kernel tiles multiply panels of a multiple of this many columns, where
+# the BLAS product gives each column the same bits whatever its neighbours
+_PANEL_WIDTH = 8
 
 
 class AssociationError(ValueError):
@@ -73,24 +77,41 @@ class GeneralizedCorrPair:
             raise AssociationError("decided direction requires gate_p < 0.05")
 
 
-def _as_pair(x, y, min_n: int):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _check_lengths(x: np.ndarray, y: np.ndarray, min_n: int) -> None:
     if x.shape != y.shape or x.ndim != 1:
         raise AssociationError("inputs must be equal-length vectors")
     if x.size < min_n:
         raise AssociationError(f"need at least {min_n} observations")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise AssociationError("non-finite input")
-    if is_constant(x) or is_constant(y):
-        raise AssociationError("zero variance input")
+
+
+def _column_failure(x: np.ndarray) -> str | None:
+    """Why no correlation with the column ``x`` exists, or None."""
+    if not np.all(np.isfinite(x)):
+        return "non-finite input"
+    if is_constant(x):
+        return "zero variance input"
+    return None
+
+
+def _raise_failure(*failures) -> None:
+    """Raise the first of the columns' failures, a non-finite one before a
+    constant one."""
+    for message in ("non-finite input", "zero variance input"):
+        if message in failures:
+            raise AssociationError(message)
+
+
+def _as_pair(x, y, min_n: int):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_lengths(x, y, min_n)
+    _raise_failure(_column_failure(x), _column_failure(y))
     return x, y
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+def _pearson(xc: np.ndarray, sxx: float, yc: np.ndarray, syy: float) -> float:
+    """Pearson's r of two centered columns with their sums of squares."""
+    denom = math.sqrt(sxx * syy)
     if denom == 0:
         raise AssociationError("zero variance input")
     return float(xc @ yc) / denom
@@ -201,38 +222,51 @@ def _loo_predictions(x: np.ndarray, responses) -> list[np.ndarray]:
     Silverman bandwidth 1.06 * sd(x) * n^(-1/5); the kernel's diagonal is
     zero, so a point's own response is excluded to avoid zero-residual
     overfit, and a point whose weights sum under 1e-300 gets the mean of the
-    other responses.  The kernel is built one block of rows at a time, in
-    place: -0.5 * (z * z) equals (-0.5 * z) * z bit for bit, since halving is
-    exact above the subnormal range and exp gives 1.0 within it either way.
-    Each block is summed and multiplied into every response before the next
-    is built, so memory grows with n, not n^2.  Blocks of a multiple of 16
-    rows, with no one-row block at the end, give the bits of the whole
-    kernel's row sums and matrix-vector products.
+    other responses.
+
+    The kernel is built in square tiles of ``_KERNEL_TILE`` rows and
+    columns, and only the tiles on and above the diagonal: it is exactly
+    symmetric, as x_i - x_j and x_j - x_i differ only in sign, so the tile
+    below is the transpose of the tile above.  Each tile is built in place,
+    with the entries of the whole kernel: -0.5 * (z * z) equals
+    (-0.5 * z) * z bit for bit, since halving is exact above the subnormal
+    range and exp gives 1.0 within it either way.  The tile, and off the
+    diagonal its transpose, is multiplied once into a panel of a ones column
+    and the responses, zero-padded to a multiple of ``_PANEL_WIDTH``
+    columns, so one product per side gives a row's weight sum and every
+    numerator.  Each row adds its terms tile by tile, in column order, so
+    the predictions are the whole kernel's to within rounding (about 1e-14
+    of the response scale), not bit for bit; a response gets the same bits
+    whatever the other responses are.  Memory is one tile (0.3 MB) and two
+    n x 8 panels for up to seven responses, with no n x n array.
     """
     n = x.size
     h = 1.06 * float(np.std(x, ddof=1)) * n ** (-0.2)
     if h <= 0:
         raise AssociationError("degenerate variance: zero bandwidth")
-    rows = max(16, _KERNEL_BLOCK_BYTES // (8 * n) // 16 * 16)
-    bounds = list(range(0, n, rows))
-    if n - bounds[-1] == 1 and len(bounds) > 1:
-        bounds.pop()  # a one-row remainder joins the block before it
-    bounds.append(n)
-    denom = np.empty(n)
-    numers = np.empty((len(responses), n))
-    for start, stop in zip(bounds, bounds[1:]):
-        block = np.subtract.outer(x[start:stop], x)
-        block /= h
-        block *= block
-        block *= -0.5
-        np.exp(block, out=block)
-        block.ravel()[start :: n + 1] = 0.0  # the diagonal, (i, start + i)
-        block.sum(axis=1, out=denom[start:stop])
-        for numer, y in zip(numers, responses):
-            np.matmul(block, y, out=numer[start:stop])
-        del block  # freed before the next block is allocated
+    width = -(-(1 + len(responses)) // _PANEL_WIDTH) * _PANEL_WIDTH
+    panel = np.zeros((n, width))
+    panel[:, 0] = 1.0
+    for column, y in enumerate(responses, 1):
+        panel[:, column] = y
+    sums = np.zeros((n, width))
+    spans = [(start, min(start + _KERNEL_TILE, n)) for start in range(0, n, _KERNEL_TILE)]
+    for k, (a0, a1) in enumerate(spans):
+        for b0, b1 in spans[k:]:
+            tile = np.subtract.outer(x[a0:a1], x[b0:b1])
+            tile /= h
+            tile *= tile
+            tile *= -0.5
+            np.exp(tile, out=tile)
+            if a0 == b0:
+                tile.ravel()[:: a1 - a0 + 1] = 0.0  # the diagonal
+            else:
+                sums[b0:b1] += tile.T @ panel[a0:a1]
+            sums[a0:a1] += tile @ panel[b0:b1]
+            del tile  # freed before the next tile is allocated
+    denom = sums[:, 0]
     predictions = []
-    for numer, y in zip(numers, responses):
+    for numer, y in zip(sums[:, 1:].T, responses):
         fallback = (y.sum() - y) / (n - 1)  # isolated point: mean of the others
         with np.errstate(invalid="ignore", divide="ignore"):
             predictions.append(
@@ -241,32 +275,56 @@ def _loo_predictions(x: np.ndarray, responses) -> list[np.ndarray]:
     return predictions
 
 
-def _gmc_side(response: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
+@dataclass(frozen=True)
+class _GcColumn:
+    """A column's failure, or the moments each of its generalized
+    correlations reads."""
+
+    failure: str | None
+    moments: _Moments | None = None
+    var: float = math.nan  # population variance, the denominator of gmc
+
+
+def _gmc_side(response: _GcColumn, pred: np.ndarray) -> tuple[float, float]:
     """(gmc, gate p) for one conditioning side."""
-    var = float(np.var(response))
-    gmc = 1.0 - float(np.mean((response - pred) ** 2)) / var
+    y = response.moments
+    gmc = 1.0 - float(np.mean((y.values - pred) ** 2)) / response.var
     gmc = min(max(gmc, 0.0), 1.0)
     if np.std(pred) == 0:
         return gmc, 1.0
-    rho = _pearson(response, pred)
-    return gmc, _pearson_p(rho, response.size)
+    pc = pred - pred.mean()
+    rho = _pearson(y.centered, y.ss, pc, float(pc @ pc))
+    return gmc, _pearson_p(rho, pred.size)
 
 
 class GeneralizedCorrPairs:
     """Generalized correlations among equal-length columns, with one kernel
     per column.
 
-    A column's kernel is streamed the first time a pair needs it: it
-    predicts every other column one block of rows at a time, so no n x n
-    matrix is ever held (about 0.5 MB of kernel rows at any n up to 4096).
-    A prediction is dropped when read, as ``gc_graph`` reads each pair once,
-    so the predictions of each cause are freed as they are used.
+    A column's kernel is built the first time a pair needs it, one tile at a
+    time, and predicts every other column at once, so no n x n matrix is
+    ever held (one 0.3 MB tile and two n x 16 panels at most for ten
+    columns: about 0.6 MB at n = 1000).  A prediction is dropped when read,
+    as ``gc_graph`` reads each pair once, so the predictions of each cause
+    are freed as they are used.  A column's finiteness and constancy checks,
+    centering, sum of squares and variance are taken once, by its first
+    pair.
     """
 
     def __init__(self, columns):
         # extreme columns in power-of-two units, which changes no correlation
         self.columns = [without_overflow(np.asarray(c, dtype=float)) for c in columns]
+        self._checked: dict[int, _GcColumn] = {}
         self._predictions: dict[int, dict[int, np.ndarray]] = {}
+
+    def _column(self, i: int) -> _GcColumn:
+        if i not in self._checked:
+            x = self.columns[i]
+            failure = _column_failure(x)
+            self._checked[i] = (
+                _GcColumn(failure) if failure else _GcColumn(None, _moments(x), float(np.var(x)))
+            )
+        return self._checked[i]
 
     def _prediction(self, cause: int, response: int) -> np.ndarray:
         if cause not in self._predictions:
@@ -279,12 +337,15 @@ class GeneralizedCorrPairs:
 
     def pair(self, i: int, j: int) -> GeneralizedCorrPair:
         """``generalized_corr_pair(columns[i], columns[j])``."""
-        x, y = _as_pair(self.columns[i], self.columns[j], 20)
-        r = _pearson(x, y)
+        _check_lengths(self.columns[i], self.columns[j], 20)
+        cx, cy = self._column(i), self._column(j)
+        _raise_failure(cx.failure, cy.failure)
+        x, y = cx.moments, cy.moments
+        r = _pearson(x.centered, x.ss, y.centered, y.ss)
         sign = 1.0 if r >= 0 else -1.0
 
-        gmc_yx, p_yx = _gmc_side(y, self._prediction(i, j))
-        gmc_xy, p_xy = _gmc_side(x, self._prediction(j, i))
+        gmc_yx, p_yx = _gmc_side(cy, self._prediction(i, j))
+        gmc_xy, p_xy = _gmc_side(cx, self._prediction(j, i))
         r_star_yx = sign * math.sqrt(gmc_yx)
         r_star_xy = sign * math.sqrt(gmc_xy)
 

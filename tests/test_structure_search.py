@@ -734,6 +734,26 @@ def _reference_tabu_walk(scorer, best, best_score):
 
 _MOVE_LOOP_SETTINGS = [{}, {"MAX_PARENTS": 2, "TABU_LENGTH": 3, "TABU_MAX_STALLS": 30}]
 
+# moves the searches may apply to one design here, where they apply at most 121
+_MOVE_CAP = 10_000
+
+
+@contextlib.contextmanager
+def _capped_moves():
+    """The searches' moves counted, failing past ``_MOVE_CAP``: a stale
+    improving delta in the move table would otherwise loop forever."""
+    moves = 0
+
+    def counted(*args):
+        nonlocal moves
+        moves += 1
+        if moves > _MOVE_CAP:
+            raise AssertionError(f"more than {_MOVE_CAP:,} moves on one design")
+        _apply_move(*args)
+
+    with mock.patch.object(structure_search, "_apply_move", counted):
+        yield
+
 
 class TestMoveLoopAgainstReferences:
     """The one move loop gives hill-climb's and tabu search's former results."""
@@ -759,7 +779,8 @@ class TestMoveLoopAgainstReferences:
         with _settings(constants):
             for seed in range(200):
                 data, _ = sem_data(seed, n=300, p=3 + seed % 5)
-                self.check(data)
+                with _capped_moves():
+                    self.check(data)
 
     @pytest.mark.parametrize("constants", _MOVE_LOOP_SETTINGS, ids=["default", "short-tabu"])
     @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
@@ -769,10 +790,11 @@ class TestMoveLoopAgainstReferences:
                 table, _ = sem_cohort(100, seed=seed)
                 for position in Position:
                     data = table.matrix(position, names)
-                    hc, tabu = self.check(data)
-                    # the public searches are these two loops
-                    assert hill_climb(data).directed == {(f"x{u}", f"x{v}") for u, v in hc}
-                    assert tabu_search(data).directed == {(f"x{u}", f"x{v}") for u, v in tabu}
+                    with _capped_moves():
+                        hc, tabu = self.check(data)
+                        # the public searches are these two loops
+                        assert hill_climb(data).directed == {(f"x{u}", f"x{v}") for u, v in hc}
+                        assert tabu_search(data).directed == {(f"x{u}", f"x{v}") for u, v in tabu}
 
 
 def _same_float(a, b):
@@ -1577,17 +1599,29 @@ class TestGcGraph:
             gc_graph(table, Position.SUPINE)
         assert kernel.call_count == len(PARAMETER_NAMES)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_streamed_kernel_gives_the_former_graphs(self, seed):
-        # at 1000 subjects each kernel is streamed in 16 blocks of rows
-        table, _ = sem_cohort(1000, seed=seed)
+    @staticmethod
+    def check_dense_kernel_graphs(table, names=None):
+        """gc's edges and warnings in each position are those of the dense
+        kernel."""
         for position in Position:
             warnings = []
-            edges = gc_graph(table, position, warnings=warnings)
+            edges = gc_graph(table, position, names, warnings=warnings)
             former_warnings = []
             with mock.patch.object(association, "_loo_predictions", former_loo_predictions):
-                assert gc_graph(table, position, warnings=former_warnings) == edges
+                assert gc_graph(table, position, names, warnings=former_warnings) == edges
             assert warnings == former_warnings
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_streamed_kernel_gives_the_former_graphs(self, seed):
+        # at 1000 subjects each kernel is 21 tiles: 6 diagonal, the last of
+        # 40 rows, and 15 off it
+        self.check_dense_kernel_graphs(sem_cohort(1000, seed=seed)[0])
+
+    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
+    def test_tiled_kernel_gives_the_dense_graphs_at_100_subjects(self, names):
+        # at 100 subjects each kernel is one diagonal tile
+        for seed in range(8):
+            self.check_dense_kernel_graphs(sem_cohort(100, seed=seed)[0], names)
 
 
 def _scaled(table, name, factor):
