@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 import warnings
 from contextlib import contextmanager
@@ -117,7 +118,7 @@ def _check_parameters(subject_id: str, position: Position, params: dict) -> None
     BR in [0, 100]."""
     ctx = f"row ({subject_id!r}, {position.value})"
     for name, value in params.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
             raise FormatError(f"{ctx}: {name} is not finite")
     for name in _POSITIVE:
         if params[name] <= 0:
@@ -177,7 +178,10 @@ class ParameterTable:
         return table
 
     def _build(self, subject_ids, positions, values) -> None:
-        ids, positions, values = tuple(subject_ids), tuple(positions), _as_matrix(values)
+        ids, positions = tuple(subject_ids), tuple(positions)
+        if len(positions) != len(ids):
+            raise FormatError(f"{len(ids)} subject ids but {len(positions)} positions")
+        values = _as_matrix(values, len(ids))
         _check_columns(ids, positions, values)
         seen = set()
         for key in zip(ids, positions):
@@ -245,9 +249,19 @@ class ParameterTable:
         return supine, standing
 
 
-def _as_matrix(values) -> np.ndarray:
-    """A float64 copy of ``values`` with one row per table row."""
-    return np.array(values, dtype=float).reshape(-1, len(PARAMETER_NAMES))
+def _as_matrix(values, rows: int) -> np.ndarray:
+    """A float64 copy of ``values``, which must be ``rows`` rows of one value
+    per parameter; any other shape raises FormatError."""
+    shape = (rows, len(PARAMETER_NAMES))
+    try:
+        matrix = np.array(values, dtype=float)
+    except ValueError as exc:  # ragged rows, or a value that is not a number
+        raise FormatError(f"need {rows} rows of {shape[1]} parameter values: {exc}") from None
+    if matrix.size == rows == 0:  # no rows at all has shape (0,)
+        return matrix.reshape(shape)
+    if matrix.shape != shape:
+        raise FormatError(f"need {rows} rows of {shape[1]} parameter values, not {matrix.shape}")
+    return matrix
 
 
 def _check_columns(ids, positions, values: np.ndarray) -> None:
@@ -447,7 +461,7 @@ def load_parameter_table(path) -> ParameterTable:
                 positions.append(position)
                 values.append(line)
     except FormatError:
-        _check_columns(ids, positions, _as_matrix(values))
+        _check_columns(ids, positions, _as_matrix(values, len(ids)))
         raise
     return ParameterTable.from_columns(ids, positions, values)
 

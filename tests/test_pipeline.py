@@ -402,95 +402,6 @@ class TestRunPipelineOnParams:
                 assert not graph.skeleton() & IGNORED_PAIRS
 
 
-# the default methods' graphs and the consensus skeleton on
-# sem_cohort(100, seed=0) with mask_derived="exclude": "a->b" is a directed
-# edge, "a--b" an undirected edge or a skeleton pair (names sorted)
-_PINNED_GRAPHS = {
-    "supine": {
-        "gc": (
-            "HR->RMSSD", "HR->RR", "HR->cExpV", "HR->cInsV", "RMSSD->RR", "RMSSD->cInsT",
-            "RR->cInsV", "cExpV->RMSSD", "cInsT->HR", "cInsT->RR", "cInsV->RMSSD", "cInsV->cExpV",
-            "ciRR->RR", "ciRR->cExpT", "ciRR->cInsT",
-        ),
-        "hc": (
-            "HR->RMSSD", "HR->RR", "RMSSD->cInsV", "RR->cExpV", "RR->cInsT", "cExpT->ciRR",
-            "cInsT->ciRR", "cInsV->cExpV",
-        ),
-        "tabu": (
-            "HR->RMSSD", "HR->RR", "RMSSD->cInsV", "cExpT->ciRR", "cExpV->RR", "cInsT->HR",
-            "cInsT->RR", "cInsT->ciRR", "cInsV->RR", "cInsV->cExpV",
-        ),
-        "fges": (
-            "RR->cExpV", "cExpT->ciRR", "cInsT->ciRR", "cInsV->cExpV", "HR--RMSSD", "HR--RR",
-            "RMSSD--cInsV", "RR--cInsT",
-        ),
-        "cam": (
-            "HR->RMSSD", "RMSSD->cInsV", "RR->HR", "RR->cExpV", "cExpT->cInsT", "cInsT->RR",
-            "cInsV->cExpV", "ciRR->cExpT", "ciRR->cInsT",
-        ),
-        "skeleton": (
-            "HR--RMSSD", "HR--RR", "RMSSD--cInsV", "RR--cExpV", "RR--cInsT", "cExpT--ciRR",
-            "cExpV--cInsV", "cInsT--ciRR",
-        ),
-    },
-    "standing": {
-        "gc": (
-            "HR->RMSSD", "HR->cExpV", "HR->cInsT", "HR->cInsV", "RMSSD->cExpV", "RMSSD->cInsT",
-            "RMSSD->cInsV", "RR->HR", "RR->RMSSD", "RR->cInsT", "RR->ciRR", "cExpT->ciRR",
-            "cInsT->ciRR", "cInsV->RR", "cInsV->cExpV", "ciRR->HR", "ciRR->RMSSD",
-        ),
-        "hc": (
-            "HR->RMSSD", "RMSSD->cInsV", "RR->HR", "cExpT->ciRR", "cInsT->RR", "cInsT->ciRR",
-            "cInsV->cExpV",
-        ),
-        "tabu": (
-            "HR->RMSSD", "RMSSD->cInsV", "RR->HR", "cExpT->ciRR", "cInsT->RR", "cInsT->ciRR",
-            "cInsV->cExpV",
-        ),
-        "fges": (
-            "cExpT->ciRR", "cInsT->ciRR", "HR--RMSSD", "HR--RR", "RMSSD--cInsV", "RR--cInsT",
-            "cExpV--cInsV",
-        ),
-        "cam": (
-            "HR->RMSSD", "RMSSD->cInsV", "RR->HR", "cExpT->ciRR", "cInsT->RR", "cInsT->ciRR",
-            "cInsV->cExpV",
-        ),
-        "skeleton": (
-            "HR--RMSSD", "HR--RR", "RMSSD--cInsV", "RR--cInsT", "cExpT--ciRR", "cExpV--cInsV",
-            "cInsT--ciRR",
-        ),
-    },
-}
-
-
-def _edge_strings(graph):
-    directed = [f"{a}->{b}" for a, b in sorted(graph.directed)]
-    undirected = [f"{a}--{b}" for a, b in sorted(tuple(sorted(p)) for p in graph.undirected)]
-    return tuple(directed + undirected)
-
-
-@pytest.fixture(scope="module")
-def cohort100_report(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cohort100") / "params.csv"
-    table, _ = sem_cohort(100, seed=0)
-    save_parameter_table(table, path)
-    config = RunConfig(input_path=str(path), input_kind="params", mask_derived="exclude")
-    return run_pipeline(config)
-
-
-class TestPinnedDefaultGraphs:
-    @pytest.mark.parametrize("position", ["supine", "standing"])
-    def test_default_methods_and_skeleton(self, cohort100_report, position):
-        pinned = _PINNED_GRAPHS[position]
-        graphs = cohort100_report.method_graphs[position]
-        assert list(graphs) == ["gc", "hc", "tabu", "fges", "cam"]
-        for method, graph in graphs.items():
-            assert _edge_strings(graph) == pinned[method], method
-        pairs = cohort100_report.consensus_graphs[position].skeleton_pairs()
-        skeleton = sorted(tuple(sorted(p)) for p in pairs)
-        assert tuple(f"{a}--{b}" for a, b in skeleton) == pinned["skeleton"]
-
-
 class TestRunPipelineErrors:
     def test_too_few_subjects_is_fatal(self, tmp_path):
         table, _ = sem_cohort(3, seed=1)

@@ -330,6 +330,34 @@ class TestParameterTableType:
         with pytest.raises(FormatError, match="ciRR"):
             _param_row("s1", "supine", ciRR=-0.1)
 
+    @pytest.mark.parametrize("hr", [np.int64(60), np.float32(60.0)])
+    def test_numpy_scalars_are_accepted(self, hr):
+        table = ParameterTable((_param_row("s1", "supine", HR=hr),))
+        assert table == ParameterTable((_param_row("s1", "supine", HR=60.0),))
+
+    @pytest.mark.parametrize("hr", [np.float32("nan"), "60", 60j])
+    def test_non_finite_or_non_real_values_are_rejected(self, hr):
+        with pytest.raises(FormatError, match="HR is not finite"):
+            _param_row("s1", "supine", HR=hr)
+
+    @pytest.mark.parametrize(
+        "n_ids, values, message",
+        [
+            (12, np.ones((11, 10)), "need 12 rows of 10 parameter values, not (11, 10)"),
+            (12, np.ones((12, 11)), "need 12 rows of 10 parameter values, not (12, 11)"),
+            (12, np.ones((12, 9)), "need 12 rows of 10 parameter values, not (12, 9)"),
+            (12, np.ones(120), "need 12 rows of 10 parameter values, not (120,)"),
+            (12, [[1.0] * 10] * 11 + [[1.0] * 9], "need 12 rows of 10 parameter values: "),
+            (11, np.ones((12, 10)), "11 subject ids but 12 positions"),
+        ],
+        ids=["one-row-short", "11-wide", "9-wide", "flat", "ragged", "one-id-short"],
+    )
+    def test_columns_of_other_shapes_are_format_errors(self, n_ids, values, message):
+        ids = [f"s{i:02d}" for i in range(n_ids)]
+        with pytest.raises(FormatError) as caught:
+            ParameterTable.from_columns(ids, [Position.SUPINE] * 12, values)
+        assert str(caught.value).startswith(message)
+
     def test_column_in_sorted_subject_order(self):
         table = ParameterTable(
             (

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import math
 from collections import deque
@@ -42,7 +43,6 @@ from cardiocausal.structure_search import (
     _DELETE,
     _EPS_GAIN,
     _LAMBDA_GRID,
-    _N_BASIS,
     _apply_move,
     _beats,
     _bspline_basis,
@@ -71,7 +71,6 @@ from test_graphs import (
     former_adjacency,
     former_consistent_extension,
     former_cpdag_of,
-    former_topological_sort,
     vstructs_of,
 )
 from test_param_features import neumaier_sum
@@ -1400,106 +1399,47 @@ class TestGcvSmoother:
             _gcv_fit(eigensystem, np.zeros(3), 0.0, 3)
 
 
-def _former_penalized_fits(xtx, xty, yty, omega, lams):
-    """The smoother as it was: one ``sla.eigh`` for every fit."""
-    try:
-        mu, v = sla.eigh(xtx, xtx + omega)
-    except sla.LinAlgError as exc:
-        raise SearchError("smoother failure: no valid penalty value") from exc
-    c2 = (v.T @ xty) ** 2
-    d = mu + np.outer(lams, 1.0 - mu)
-    rss = np.maximum(yty - ((2.0 * d - mu) / d**2) @ c2, 0.0)
-    edf = (mu / d).sum(axis=1)
-    return rss, edf
+# SHA-256 of cam's sorted edges on both positions ("supine a->b", one per
+# line, supine first) of each sem_cohort design that tests/golden.json does
+# not cover, keyed "n-seed-columns"; taken with one BLAS thread, which
+# conftest.py sets
+_CAM_EDGE_DIGESTS = {
+    "50-0-8": "a1ce8fe88641dc538428baf97e5112f93a2c4e044071af2328054d8d84b7a9f5",
+    "50-0-10": "33b38b4efa931258b1f619b2fdb9097b47e05009aa9abc1aabec8966bd8b1ac3",
+    "50-1-8": "3f57d333385668b316b83159f38f2ed5c7693c88a18b8f7ac46274033817c4f1",
+    "50-1-10": "6f185af7ceb4e6bef2793389fb2e1573caa50cd470293e3bab3d2791234b6e82",
+    "50-2-8": "77351470a8a818a160d43778e972ae931ad2cde9fca94eeef5148695cd4554fb",
+    "50-2-10": "60142a94cc4de97587127c409ef2c9dcf27d60e8ac0c134e71b4c7311e9731bf",
+    "50-3-8": "3ff8fbd758429f1c67b95a4c85a1246ddc815082bd46ad08fe6aaad90a709ba7",
+    "50-3-10": "30d5e5e711f4a575925c2b54706f13ca27bd184c2333b44e8ab5b9059316a15a",
+    "1000-1-8": "077825aa93bf70d63876c851e3c9e4da44ee4ce5334f509aef5c202efa7f0e4d",
+    "1000-1-10": "da9becc4216dacd2d3e68182854dbd9471defe5a9b24aadbb881c80ac147a0e8",
+    "1000-2-8": "c371d0427429ab71671ac53fea73da900d82df674b0b08b1bd292d17bcea8b30",
+    "1000-2-10": "83f96739670fdf5285089d4df74c1eeb6e4acd00a00de5aebde1eafc10326e7c",
+    "1000-3-8": "543504e8de57e4ae9d5b599714e5b06c6483f6c49d7950375da3f1d59b72b65e",
+    "1000-3-10": "2e7d5bc7b8daabbfc69f33186617c2112d6f4545cf76533cd8254da267eb23cc",
+}
 
 
-def _former_gcv_fit(xtx, xty, yty, omega, n):
-    """(rss, edf, lam) of the former GCV choice."""
-    rss, edf = _former_penalized_fits(xtx, xty, yty, omega, _LAMBDA_GRID)
-    valid = np.flatnonzero(edf < n)
-    if not valid.size:
-        raise SearchError("smoother failure: no valid penalty value")
-    best = valid[np.argmin(n * rss[valid] / (n - edf[valid]) ** 2)]
-    return float(rss[best]), float(edf[best]), float(_LAMBDA_GRID[best])
-
-
-def _former_cam_learn(x, names, alpha=structure_search.CAM_PRUNE_ALPHA):
-    """cam_learn as it was, on a valid design: each fit decomposes its own
-    smoother system, with no eigensystem shared between fits."""
-    n, p = x.shape
-    z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
-    terms = [_SplineTerm(z[:, j]) for j in range(p)]
-    design = np.hstack([np.ones((n, 1))] + [t.basis for t in terms])
-    gram, xtz = design.T @ design, design.T @ z
-    omega = sla.block_diag(np.zeros((1, 1)), *(t.penalty for t in terms))
-    width = _N_BASIS - 1
-
-    def system(v, parent_list):
-        cols = np.concatenate(
-            [[0]] + [np.arange(1 + width * u, 1 + width * (u + 1)) for u in parent_list]
+class TestCamEdgeDigests:
+    @pytest.mark.parametrize("design", _CAM_EDGE_DIGESTS)
+    def test_edges_keep_their_digest(self, design):
+        # an intended change records the new digest, and why, in CHANGES.md
+        n, seed, width = map(int, design.split("-"))
+        names = STRUCTURE_NAMES if width == 8 else PARAMETER_NAMES
+        table, _ = sem_cohort(n, seed=seed)
+        edges = "\n".join(
+            f"{position.value} {a}->{b}"
+            for position in Position
+            for a, b in sorted(cam_learn(table.matrix(position, names), names=names).directed)
         )
-        block = np.ix_(cols, cols)
-        return gram[block], xtz[cols, v], float(z[:, v] @ z[:, v]), omega[block]
-
-    rss_cache = {}
-
-    def rss_of(v, parent_set):
-        if (v, parent_set) not in rss_cache:
-            rss = _former_gcv_fit(*system(v, sorted(parent_set)), n)[0]
-            rss_cache[v, parent_set] = max(rss, 1e-300)
-        return rss_cache[v, parent_set]
-
-    children, parents = _former_state_from_edges(p, ())
-    while True:
-        best, best_gain = None, _EPS_GAIN
-        reach = _descendants(children)
-        for v in range(p):
-            base = rss_of(v, frozenset(parents[v]))
-            for u in range(p):
-                if u == v or u in parents[v] or u in reach[v]:
-                    continue
-                gain = 0.5 * n * math.log(base / rss_of(v, frozenset(parents[v] | {u})))
-                if gain > best_gain:
-                    best, best_gain = (u, v), gain
-        if best is None:
-            break
-        children[best[0]].add(best[1])
-        parents[best[1]].add(best[0])
-
-    order = former_topological_sort(
-        tuple(range(p)), frozenset((u, v) for u, cs in children.items() for v in cs)
-    )
-    edges = []
-    for pos, v in enumerate(order):
-        preds = order[:pos]
-        if not preds:
-            continue
-        full_rss, full_edf, lam = _former_gcv_fit(*system(v, preds), n)
-        for u in preds:
-            (rss,), (edf,) = _former_penalized_fits(
-                *system(v, [w for w in preds if w != u]), [lam]
-            )
-            df1, df2 = full_edf - edf, n - full_edf
-            if df1 <= 1e-9 or df2 <= 1e-9 or full_rss <= 0:
-                continue
-            f_stat = ((rss - full_rss) / df1) / (full_rss / df2)
-            if f_stat > 0 and float(structure_search.fdtrc(df1, df2, f_stat)) < alpha:
-                edges.append((u, v))
-    return EdgeGraph(names, frozenset((names[u], names[v]) for u, v in edges)).require_dag()
+        digest = hashlib.sha256(edges.encode()).hexdigest()
+        assert digest == _CAM_EDGE_DIGESTS[design], f"new digest {digest} of\n{edges}"
 
 
 class TestCamAgainstFormerSmoother:
-    """One eigensystem per ordered parent list, straight from LAPACK, gives
-    the former per-fit ``sla.eigh`` graphs."""
-
-    @pytest.mark.parametrize("names", [STRUCTURE_NAMES, PARAMETER_NAMES], ids=["8", "10"])
-    @pytest.mark.parametrize("n, seeds", [(50, 4), (100, 8), (1000, 4)])
-    def test_sem_cohort_designs(self, n, seeds, names):
-        for seed in range(seeds):
-            table, _ = sem_cohort(n, seed=seed)
-            for position in Position:
-                x = table.matrix(position, names)
-                assert cam_learn(x, names=names) == _former_cam_learn(x, names)
+    """cam decomposes each ordered parent list's smoother system once, where
+    the former smoother decomposed one for every fit."""
 
     @pytest.mark.parametrize(
         "names, fits, systems",
